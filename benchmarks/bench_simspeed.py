@@ -9,16 +9,9 @@ Fig. 12 grid, one phase per layer --
 * **incremental-serial**: the per-bank candidate cache with
   floor-indexed selection tables, still one process -- isolates the
   scheduler win from parallelism;
-* **sharded-serial**: the channel-sharded sweep driver
-  (:mod:`repro.sim.shards`) on top of the incremental scheduler --
-  isolates the horizon-bounded run-ahead win (incremental horizon
-  assembly, mutation-keyed peek reuse, multi-round run-ahead);
-* **sharded-threads**: the same shards on persistent worker threads,
-  one per channel, under the original per-round barrier protocol
-  (pays thread coordination for nothing under the GIL; built for
-  free-threaded pythons, where it is the default backend);
-* **parallel**: process-level fan-out with ``REPRO_BENCH_JOBS`` worker
-  processes (at least 4 for this bench).
+* **parallel**: process-level fan-out of the incremental scheduler
+  with ``REPRO_BENCH_JOBS`` worker processes (at least 4 for this
+  bench).
 
 Every phase starts from a cold alone-IPC cache and must produce the
 exact same speedup table *and* per-cell behaviour digests; wall times
@@ -52,7 +45,6 @@ except ImportError:  # pragma: no cover - standalone invocation
                            / "src"))
 
 import repro.controller.scheduler as scheduler_mod
-import repro.sim.shards as shards_mod
 from repro.sim.experiments import (
     ExperimentContext,
     ExperimentSettings,
@@ -78,13 +70,11 @@ def _bench_mixes():
 
 
 def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
-                    accesses: int, mixes, shards: str = "off"):
-    """One timed fig12 grid run under one scheduler/backend pair."""
+                    accesses: int, mixes):
+    """One timed fig12 grid run under one scheduler path."""
     old_mode = scheduler_mod.INCREMENTAL_DEFAULT
-    old_shards = shards_mod.SHARDS_DEFAULT
     old_cache = os.environ.get("REPRO_CACHE_DIR")
     scheduler_mod.INCREMENTAL_DEFAULT = incremental
-    shards_mod.SHARDS_DEFAULT = shards
     os.environ["REPRO_CACHE_DIR"] = cache_dir
     try:
         context = ExperimentContext(ExperimentSettings(
@@ -94,10 +84,7 @@ def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
         table = fig12(context)
         elapsed = time.perf_counter() - start
         counters = {"commands": 0, "peeks": 0, "candidates_built": 0,
-                    "candidates_examined": 0, "transactions": 0,
-                    "rounds": 0, "horizons_recomputed": 0,
-                    "horizons_reused": 0, "peek_reuses": 0,
-                    "horizon_time_s": 0.0, "retire_time_s": 0.0}
+                    "candidates_examined": 0, "transactions": 0}
         digests = {}
         for (config, mix, _, _), result in \
                 sorted(context._result_cache.items(),
@@ -108,15 +95,7 @@ def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
             counters["candidates_examined"] += \
                 result.stats.candidates_examined
             counters["transactions"] += result.transactions
-            counters["rounds"] += result.rounds
-            counters["horizons_recomputed"] += result.horizons_recomputed
-            counters["horizons_reused"] += result.horizons_reused
-            counters["peek_reuses"] += result.stats.peek_reuses
-            counters["horizon_time_s"] += result.horizon_time_s
-            counters["retire_time_s"] += result.retire_time_s
             digests[f"{config.name}|{mix}"] = result.digest()
-        counters["horizon_time_s"] = round(counters["horizon_time_s"], 4)
-        counters["retire_time_s"] = round(counters["retire_time_s"], 4)
         # Result-store discipline: each phase ran against a cold cache
         # directory, so the store must have missed once and put once
         # per grid cell, and served nothing.
@@ -128,7 +107,6 @@ def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
         return elapsed, table, counters, digests
     finally:
         scheduler_mod.INCREMENTAL_DEFAULT = old_mode
-        shards_mod.SHARDS_DEFAULT = old_shards
         if old_cache is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
@@ -142,15 +120,14 @@ def _grid_digest(digests: dict) -> str:
 
 
 def _phase_record(name: str, jobs: int, incremental: bool,
-                  shards: str, elapsed: float, counters: dict,
-                  digests: dict, round_walls) -> dict:
+                  elapsed: float, counters: dict, digests: dict,
+                  round_walls) -> dict:
     commands = max(1, counters["commands"])
     peeks = max(1, counters["peeks"])
     return {
         "name": name,
         "jobs": jobs,
         "incremental": incremental,
-        "shards": shards,
         "wall_s": round(elapsed, 4),
         "round_walls": [round(w, 4) for w in round_walls],
         **counters,
@@ -178,29 +155,26 @@ def run_phases(accesses: int, mixes, jobs: int, cache_root: str,
     are deterministic across rounds, so any round's table stands for
     all of them.
     """
-    specs = [("reference-serial", 1, False, "off"),
-             ("incremental-serial", 1, True, "off"),
-             ("sharded-serial", 1, True, "serial"),
-             ("sharded-threads", 1, True, "threads")]
+    specs = [("reference-serial", 1, False),
+             ("incremental-serial", 1, True)]
     if parallel_phase:
-        specs.append((f"parallel-x{jobs}", jobs, True, "serial"))
+        specs.append((f"parallel-x{jobs}", jobs, True))
     best = [None] * len(specs)
     walls = [[] for _ in specs]
     for rnd in range(rounds):
-        for i, (name, n_jobs, incremental, shards) in enumerate(specs):
+        for i, (name, n_jobs, incremental) in enumerate(specs):
             cache_dir = str(Path(cache_root)
                             / f"{name.replace('-', '_')}_{rnd}")
             elapsed, table, counters, digests = _run_grid_phase(
-                n_jobs, incremental, cache_dir, accesses, mixes,
-                shards=shards)
+                n_jobs, incremental, cache_dir, accesses, mixes)
             walls[i].append(elapsed)
             if best[i] is None or elapsed < best[i][0]:
                 best[i] = (elapsed, table, counters, digests)
     records, tables = [], []
-    for i, ((name, n_jobs, incremental, shards),
+    for i, ((name, n_jobs, incremental),
             (elapsed, table, counters, digests)) in \
             enumerate(zip(specs, best)):
-        records.append(_phase_record(name, n_jobs, incremental, shards,
+        records.append(_phase_record(name, n_jobs, incremental,
                                      elapsed, counters, digests,
                                      walls[i]))
         tables.append(table)
@@ -233,9 +207,9 @@ def paired_speedup(records, slow: str, fast: str) -> float:
 def check_phases(records, tables) -> None:
     """The acceptance assertions every mode of this bench enforces."""
     ref, inc = records[0], records[1]
-    # Identical science: not one value, not one digest may move.  This
-    # covers the sharded backends: their digests (and the parallel
-    # phase's) must match the reference scheduler's exactly.
+    # Identical science: not one value, not one digest may move.  The
+    # incremental and parallel phases must match the reference
+    # scheduler's digests exactly.
     for record in records[1:]:
         assert record["digest"] == ref["digest"], (
             f"{record['name']} digests diverged from reference")
@@ -248,30 +222,10 @@ def check_phases(records, tables) -> None:
     assert inc["candidates_built"] < ref["candidates_built"] / 2
     assert (inc["candidates_examined_per_peek"]
             < ref["candidates_examined_per_peek"])
-    # Effort ceilings: catches a return to per-peek rebuilding.  The
-    # sharded loop drives the same scheduler, so it is held to the same
-    # ceilings -- and to the exact same peek count as the classic loop
-    # (the horizon protocol adds no scheduling work).
-    for record in (inc, _phase(records, "sharded-serial"),
-                   _phase(records, "sharded-threads")):
-        assert record["peeks"] == ref["peeks"], record["name"]
-        assert record["peeks_per_command"] <= MAX_PEEKS_PER_COMMAND
-        assert (record["candidates_built_per_command"]
-                <= MAX_CANDIDATES_BUILT_PER_COMMAND)
-    # The sharded loop's own caches must be pulling their weight:
-    # round boundaries reuse peeks, horizon contributions are
-    # overwhelmingly served from the version-keyed cache, and rebuilds
-    # stay bounded by the events that can trigger them (a retired
-    # request or a completed read -- at most ~2 per transaction, plus
-    # one initial build per core per cell).  A return to per-assembly
-    # recomputation trips the ceiling by ~1.5x.
-    for record in (_phase(records, "sharded-serial"),
-                   _phase(records, "sharded-threads")):
-        assert record["peek_reuses"] > 0, record["name"]
-        assert record["horizons_reused"] > record["horizons_recomputed"], \
-            record["name"]
-        assert (record["horizons_recomputed"]
-                <= 2.2 * record["transactions"] + 1000), record["name"]
+    # Effort ceilings: catches a return to per-peek rebuilding.
+    assert inc["peeks_per_command"] <= MAX_PEEKS_PER_COMMAND
+    assert (inc["candidates_built_per_command"]
+            <= MAX_CANDIDATES_BUILT_PER_COMMAND)
     # Store-counter ceilings: every phase runs cold, so the store must
     # behave exactly once-per-cell -- no redundant probing (a miss
     # storm), no double writes, and no phantom hits.
@@ -309,11 +263,6 @@ def write_json(path: str, accesses: int, mixes, records) -> None:
         "speedup_incremental_serial": round(
             paired_speedup(records, "reference-serial",
                            "incremental-serial"), 3),
-        # Sharded-serial vs incremental-serial: what the channel shards
-        # buy on top of the incremental scheduler, single process.
-        "speedup_sharded": round(
-            paired_speedup(records, "incremental-serial",
-                           "sharded-serial"), 3),
     }
     parallel = [r for r in records if r["name"].startswith("parallel-")]
     if parallel:
@@ -339,27 +288,11 @@ def _print_phases(records, header: str) -> None:
               f"peeks/cmd={r['peeks_per_command']:.3f} "
               f"built/cmd={r['candidates_built_per_command']:.3f} "
               f"examined/peek={r['candidates_examined_per_peek']:.3f}")
-    # Per-phase round-cost breakdown of the sharded coordinator:
-    # horizon assembly + clamping vs. time inside the shards.
-    for r in records:
-        if r["shards"] == "off":
-            continue
-        split = r["horizon_time_s"] + r["retire_time_s"]
-        frac = r["horizon_time_s"] / split if split else 0.0
-        print(f"{r['name']:22s} horizons {r['horizon_time_s']:6.2f}s / "
-              f"retire {r['retire_time_s']:6.2f}s "
-              f"({frac:.1%} coordinator)  sweeps={r['rounds']} "
-              f"hz reused/recomputed="
-              f"{r['horizons_reused']}/{r['horizons_recomputed']} "
-              f"peek_reuses={r['peek_reuses']}")
     ref = records[0]["name"]
     for r in records[1:]:
         print(f"speedup vs reference  "
               f"{paired_speedup(records, ref, r['name']):7.2f}x"
               f"   ({r['name']})")
-    sharded = paired_speedup(records, "incremental-serial",
-                             "sharded-serial")
-    print(f"speedup sharded vs incremental {sharded:7.2f}x")
 
 
 def test_simspeed_fig12_grid(benchmark, tmp_path):
@@ -443,18 +376,6 @@ def main(argv=None) -> int:
         speedup = paired_speedup(records, "reference-serial",
                                  "incremental-serial")
         assert speedup >= 1.5, f"serial speedup {speedup:.2f}x < 1.5x"
-        # On a single thread the sweep coordinator costs ~6% of the
-        # phase (the horizons/retire split above) and the leaner
-        # per-shard loops win roughly that back, so the honest paired
-        # number on a 2-channel grid hovers at parity (0.95-1.02x on
-        # an unloaded 1-core host).  The floor guards against the
-        # coordinator regressing into real overhead -- the pre-cache
-        # driver measured 0.86x here -- not a speedup claim; the wins
-        # that motivate sharding are the digest-identical parallel
-        # backends and the reuse counters asserted in check_phases.
-        sharded = paired_speedup(records, "incremental-serial",
-                                 "sharded-serial")
-        assert sharded >= 0.9, f"sharded speedup {sharded:.2f}x < 0.9x"
     print("all checks passed")
     return 0
 

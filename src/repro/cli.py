@@ -242,15 +242,6 @@ def cmd_stats(args) -> None:
     sc = store_counter_stats()
     print(f"result store: {sc['hits']} hits, {sc['misses']} misses, "
           f"{sc['puts']} puts, {sc['evictions']} evictions")
-    if result.rounds:
-        from repro.sim.shards import lookahead_memo_stats
-        la = lookahead_memo_stats()
-        print(f"sharded loop: {result.rounds} sweeps, horizons "
-              f"{result.horizons_reused} reused / "
-              f"{result.horizons_recomputed} recomputed, "
-              f"{result.stats.peek_reuses} peek reuses; lookahead "
-              f"memo: {la['size']} entries, {la['hits']} hits, "
-              f"{la['misses']} misses")
     if args.json:
         with open(args.json, "w") as fh:
             report.write_json(fh)
@@ -292,8 +283,7 @@ def cmd_profile(args) -> None:
     report = profile_run(_cell_config(args), args.mix,
                          accesses=args.accesses,
                          fragmentation=args.fragmentation,
-                         seed=args.seed, incremental=incremental,
-                         shards=getattr(args, "shards", None))
+                         seed=args.seed, incremental=incremental)
     print(report.format_table(limit=args.limit, sort=args.sort), end="")
     if args.output:
         report.dump(args.output)
@@ -414,13 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the experiment grid "
                             "(default 1 = serial; 0 = all cores)")
-        p.add_argument("--shards", choices=("off", "serial", "threads"),
-                       default=None,
-                       help="simulation backend: 'off' = classic global "
-                            "event loop, 'serial' = channel-sharded "
-                            "(default), 'threads' = one worker thread "
-                            "per channel; all three are "
-                            "digest-identical")
         return p
 
     sub.add_parser("list", help="configurations, mixes, experiments"
@@ -556,13 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> None:
     args = build_parser().parse_args(argv)
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        # Set the module default so every simulation this invocation
-        # triggers -- including grid workers forked later -- inherits
-        # the chosen backend.
-        from repro.sim import shards as shards_mod
-        shards_mod.SHARDS_DEFAULT = shards
     args.func(args)
 
 

@@ -55,9 +55,10 @@ class ControllerStats:
     peeks: int = 0
     candidates_built: int = 0
     candidates_examined: int = 0
-    #: :meth:`ChannelController.cached_peek` calls answered from the
-    #: mutation-keyed cache without re-running the scheduler.  Perf
-    #: counter like :attr:`peeks` -- never part of the digest.
+    #: Peeks answered from a cache without re-running the scheduler.
+    #: Always 0: the event loop caches proposals per channel itself and
+    #: only re-peeks a channel whose state changed.  Kept so readers of
+    #: this counter (the figure-turnaround benchmark) keep working.
     peek_reuses: int = 0
 
     def merge(self, other: "ControllerStats") -> None:
@@ -96,23 +97,6 @@ class ChannelController:
                                    refresh_policy=refresh_policy)
         self.stats = ControllerStats()
         self.observer = observer
-        #: Optional retire hook: called with each transaction the moment
-        #: a column command removes it from the queues (the only event
-        #: that frees queue room).  The sharded simulator
-        #: (:mod:`repro.sim.shards`) uses it for wake-on-room parking;
-        #: the classic loop keeps using :meth:`commit`'s return value.
-        self.on_retire = None
-        #: Mutation-keyed peek cache (:meth:`cached_peek`): the latest
-        #: proposal plus the ``(scheduler.mutations, now)`` key it was
-        #: computed under.  Valid across barrier rounds of the sharded
-        #: loop: a shard whose queues and bank state were untouched at
-        #: a round boundary skips the scheduler entirely.
-        self._peek_mutations = -1
-        self._peek_now = -1
-        self._peek_value = None
-        #: Cache hits (perf counter, mirrored into :attr:`stats` at
-        #: result collection).
-        self.peek_reuses = 0
 
     # -- admission ---------------------------------------------------------
 
@@ -140,46 +124,11 @@ class ChannelController:
     def pending(self) -> bool:
         return self.queues.pending()
 
-    def refresh_horizon(self) -> Optional[int]:
-        """Run-ahead bound from the pending refresh deadline, if any.
-
-        ``None`` with refresh disabled or while the queues are empty
-        (owed refreshes are then settled by the idle catch-up at the
-        next admission, so there is no deadline to run into).  The
-        sharded loop clamps a shard's horizon to this bound.
-        """
-        refresh = self.scheduler.refresh
-        if refresh is None or not self.queues.pending():
-            return None
-        return refresh.forced_horizon()
-
     # -- scheduling ----------------------------------------------------------
 
     def peek(self, now: int) -> Optional[Candidate]:
         """The command this channel would issue next, or None if idle."""
         return self.scheduler.best(now)
-
-    def cached_peek(self, now: int) -> Optional[Candidate]:
-        """Like :meth:`peek`, but memoised on channel state.
-
-        The answer is a pure function of the queues, the bank FSMs and
-        ``now``; the scheduler bumps :attr:`Scheduler.mutations` on
-        every change notification, so ``(mutations, now)`` is a sound
-        cache key (held as two ints -- this sits on the sharded loop's
-        innermost path).  The cache holds only the *latest* proposal
-        (the scheduler reuses one scratch :class:`Candidate`, so older
-        returns are overwritten in place anyway -- exactly the contract
-        the sharded loop's per-shard cache already relied on).
-        """
-        mutations = self.scheduler.mutations
-        if mutations == self._peek_mutations and now == self._peek_now:
-            self.peek_reuses += 1
-            return self._peek_value
-        value = self.scheduler.best(now)
-        self._peek_mutations = mutations
-        self._peek_now = now
-        self._peek_value = value
-        return value
 
     def collect_perf_counters(self) -> None:
         """Copy the scheduler's perf counters into :attr:`stats`.
@@ -192,7 +141,6 @@ class ChannelController:
         self.stats.peeks = scheduler.peeks
         self.stats.candidates_built = scheduler.candidates_built
         self.stats.candidates_examined = scheduler.candidates_examined
-        self.stats.peek_reuses = self.peek_reuses
         self.stats.write_cancels = self.channel.write_cancels
 
     def commit(self, candidate: Candidate) -> List[Transaction]:
@@ -246,8 +194,6 @@ class ChannelController:
         txn.completion_time = data_end
         self.queues.remove(txn)
         self.scheduler.note_remove(txn)
-        if self.on_retire is not None:
-            self.on_retire(txn)
         self.stats.columns += 1
         if txn.is_read:
             self.stats.read_latencies.add(txn.queueing_latency)

@@ -455,14 +455,6 @@ class RefreshScheduler:
         self.rotation = list(self.scopes)
         return closes, refreshes
 
-    def forced_horizon(self) -> int:
-        """Latest instant this channel can run ahead to without missing
-        a forced refresh (the sharded loop's run-ahead bound)."""
-        due = self.channel.resources.ref_due
-        if self.policy == "baseline":
-            return due
-        return due + self.defer_slack
-
 
 class Scheduler:
     """Candidate generation and FR-FCFS selection for one channel.
@@ -503,13 +495,6 @@ class Scheduler:
         #: reference path examines every rebuilt candidate per peek; the
         #: table path examines one pre-reduced winner per (bank, class).
         self.candidates_examined = 0
-        #: Monotone mutation counter: bumped by every change
-        #: notification (enqueue, retire, bank FSM change), i.e.
-        #: whenever a fresh :meth:`best` could answer differently.
-        #: :meth:`ChannelController.cached_peek` keys its cache on it,
-        #: so a peek is recomputed exactly when the queues or bank
-        #: state were touched since the previous one.
-        self.mutations = 0
         # -- incremental state ------------------------------------------
         self._seq = 0
         #: Whether queue membership changed since the last peek.  The
@@ -569,7 +554,6 @@ class Scheduler:
         if txn.seq < 0:
             txn.seq = self._seq
             self._seq += 1
-        self.mutations += 1
         self._queues_changed = True
         if self.refresh is not None:
             self.refresh._busy = None
@@ -582,7 +566,6 @@ class Scheduler:
 
     def note_remove(self, txn: Transaction) -> None:
         """A column command retired ``txn``; drop it from its bank."""
-        self.mutations += 1
         self._queues_changed = True
         if self.refresh is not None:
             self.refresh._busy = None
@@ -596,7 +579,6 @@ class Scheduler:
 
     def note_bank_change(self, bank_index: int) -> None:
         """A committed command changed this bank's FSM state."""
-        self.mutations += 1
         self._dirty.add(bank_index)
 
     # -- reference path ----------------------------------------------------

@@ -26,10 +26,6 @@ from repro.cpu.trace import Trace, TraceEntry
 #: Sentinel "cannot issue until a read completes" timestamp.
 BLOCKED = 1 << 62
 
-#: Staleness sentinel for the oldest-incomplete-read memo (``None`` is
-#: a valid answer, so the memo needs a distinct "unknown" marker).
-_STALE = object()
-
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -80,16 +76,6 @@ class TraceCore:
         #: Memoised next_request_time(); the answer only changes when
         #: this core pops a request or one of its reads completes.
         self._ready_cache: Optional[int] = None
-        #: Memoised oldest_incomplete_read(); same invalidation points.
-        self._oldest_cache = _STALE
-        #: Monotone state-version counter, bumped exactly where the
-        #: memos above are invalidated (:meth:`pop_request` and
-        #: :meth:`complete_read`).  Everything the sharded loop derives
-        #: from this core -- ready time, trace index, in-flight read
-        #: set, ROB pin -- is a pure function of the version, so its
-        #: per-core horizon contribution is cached against it
-        #: (:meth:`repro.sim.shards.ShardedSimulator._assemble_horizons`).
-        self.version = 0
         self._instr_ps = config.instruction_time_ps
 
     # -- progress ----------------------------------------------------------
@@ -155,26 +141,6 @@ class TraceCore:
         """The next access this core will issue (trace must not be done)."""
         return self._next_entry()
 
-    @property
-    def trace_index(self) -> int:
-        """Index of the next trace entry to issue (== len when done)."""
-        return self._index
-
-    def next_request_address(self) -> Optional[int]:
-        """Physical address of the next access, without popping it.
-
-        ``None`` once the trace is exhausted.  Valid even while the core
-        is blocked: trace entries carry concrete addresses (``depends``
-        marks a *timing* dependency on the previous read, not an unknown
-        address), so a router can classify the upcoming arrival by
-        channel before the core is ready to issue it.  The sharded
-        simulator (:mod:`repro.sim.shards`) uses this to compute each
-        channel's interaction horizon.
-        """
-        if self._index >= len(self.trace):
-            return None
-        return self.trace.entries[self._index].address
-
     def pop_request(self, issue_time: int) -> TraceEntry:
         """Hand the next access to the controller at ``issue_time``."""
         ready = self.next_request_time()
@@ -193,8 +159,6 @@ class TraceCore:
         self._frontier_ps = issue_time + self._instr_ps
         self._index += 1
         self._ready_cache = None
-        self._oldest_cache = _STALE
-        self.version += 1
         return entry
 
     def instruction_index_of_last_request(self) -> int:
@@ -217,8 +181,6 @@ class TraceCore:
                 if instruction_index == self._dep_read_index:
                     self._dep_read_completion = completion_time
                 self._ready_cache = None
-                self._oldest_cache = _STALE
-                self.version += 1
                 return
         raise ValueError(
             f"no outstanding read at instruction {instruction_index}")
@@ -248,25 +210,3 @@ class TraceCore:
     @property
     def outstanding_reads(self) -> int:
         return sum(1 for item in self._inflight if item[1] is None)
-
-    def oldest_incomplete_read(self) -> Optional[int]:
-        """Instruction index of the oldest read still awaiting data.
-
-        ``None`` when every in-flight read has a (possibly future)
-        completion time.  The sharded loop uses this to prove a core
-        *cannot* fill its ROB before its next channel switch: the ROB
-        barrier only ever blocks on reads with ``completion is None``,
-        and the oldest such read bounds every barrier check until a new
-        read is issued.  Memoised like ``next_request_time``: the
-        answer changes only through ``pop_request``/``complete_read``.
-        """
-        oldest = self._oldest_cache
-        if oldest is not _STALE:
-            return oldest
-        oldest = None
-        for index, completion in self._inflight:
-            if completion is None:
-                oldest = index
-                break
-        self._oldest_cache = oldest
-        return oldest

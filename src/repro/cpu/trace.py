@@ -9,7 +9,6 @@ drive a ROB-limited core model without simulating a pipeline.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, TextIO
 
@@ -80,28 +79,6 @@ class Trace:
         if not total:
             return 0.0
         return 1000.0 * self.memory_accesses / total
-
-    def cache_key(self) -> str:
-        """Content hash over every field that drives simulation.
-
-        The trace is immutable, so the key doubles as an invalidation
-        hook for anything memoised per trace: equal keys mean equal
-        entry streams (gap, kind, address, depends) and tail, and the
-        sharded loop's per-core routing lookahead tables are a pure
-        function of those plus the system config
-        (:func:`repro.sim.shards.lookahead_memo_stats` shows the memo
-        it feeds).  Computed lazily once and pinned on the instance.
-        """
-        key = getattr(self, "_cache_key", None)
-        if key is None:
-            h = hashlib.sha256()
-            h.update(f"tail={self.tail_instructions};".encode())
-            for e in self.entries:
-                h.update(f"{e.gap},{int(e.is_write)},{e.address:x},"
-                         f"{int(e.depends)};".encode())
-            key = h.hexdigest()
-            object.__setattr__(self, "_cache_key", key)
-        return key
 
 
 def write_trace(trace: Trace, stream: TextIO) -> None:

@@ -108,15 +108,6 @@ class SystemConfig:
     #: ``"sarp"`` sub-bank refresh overlapped with the partner
     #: sub-bank's accesses (per-bank on flat-bank organisations).
     refresh_policy: str = "baseline"
-    #: Execution backend for one simulation: ``"off"`` runs the classic
-    #: global event loop, ``"serial"`` the channel-sharded sweep driver,
-    #: ``"threads"`` the sharded per-round driver on persistent worker
-    #: threads (:mod:`repro.sim.shards`).  None keeps the module
-    #: default (:data:`repro.sim.shards.SHARDS_DEFAULT`): ``"threads"``
-    #: on free-threaded builds (``sys._is_gil_enabled()`` false),
-    #: ``"serial"`` under the GIL; ``REPRO_SHARDS`` overrides.  A
-    #: host-side knob only -- every backend is digest-identical.
-    shards: Optional[str] = None
     #: Memory-technology backend supplying the command set, timing-rule
     #: table, refresh grades, and power model
     #: (:mod:`repro.dram.backends`): ``"dram"`` (DDR4), ``"pcm_palp"``,
@@ -209,11 +200,11 @@ class SystemConfig:
     def digest_payload(self) -> dict:
         """Canonical JSON-able form of every behaviour-affecting field.
 
-        Host-side knobs (``record_commands``, ``incremental``,
-        ``shards``) and the cosmetic ``name`` are excluded: configs
-        differing only in those produce bit-identical simulations.
+        Host-side knobs (``record_commands``, ``incremental``) and the
+        cosmetic ``name`` are excluded: configs differing only in those
+        produce bit-identical simulations.
         """
-        skip = {"name", "record_commands", "incremental", "shards"}
+        skip = {"name", "record_commands", "incremental"}
 
         def conv(value):
             if isinstance(value, enum.Enum):

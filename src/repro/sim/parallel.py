@@ -158,9 +158,7 @@ def _pool_fingerprint(workers: int) -> tuple:
     # fork snapshots module globals, so a pool is only reusable while
     # the defaults its workers inherited still match the parent's.
     from repro.controller.scheduler import INCREMENTAL_DEFAULT
-    from repro.sim.shards import SHARDS_DEFAULT
-    return (workers, INCREMENTAL_DEFAULT, SHARDS_DEFAULT,
-            os.environ.get(CACHE_DIR_ENV))
+    return (workers, INCREMENTAL_DEFAULT, os.environ.get(CACHE_DIR_ENV))
 
 
 def _warm_executor(workers: int) -> ProcessPoolExecutor:

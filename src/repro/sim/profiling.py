@@ -82,36 +82,26 @@ class ProfileReport:
 def profile_run(config: SystemConfig, mix: str,
                 accesses: int = 1500, fragmentation: float = 0.1,
                 seed: int = 0,
-                incremental: Optional[bool] = None,
-                shards: Optional[str] = None) -> ProfileReport:
+                incremental: Optional[bool] = None) -> ProfileReport:
     """Profile one (config, mix) cell and return the report.
 
     ``incremental`` overrides the scheduler path for this run only
     (None keeps the config's own setting): profiling reference vs.
     table-based selection on the same cell is the intended use, and
-    the digests in the two reports must match.  ``shards`` likewise
-    picks the event loop for this run only -- ``"off"`` (or ``None``)
-    profiles the classic loop, ``"serial"`` / ``"threads"`` the
-    sharded drivers -- so scheduler *and* loop comparisons run through
-    one harness.
+    the digests in the two reports must match.
     """
-    from repro.sim.shards import ShardedSimulator, resolve_shard_mode
     from repro.sim.simulator import MemorySystem, Simulator
     from repro.cpu.core import CoreConfig, TraceCore
     from repro.workloads.mixes import mix_traces
 
     if incremental is not None:
         config = dataclasses.replace(config, incremental=incremental)
-    mode = resolve_shard_mode(shards) if shards is not None else "off"
     traces = mix_traces(mix, accesses, fragmentation=fragmentation,
                         seed=seed)
     system = MemorySystem(config)
     cores = [TraceCore(trace, CoreConfig(), core_id=i)
              for i, trace in enumerate(traces)]
-    if mode != "off" and len(cores) > 1:
-        simulator = ShardedSimulator(system, cores, backend=mode)
-    else:
-        simulator = Simulator(system, cores)
+    simulator = Simulator(system, cores)
 
     profiler = cProfile.Profile()
     profiler.enable()

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.controller import ChannelController, ControllerStats
 from repro.controller.transaction import Transaction, TransactionKind
-from repro.cpu.core import BLOCKED, TraceCore
+from repro.cpu.core import BLOCKED, CoreConfig, TraceCore
 from repro.dram.commands import PrechargeCause
 from repro.dram.power import EnergyMeter
 from repro.sim.accounting import (
@@ -152,16 +152,6 @@ class SimulationResult:
     #: evictions the memo performed (``repro stats`` surfaces both).
     route_cache_size: int = 0
     route_cache_clears: int = 0
-    #: Sharded-loop coordinator diagnostics (perf counters, never in
-    #: the digest; all zero under the classic loop): sweeps/rounds
-    #: driven, per-core horizon contributions rebuilt vs. served from
-    #: the version-keyed cache, and the coordinator's wall-clock split
-    #: between horizon assembly and shard execution.
-    rounds: int = 0
-    horizons_recomputed: int = 0
-    horizons_reused: int = 0
-    horizon_time_s: float = 0.0
-    retire_time_s: float = 0.0
     #: Cycle-accounting report when the run was observed (``observe=``
     #: on :class:`MemorySystem` / :func:`run_traces`); ``None``
     #: otherwise.  Observability never feeds the digest.
@@ -269,15 +259,10 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------
 
-    def _peek_channel(self, idx: int):
-        if self._dirty[idx]:
-            self._peeks[idx] = self.system.controllers[idx].peek(self.now)
-            self._dirty[idx] = False
-        return self._peeks[idx]
-
     def _earliest_command(self):
-        # _peek_channel, inlined: this runs once per main-loop
-        # iteration and the call overhead was measurable on wide grids.
+        # Per-channel peeks are refreshed inline rather than through a
+        # helper: this runs once per main-loop iteration and the call
+        # overhead was measurable on wide grids.
         best_idx, best = None, None
         peeks, dirty = self._peeks, self._dirty
         controllers = self.system.controllers
@@ -435,10 +420,9 @@ def collect_result(system: MemorySystem,
                    cores: List[TraceCore]) -> SimulationResult:
     """Aggregate a finished run into a :class:`SimulationResult`.
 
-    Shared by every execution backend (the classic loop above and the
-    sharded runners in :mod:`repro.sim.shards`): results are a pure
-    function of the post-run system and core state, so backends that
-    schedule identically aggregate identically.
+    A pure function of the post-run system and core state: merged
+    controller statistics, energy and precharge causes, per-core IPCs
+    and finish times, and the accounting report when observed.
     """
     stats = ControllerStats()
     energy = EnergyMeter(system.config.energy)
@@ -469,34 +453,16 @@ def collect_result(system: MemorySystem,
 
 
 def run_traces(config: SystemConfig, traces, core_config=None,
-               observe=None, shards=None) -> SimulationResult:
+               observe=None) -> SimulationResult:
     """Convenience: build a system, one core per trace, and run.
 
     ``observe`` (``True`` or an
     :class:`~repro.sim.accounting.ObserveOptions`) attaches cycle
     accounting / event tracing; the result then carries
     ``result.accounting`` (and ``result.trace``).
-
-    ``shards`` picks the execution backend: ``"off"`` is the classic
-    global event loop above, ``"serial"`` / ``"threads"`` the
-    channel-sharded loop of :mod:`repro.sim.shards`.  ``None`` defers
-    to ``config.shards``, then to the module default
-    (:data:`repro.sim.shards.SHARDS_DEFAULT`).  Every backend is
-    digest-identical; only host-side performance differs.
     """
-    from repro.cpu.core import CoreConfig
-    from repro.sim.shards import ShardedSimulator, resolve_shard_mode
     system = MemorySystem(config, observe=observe)
     cc = core_config or CoreConfig()
     cores = [TraceCore(trace, cc, core_id=i)
              for i, trace in enumerate(traces)]
-    mode = resolve_shard_mode(
-        shards if shards is not None else config.shards)
-    if mode == "off" or len(cores) < 2:
-        # A single core serializes every channel (each arrival's ready
-        # time depends directly on the previous pop, wherever it
-        # landed), so the sharded loop would degenerate to one event
-        # per barrier round; the classic loop is the faster identical
-        # engine for 1-core runs.
-        return Simulator(system, cores).run()
-    return ShardedSimulator(system, cores, backend=mode).run()
+    return Simulator(system, cores).run()

@@ -107,7 +107,7 @@ def store_key(config: SystemConfig, *, accesses: int,
 
 def serialize_result(result: SimulationResult) -> dict:
     """JSON-able summary carrying everything the reducers and the
-    result digest read.  Perf counters (peeks, wall time, shard
+    result digest read.  Perf counters (peeks, wall time, route-cache
     diagnostics) are host-side observations, not behaviour, and are
     deliberately dropped."""
     s = result.stats
@@ -342,8 +342,8 @@ class ResultStore:
         """Every entry file currently on disk."""
         if not os.path.isdir(self.directory):
             return
-        for shard in sorted(os.listdir(self.directory)):
-            sub = os.path.join(self.directory, shard)
+        for prefix in sorted(os.listdir(self.directory)):
+            sub = os.path.join(self.directory, prefix)
             if not os.path.isdir(sub):
                 continue
             for name in sorted(os.listdir(sub)):

@@ -3,9 +3,9 @@
 The heart of the refactor's acceptance: the ``dram`` backend's rule
 table must resolve *byte-identically* to the hand-written DDR4 model it
 replaced (golden digests captured before the refactor, on every preset
-and every execution backend), and the new technologies must survive the
-same round-trips (frequency scaling, digest stability, the four
-execution loops) as DDR4.
+and both scheduler paths), and the new technologies must survive the
+same round-trips (frequency scaling, digest stability, the reference
+and incremental scheduler paths) as DDR4.
 """
 
 import json
@@ -81,8 +81,8 @@ class TestDramTableMatchesHandWrittenModel:
 
 class TestGoldenDigests:
     """The `dram` backend is digest-identical to the pre-refactor
-    machine on all 17 presets (plus refresh variants) and all four
-    execution backends."""
+    machine on all 17 presets (plus refresh variants) and both
+    scheduler paths."""
 
     def test_all_presets_match_pre_refactor_digests(self):
         golden = _load_golden()
@@ -94,18 +94,17 @@ class TestGoldenDigests:
             assert run_traces(config, traces).digest() == digest, \
                 f"{config.name} diverged from pre-refactor {name}"
 
-    @pytest.mark.parametrize("shards,incremental", [
-        ("off", False), ("off", True), ("serial", True),
-        ("threads", True)])
-    def test_execution_backends_match_golden(self, shards, incremental):
+    @pytest.mark.parametrize("incremental", [False, True],
+                             ids=["reference", "incremental"])
+    def test_scheduler_paths_match_golden(self, incremental):
         golden = _load_golden()
         traces = mix_traces(golden["mix"], golden["accesses"],
                             seed=golden["seed"])
-        # One flat and one sub-banked config per execution backend
-        # keeps the matrix fast; the full 23-config sweep runs above.
+        # One flat and one sub-banked config per scheduler path keeps
+        # the matrix fast; the full 23-config sweep runs above.
         for index in (0, 7):
             config = replace(_golden_configs()[index],
-                             shards=shards, incremental=incremental)
+                             incremental=incremental)
             assert run_traces(config, traces).digest() == \
                 golden["digests"][index][1]
 
@@ -131,19 +130,17 @@ class TestNewTechnologyRoundTrips:
         assert digest == config.digest()  # stable
         assert digest == replace(config, name="renamed").digest()
         assert digest == replace(config, record_commands=True,
-                                 shards="serial").digest()
+                                 incremental=False).digest()
         assert digest != config.at_frequency(1.6e9).digest()
         assert digest != cfgs.ddr4_baseline().digest()
 
     @pytest.mark.parametrize("config", NEW_TECH_PRESETS,
                              ids=[c.name for c in NEW_TECH_PRESETS])
-    def test_four_execution_loops_identical(self, config):
+    def test_scheduler_paths_identical(self, config):
         traces = mix_traces("mix0", 200, seed=11)
-        digests = set()
-        for shards, incremental in (("off", False), ("off", True),
-                                    ("serial", True), ("threads", True)):
-            run = replace(config, shards=shards, incremental=incremental)
-            digests.add(run_traces(run, traces).digest())
+        digests = {run_traces(replace(config, incremental=incremental),
+                              traces).digest()
+                   for incremental in (False, True)}
         assert len(digests) == 1
 
 

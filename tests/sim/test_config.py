@@ -9,13 +9,36 @@ from repro.sim.config import (
     SystemConfig,
     bg32,
     ddr4_baseline,
+    gddr5,
     half_dram,
     ideal32,
     masa,
     masa_eruca,
     paired_bank,
+    pcm_palp,
     vsb,
 )
+
+
+class TestStoreIdentity:
+    """Config digests key the result store (with ``CACHE_VERSION``), so
+    a digest that moves orphans every stored entry of that config.  One
+    preset per memory technology is pinned to a literal value."""
+
+    @pytest.mark.parametrize("factory,digest", [
+        (ddr4_baseline,
+         "60e66a55a11548b2f56752e375611f55cb640fcd0231756f17cf5a06f6944e7a"),
+        (pcm_palp,
+         "7d058078c30e0a1a3fd4802a7f4135a5a268066ff00b8993f5b935942e5c7c81"),
+        (gddr5,
+         "56379c125360d7f858d21e1e4c16fd93c6ef3a6289e759332343cf1c2f142652"),
+    ], ids=["dram", "pcm_palp", "gddr5"])
+    def test_config_digest_is_pinned(self, factory, digest):
+        assert factory().digest() == digest
+
+    def test_cache_version_is_pinned(self):
+        from repro.sim.store import CACHE_VERSION
+        assert CACHE_VERSION == 4
 
 
 class TestBaseline:

@@ -136,8 +136,7 @@ def test_cache_key_includes_full_config_digest(tmp_path, monkeypatch):
                                          250, 4e9)
     assert plain != with_refresh
     # Host-side knobs and the cosmetic name must NOT split the key.
-    renamed = replace(base, name="renamed", record_commands=True,
-                      shards="serial")
+    renamed = replace(base, name="renamed", record_commands=True)
     assert AloneIpcDiskCache.key(renamed, "mcf", 0.1, 0, 250,
                                  4e9) == plain
 

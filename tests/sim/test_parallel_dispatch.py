@@ -95,9 +95,10 @@ class TestWarmPool:
         assert a is b
 
     def test_pool_refreshed_when_defaults_change(self, monkeypatch):
-        import repro.sim.shards as shards_mod
+        import repro.controller.scheduler as scheduler_mod
         a = parallel._warm_executor(2)
-        monkeypatch.setattr(shards_mod, "SHARDS_DEFAULT", "off")
+        monkeypatch.setattr(scheduler_mod, "INCREMENTAL_DEFAULT",
+                            not scheduler_mod.INCREMENTAL_DEFAULT)
         b = parallel._warm_executor(2)
         assert a is not b
 

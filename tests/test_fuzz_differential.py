@@ -113,7 +113,7 @@ class TestHarness:
         # repro printout run without needing a real scheduler bug.
         monkeypatch.setattr(
             fuzz, "check_case",
-            lambda case, presets=None, sharded=False: "forced")
+            lambda case, presets=None: "forced")
         failures = fuzz.run_seeds(4, 1, out=out)
         assert failures == 1
         text = out.getvalue()

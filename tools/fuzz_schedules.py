@@ -29,10 +29,6 @@ case), so the refresh scheduler rides every oracle below:
    (:meth:`AccountingReport.verify`).
 4. **Observer neutrality**: the observed run's digest must equal the
    unobserved run's.
-5. **Sharded backends** (``--sharded``): the channel-sharded loop
-   (:mod:`repro.sim.shards`), serial and threaded, must reproduce the
-   reference command streams and digests bit-for-bit, pass the rule
-   checker, and keep the accounting bucket-sum invariant.
 
 On failure the case is shrunk (halve accesses, then drop cores) while
 it still fails, and a copy-pasteable repro command is printed.  Exit
@@ -191,18 +187,13 @@ def command_stream_hash(system: MemorySystem) -> str:
     return h.hexdigest()
 
 
-def _run(config, traces, incremental: bool, observe: bool,
-         shards: str = "off"):
+def _run(config, traces, incremental: bool, observe: bool):
     """One simulation; returns (result, command hash, system)."""
     system = MemorySystem(replace(config, incremental=incremental),
                           observe=observe or None)
     cores = [TraceCore(t, CoreConfig(), core_id=i)
              for i, t in enumerate(traces)]
-    if shards == "off":
-        result = Simulator(system, cores).run()
-    else:
-        from repro.sim.shards import ShardedSimulator
-        result = ShardedSimulator(system, cores, backend=shards).run()
+    result = Simulator(system, cores).run()
     return result, command_stream_hash(system), system
 
 
@@ -218,8 +209,7 @@ def _validate(system) -> Optional[str]:
     return None
 
 
-def check_case(case: Case, presets: Optional[List] = None,
-               sharded: bool = False) -> Optional[str]:
+def check_case(case: Case, presets: Optional[List] = None) -> Optional[str]:
     """Run all oracles on one case; returns a failure message or None."""
     config = build_config(case, presets)
     traces = build_traces(case)
@@ -239,27 +229,6 @@ def check_case(case: Case, presets: Optional[List] = None,
         inc.accounting.verify()
     except AssertionError as exc:
         return f"accounting invariant: {exc}"
-    if sharded:
-        # The sharded loop is driven directly (not via run_traces) so
-        # 1-core cases exercise the shard protocol too instead of the
-        # classic-loop fast path.
-        for backend in ("serial", "threads"):
-            res, res_hash, res_system = _run(
-                config, traces, incremental=True, observe=True,
-                shards=backend)
-            if res_hash != ref_hash:
-                return (f"sharded-{backend}/reference command streams "
-                        f"diverge")
-            if res.digest() != ref.digest():
-                return f"sharded-{backend}/reference digests diverge"
-            message = _validate(res_system)
-            if message is not None:
-                return f"sharded-{backend} {message}"
-            try:
-                res.accounting.verify()
-            except AssertionError as exc:
-                return (f"sharded-{backend} accounting invariant: "
-                        f"{exc}")
     return None
 
 
@@ -287,7 +256,7 @@ def minimize(case: Case,
 def run_seeds(start: int, count: int, presets: Optional[List] = None,
               cores: Optional[int] = None,
               accesses: Optional[int] = None,
-              sharded: bool = False, refresh: bool = False,
+              refresh: bool = False,
               out=sys.stdout) -> int:
     """Fuzz ``count`` seeds from ``start``; returns the failure count."""
     presets = presets if presets is not None else cfgs.all_presets()
@@ -295,7 +264,7 @@ def run_seeds(start: int, count: int, presets: Optional[List] = None,
     for seed in range(start, start + count):
         case = draw_case(seed, presets, cores=cores, accesses=accesses,
                          refresh=refresh)
-        message = check_case(case, presets, sharded=sharded)
+        message = check_case(case, presets)
         if message is None:
             print(f"seed {seed:4d} ok    {case.config_name:24s} "
                   f"cores={case.cores} accesses={case.accesses}",
@@ -304,8 +273,7 @@ def run_seeds(start: int, count: int, presets: Optional[List] = None,
         failures += 1
         print(f"seed {seed:4d} FAIL  {case.config_name}: {message}",
               file=out)
-        small = minimize(
-            case, lambda c: check_case(c, presets, sharded=sharded))
+        small = minimize(case, lambda c: check_case(c, presets))
         print(f"  minimized to cores={small.cores} "
               f"accesses={small.accesses}; reproduce with:", file=out)
         print(f"  {small.repro_command()}", file=out)
@@ -325,12 +293,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override the drawn core count")
     parser.add_argument("--accesses", type=int, default=None,
                         help="override the drawn access count")
-    parser.add_argument("--sharded", action="store_true",
-                        help="also run the channel-sharded backends "
-                             "(serial and threads) against every case "
-                             "and hold them to the reference command "
-                             "stream, digest, rule checker, and "
-                             "accounting invariant")
     parser.add_argument("--refresh", action="store_true",
                         help="force DRAM refresh on in every case "
                              "(density grade and policy still drawn "
@@ -356,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          + ", ".join(p.name for p in cfgs.all_presets()))
     failures = run_seeds(args.start, args.seeds, presets,
                          cores=args.cores, accesses=args.accesses,
-                         sharded=args.sharded, refresh=args.refresh)
+                         refresh=args.refresh)
     if failures:
         print(f"{failures} of {args.seeds} seeds failed")
         return 1

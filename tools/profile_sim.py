@@ -12,7 +12,6 @@ behaviour is visible from one command.
 
     python tools/profile_sim.py --config vsb --mix mix0
     python tools/profile_sim.py --config masa8-eruca --compare
-    python tools/profile_sim.py --config ddr4 --shards serial --compare
     python tools/profile_sim.py --config ddr4 --output ddr4.pstats
 """
 
@@ -49,12 +48,6 @@ def main(argv=None) -> int:
                              "mode the incremental run is dumped)")
     parser.add_argument("--reference", action="store_true",
                         help="profile the reference scheduler path")
-    parser.add_argument("--shards", choices=("off", "serial", "threads"),
-                        default=None,
-                        help="event loop to profile: 'off' (default) = "
-                             "classic global loop, 'serial'/'threads' = "
-                             "the sharded drivers; in --compare mode "
-                             "both paths run on the chosen loop")
     parser.add_argument("--compare", action="store_true",
                         help="profile both paths and assert digests "
                              "match")
@@ -62,8 +55,7 @@ def main(argv=None) -> int:
 
     config = CONFIG_FACTORIES[args.config]()
     cell = dict(mix=args.mix, accesses=args.accesses,
-                fragmentation=args.fragmentation, seed=args.seed,
-                shards=args.shards)
+                fragmentation=args.fragmentation, seed=args.seed)
 
     if args.compare:
         reference = profile_run(config, incremental=False, **cell)
