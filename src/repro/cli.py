@@ -235,9 +235,7 @@ def cmd_stats(args) -> None:
     report.verify()
     print(report.format_table(per_bank=args.per_bank))
     memo = trace_memo_stats()
-    print(f"route cache: {result.route_cache_size} entries, "
-          f"{result.route_cache_clears} oldest-half evictions; "
-          f"trace memo: {memo['size']} entries, "
+    print(f"trace memo: {memo['size']} entries, "
           f"{memo['evictions']} oldest-half evictions")
     sc = store_counter_stats()
     print(f"result store: {sc['hits']} hits, {sc['misses']} misses, "

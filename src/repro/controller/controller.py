@@ -19,6 +19,11 @@ from repro.dram.commands import CommandKind
 from repro.dram.device import Channel
 from repro.sim.metrics import LatencyHistogram
 
+# Command kinds bound as module globals: commit() tests one to four per
+# command, and an Enum member load costs several global loads.
+_ACT, _WR, _PRE = CommandKind.ACT, CommandKind.WR, CommandKind.PRE
+_REF, _REFPB = CommandKind.REF, CommandKind.REFPB
+
 
 @dataclass
 class ControllerStats:
@@ -147,11 +152,12 @@ class ChannelController:
         """Issue the candidate; returns transactions completed by it."""
         txn = candidate.txn
         time = candidate.issue_time
+        kind = candidate.kind
         obs = self.observer
         # Floors must be read before the issue mutates channel state.
         floors = obs.floors_for(candidate) if obs is not None else None
         self.stats.commands_issued += 1
-        if candidate.kind is CommandKind.PRE:
+        if kind is _PRE:
             bank_index, slot = candidate.victim
             partial = self.channel.issue_precharge(bank_index, slot, time,
                                                    candidate.cause)
@@ -162,7 +168,7 @@ class ChannelController:
                                partial=partial,
                                queue_empty_after=not self.queues.pending())
             return []
-        if candidate.kind.is_refresh:
+        if kind is _REF or kind is _REFPB:
             bank_index, slot = candidate.victim
             self.channel.issue_refresh(time, bank_index, slot[0])
             if bank_index < 0:
@@ -178,7 +184,7 @@ class ChannelController:
                                queue_empty_after=not self.queues.pending())
             return []
         c = txn.coords
-        if candidate.kind is CommandKind.ACT:
+        if kind is _ACT:
             ewlr_hit = self.channel.issue_act(c, time)
             self.scheduler.note_bank_change(txn.bank_index)
             self.stats.acts += 1
@@ -189,7 +195,7 @@ class ChannelController:
                                partial=False,
                                queue_empty_after=not self.queues.pending())
             return []
-        is_write = candidate.kind is CommandKind.WR
+        is_write = kind is _WR
         data_end = self.channel.issue_column(c, time, is_write)
         txn.completion_time = data_end
         self.queues.remove(txn)

@@ -220,6 +220,20 @@ class AddressMapping:
             self._subbank_shift = shift
             shift += config.subbank_bits
         self._row_shift = shift
+        # Field masks, so decode() extracts each field with one shift
+        # and one mask (it runs once per memory request).
+        self._total_bits = config.total_bits
+        self._col_lo_bits = config.col_lo_bits
+        self._col_lo_mask = (1 << config.col_lo_bits) - 1
+        self._col_hi_mask = (1 << config.col_hi_bits) - 1
+        self._channel_mask = (1 << config.channel_bits) - 1
+        self._rank_mask = (1 << config.rank_bits) - 1
+        self._bg_bits = config.bank_group_bits
+        self._bg_mask = (1 << config.bank_group_bits) - 1
+        self._bank_mask = (1 << config.bank_bits) - 1
+        self._subbank_mask = (1 << config.subbank_bits) - 1
+        self._row_mask = (1 << config.row_bits) - 1
+        self._xor_hash = config.xor_hash
 
     def _hash_fields(self, row: int) -> Tuple[int, int]:
         """XOR masks applied to (bank_group, bank) from the row LSBs."""
@@ -231,24 +245,26 @@ class AddressMapping:
         return bg_mask, bank_mask
 
     def decode(self, address: int) -> DramCoordinates:
-        cfg = self.config
-        if address < 0 or address >> cfg.total_bits:
+        if address < 0 or address >> self._total_bits:
             raise ValueError(
-                f"address {address:#x} outside {cfg.total_bits}-bit space")
-        row = _bits(address, self._row_shift, cfg.row_bits)
-        bg_mask, bank_mask = self._hash_fields(row)
-        col = (_bits(address, self._col_hi_shift, cfg.col_hi_bits)
-               << cfg.col_lo_bits) | _bits(address, self._col_lo_shift,
-                                           cfg.col_lo_bits)
+                f"address {address:#x} outside {self._total_bits}-bit space")
+        row = (address >> self._row_shift) & self._row_mask
+        bank_group = (address >> self._bg_shift) & self._bg_mask
+        bank = (address >> self._bank_shift) & self._bank_mask
+        if self._xor_hash:
+            # _hash_fields, inlined.
+            bank_group ^= row & self._bg_mask
+            bank ^= (row >> self._bg_bits) & self._bank_mask
         return DramCoordinates(
-            channel=_bits(address, self._channel_shift, cfg.channel_bits),
-            rank=_bits(address, self._rank_shift, cfg.rank_bits),
-            bank_group=_bits(address, self._bg_shift,
-                             cfg.bank_group_bits) ^ bg_mask,
-            bank=_bits(address, self._bank_shift, cfg.bank_bits) ^ bank_mask,
-            subbank=_bits(address, self._subbank_shift, cfg.subbank_bits),
-            row=row,
-            column=col,
+            (address >> self._channel_shift) & self._channel_mask,
+            (address >> self._rank_shift) & self._rank_mask,
+            bank_group,
+            bank,
+            (address >> self._subbank_shift) & self._subbank_mask,
+            row,
+            (((address >> self._col_hi_shift) & self._col_hi_mask)
+             << self._col_lo_bits)
+            | ((address >> self._col_lo_shift) & self._col_lo_mask),
         )
 
     def encode(self, coords: DramCoordinates) -> int:

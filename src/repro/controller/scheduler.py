@@ -34,7 +34,7 @@ paths agree bit-for-bit regardless of enumeration order.
 Selection over the cached candidates is *floor-indexed*: within one
 bank, every candidate of one priority class shares the same
 channel-resource floor (all column candidates share the bank's
-``col_args`` because the drain mode fixes the direction and the bank
+column floor because the drain mode fixes the direction and the bank
 fixes group/index; all ACTs share the channel ACT floor; precharges and
 policy closes share the PRE floor).  Clamping a whole class to one floor
 ``F`` collapses every bank-local time ``t <= F`` onto ``F``, so the
@@ -86,6 +86,19 @@ _NO_ARRIVAL = 1 << 62
 #: equivalence tests flip this to compare against the reference path.
 INCREMENTAL_DEFAULT = True
 
+# Enum members the incremental path reads on every rebuild and peek,
+# bound as module globals: loading a member off an Enum class costs
+# several global loads.
+_ACT_OK = ActivationVerdict.ACT_OK
+_EWLR_HIT = ActivationVerdict.EWLR_HIT
+_PLANE_CONFLICT = ActivationVerdict.PLANE_CONFLICT
+_ROW_HIT = ActivationVerdict.ROW_HIT
+_RD, _WR = CommandKind.RD, CommandKind.WR
+_ACT, _PRE = CommandKind.ACT, CommandKind.PRE
+_CAUSE_ROW = PrechargeCause.ROW_CONFLICT
+_CAUSE_PLANE = PrechargeCause.PLANE_CONFLICT
+_CAUSE_POLICY = PrechargeCause.POLICY
+
 
 def _policy_seq(bank_index: int, slot: SlotKey) -> int:
     """Deterministic tie-break rank for a policy close of (bank, slot).
@@ -110,9 +123,9 @@ class Candidate:
     precharges serve no transaction and carry ``txn = None``.  ``seq``
     breaks exact (issue_time, priority, arrival) ties deterministically:
     it is the serving transaction's enqueue sequence number, or a
-    bank/slot rank for policy closes.  ``arrival`` and ``col_args`` are
-    denormalised copies of transaction state so the selection loop never
-    chases ``cand.txn.*`` attribute chains.
+    bank/slot rank for policy closes.  ``arrival`` is a denormalised
+    copy of transaction state so the selection loop never chases
+    ``cand.txn.*`` attribute chains.
     """
 
     issue_time: int
@@ -125,9 +138,6 @@ class Candidate:
     #: Serving transaction's arrival time (``_NO_ARRIVAL`` for policy
     #: closes), the FCFS component of the sort key.
     arrival: int = _NO_ARRIVAL
-    #: For column candidates: (is_write, bank_group, bank_index) --
-    #: the arguments of the shared-resource floor lookup.
-    col_args: Optional[Tuple[bool, int, int]] = None
 
     def sort_key(self) -> Tuple[int, int, int, int]:
         return (self.issue_time, self.priority, self.arrival, self.seq)
@@ -145,11 +155,11 @@ class SelectionTable:
     key-less tuple sort never falls through to comparing payloads.
 
     Every entry in one table shares the same channel-resource floor
-    (identical ``col_args`` within a bank, the channel-wide ACT floor,
-    or the PRE floor), so the per-peek effective issue time of entry
-    ``i`` is ``max(t_i, F)`` with one ``F`` for the whole table.  Every
-    entry with ``t <= F`` collapses onto ``F`` and strictly beats every
-    entry with ``t > F`` on time, hence the winner is
+    (one column floor per bank, the channel-wide ACT floor, or the PRE
+    floor), so the per-peek effective issue time of entry ``i`` is
+    ``max(t_i, F)`` with one ``F`` for the whole table.  Every entry
+    with ``t <= F`` collapses onto ``F`` and strictly beats every entry
+    with ``t > F`` on time, hence the winner is
 
     * the prefix-minimum ``(arrival, seq)`` over the ``t``-sorted prefix
       ``t <= F`` when that prefix is non-empty, else
@@ -220,13 +230,14 @@ class SelectionTable:
         return floor, arrival, seq, self.entries[i]
 
 
-#: One bank's cached column table ``(table, col_args)``.  ``col_args``
-#: is shared by every column candidate of the bank (the drain mode
-#: fixes the direction, the bank fixes group and index), so one
-#: :meth:`~repro.dram.resources.ChannelResources.earliest_column` call
-#: floors the whole table.  A plain tuple, not a dataclass: one is
+#: One bank's cached column table ``(table, is_write, bank_group,
+#: bank_index)``.  The last three are the arguments of the bank's
+#: column floor, shared by every column candidate of the bank (the
+#: drain mode fixes the direction, the bank fixes group and index), so
+#: one :meth:`~repro.dram.resources.ChannelResources.earliest_column`
+#: call floors the whole table.  A plain tuple, not a dataclass: one is
 #: built per bank rebuild, ~1.6x per command.
-ColTable = Tuple[SelectionTable, Tuple[bool, int, int]]
+ColTable = Tuple[SelectionTable, bool, int, int]
 
 #: One bank's cached non-column tables ``(act, pre, policy)``.  ACTs
 #: share the channel-wide ACT floor; precharges and policy closes share
@@ -265,15 +276,16 @@ class RefreshScheduler:
       refreshes (half a ``tRFCpb`` -- half the rows) while its partner
       keeps serving hits through ERUCA's partial-precharge machinery.
 
-    Backend safety: refresh candidates exist only while the demand
-    queues are non-empty, and the demand-vs-refresh decision compares
+    Path safety: refresh candidates exist only while the demand queues
+    are non-empty, and the demand-vs-refresh decision compares
     ``demand.issue_time`` (already ``max(now, ...)``-clamped the same
-    way in every backend) against channel-state constants (``ref_due``
-    and offsets of it) -- never raw ``now`` -- so all four execution
-    backends pick identical winners.  While the queues are empty the
-    controller settles owed refreshes in one idle catch-up at the next
-    admission (:meth:`catch_up`), which keeps run termination trivially
-    intact: a drained simulation proposes no further events.
+    way by both scheduler paths) against channel-state constants
+    (``ref_due`` and offsets of it) -- never raw ``now`` -- so the
+    reference and incremental paths pick identical winners.  While the
+    queues are empty the controller settles owed refreshes in one idle
+    catch-up at the next admission (:meth:`catch_up`), which keeps run
+    termination trivially intact: a drained simulation proposes no
+    further events.
     """
 
     def __init__(self, channel: Channel, queues: TransactionQueues,
@@ -516,10 +528,14 @@ class Scheduler:
         self._aux_tables: Dict[int, AuxTables] = {}
         #: Banks whose cached candidates must be rebuilt.
         self._dirty: Set[int] = set()
-        #: Channel-resource floor lookups, bound once (the resources
-        #: object lives as long as the channel).  Saves the
-        #: ``self.channel.resources.*`` attribute chain on every peek.
+        #: Channel state bound once (the bank list, the resources object
+        #: and its refresh-blackout table live as long as the channel and
+        #: are only mutated in place).  Saves the ``self.channel.*``
+        #: attribute chains on every rebuild and peek.
         resources = channel.resources
+        self._banks = channel.banks
+        self._banks_per_group = channel.banks_per_group
+        self._ref_until = resources.ref_until
         self._res_earliest_column = resources.earliest_column
         self._res_earliest_act = resources.earliest_act
         self._res_earliest_precharge = resources.earliest_precharge
@@ -536,11 +552,11 @@ class Scheduler:
     def _prepare(self, txn: Transaction) -> None:
         """Fill the transaction's scheduler caches once."""
         c = txn.coords
-        bank_index = self.channel.bank_index(c)
-        bank = self.channel.banks[bank_index]
+        bank_index = c.bank_group * self._banks_per_group + c.bank
+        bank = self._banks[bank_index]
         txn.bank_index = bank_index
         txn.slot = bank.slot_key(c.subbank, c.row)
-        if bank.row_layout is not None and bank.geometry.subbanks == 2:
+        if bank.plane_tagged:
             txn.plane = bank.row_layout.plane_id(c.row, c.subbank,
                                                  bank.rap)
             txn.mwl = bank.row_layout.mwl_tag(c.row)
@@ -647,10 +663,7 @@ class Scheduler:
                 out.append(Candidate(max(now, t), PRIO_COLUMN, txn,
                                      CommandKind.WR if not txn.is_read
                                      else CommandKind.RD, seq=txn.seq,
-                                     arrival=txn.arrival_time,
-                                     col_args=(not txn.is_read,
-                                               c.bank_group,
-                                               txn.bank_index)))
+                                     arrival=txn.arrival_time))
             elif verdict in (ActivationVerdict.ACT_OK,
                              ActivationVerdict.EWLR_HIT):
                 slot = (txn.bank_index, txn.slot)
@@ -712,9 +725,9 @@ class Scheduler:
         bank-local state that only moves when a refresh commits, which
         dirties every bank in scope (so the fold can never go stale).
         """
-        bank = self.channel.banks[bank_index]
+        bank = self._banks[bank_index]
         slots = bank.slots
-        ru = self.channel.resources.ref_until
+        ru = self._ref_until
         rb = ru[bank_index] if ru is not None else None
         txns = self._bank_txns.get(bank_index, ())
         if self.idle_close_ps is None and len(txns) <= 1:
@@ -735,34 +748,34 @@ class Scheduler:
             # conflict resolves on one slot load, and a flat bank can
             # never plane-conflict.  Only the sub-banked
             # empty-own-slot case needs the full plane/EWLR scan.
-            active = slots[txn.slot].active_row
+            key = txn.slot
+            own = slots[key]
+            active = own.active_row
             self.candidates_built += 1
             if active == c.row:  # ROW_HIT
-                t = bank.earliest_column(c.subbank, c.row, not txn.is_read)
+                is_write = not txn.is_read
+                t = bank.column_ready(key, is_write)
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn)])
                 self._col_tables[bank_index] = (
-                    table, (not txn.is_read, c.bank_group, bank_index))
+                    table, is_write, c.bank_group, bank_index)
                 self._aux_tables.pop(bank_index, None)
                 return
             self._col_tables.pop(bank_index, None)
             if active is not None:  # OWN_ROW_CONFLICT
-                verdict, victim_slot = None, txn.slot
-                cause = PrechargeCause.ROW_CONFLICT
-            elif (bank.geometry.subbanks == 1
-                  or bank.row_layout is None):  # ACT_OK
-                verdict, victim_slot = ActivationVerdict.ACT_OK, None
+                verdict, victim_slot = None, key
+                cause = _CAUSE_ROW
+            elif not bank.plane_tagged:  # ACT_OK
+                verdict, victim_slot = _ACT_OK, None
             else:
                 verdict, victim_slot = bank.classify(
-                    c.subbank, c.row, txn.plane, txn.mwl, txn.slot)
-                cause = (PrechargeCause.PLANE_CONFLICT
-                         if verdict is ActivationVerdict.PLANE_CONFLICT
-                         else PrechargeCause.ROW_CONFLICT)
-            if verdict in (ActivationVerdict.ACT_OK,
-                           ActivationVerdict.EWLR_HIT):
-                t = bank.earliest_act(c.subbank, c.row)
+                    c.subbank, c.row, txn.plane, txn.mwl, key)
+                cause = (_CAUSE_PLANE if verdict is _PLANE_CONFLICT
+                         else _CAUSE_ROW)
+            if verdict is _ACT_OK or verdict is _EWLR_HIT:
+                t = own.act_allowed  # Bank.earliest_act of this slot
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
                 table = SelectionTable(
@@ -805,7 +818,8 @@ class Scheduler:
         cols: List[tuple] = []
         acts: List[tuple] = []
         pres: List[tuple] = []
-        col_args: Optional[Tuple[bool, int, int]] = None
+        is_write = False
+        bank_group = -1
         seen_acts: set = set()
         seen_pres: set = set()
         seen_cols: set = set()
@@ -813,7 +827,7 @@ class Scheduler:
             c = txn.coords
             verdict, victim_slot = bank.classify(
                 c.subbank, c.row, txn.plane, txn.mwl, txn.slot)
-            if verdict is ActivationVerdict.ROW_HIT:
+            if verdict is _ROW_HIT:
                 # All hits on one slot target the same open row, share
                 # the same issue time and direction, and are visited in
                 # (arrival, seq) order -- only the first can ever win,
@@ -822,18 +836,18 @@ class Scheduler:
                     continue
                 seen_cols.add(txn.slot)
                 # The drain mode fixes the direction and the bank fixes
-                # (group, index), so col_args is one value per table.
-                col_args = (not txn.is_read, c.bank_group, bank_index)
-                t = bank.earliest_column(c.subbank, c.row, not txn.is_read)
+                # (group, index): one column floor per table.
+                is_write = not txn.is_read
+                bank_group = c.bank_group
+                t = bank.column_ready(txn.slot, is_write)
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
                 cols.append((t, txn.arrival_time, txn.seq, txn))
-            elif verdict in (ActivationVerdict.ACT_OK,
-                             ActivationVerdict.EWLR_HIT):
+            elif verdict is _ACT_OK or verdict is _EWLR_HIT:
                 if txn.slot in seen_acts:
                     continue  # one ACT proposal per target slot
                 seen_acts.add(txn.slot)
-                t = bank.earliest_act(c.subbank, c.row)
+                t = slots[txn.slot].act_allowed
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
                 acts.append((t, txn.arrival_time, txn.seq, txn))
@@ -845,9 +859,8 @@ class Scheduler:
                 if victim_slot in seen_pres:
                     continue
                 seen_pres.add(victim_slot)
-                cause = (PrechargeCause.PLANE_CONFLICT
-                         if verdict is ActivationVerdict.PLANE_CONFLICT
-                         else PrechargeCause.ROW_CONFLICT)
+                cause = (_CAUSE_PLANE if verdict is _PLANE_CONFLICT
+                         else _CAUSE_ROW)
                 t = bank.earliest_precharge(victim_slot, txn.is_read)
                 if rb is not None and rb[victim_slot[0]] > t:
                     t = rb[victim_slot[0]]
@@ -856,8 +869,8 @@ class Scheduler:
         self.candidates_built += (len(cols) + len(acts) + len(pres)
                                   + len(policies))
         if cols:
-            self._col_tables[bank_index] = (SelectionTable(cols),
-                                            col_args)
+            self._col_tables[bank_index] = (
+                SelectionTable(cols), is_write, bank_group, bank_index)
         else:
             self._col_tables.pop(bank_index, None)
         if acts or pres or policies:
@@ -907,15 +920,15 @@ class Scheduler:
         res_act = res_pre = None
         examined = 0
         best: Optional[tuple] = None
-        best_col_args: Optional[Tuple[bool, int, int]] = None
+        best_write = False
         best_t = best_prio = 1 << 62
         best_key: Tuple[int, int, int, int] = (best_t, best_prio, 0, 0)
-        for table, col_args in col_tables.values():
+        for table, is_write, bank_group, bank_index in col_tables.values():
             t0 = table.t0
             lb = t0 if t0 > now else now
             if lb > best_t:
                 continue
-            floor = earliest_column(*col_args)
+            floor = earliest_column(is_write, bank_group, bank_index)
             if floor < now:
                 floor = now
             # SelectionTable.select, inlined (the hottest few lines of
@@ -935,7 +948,7 @@ class Scheduler:
                 if key < best_key:
                     best, best_key = entry, key
                     best_t, best_prio = t, PRIO_COLUMN
-                    best_col_args = col_args
+                    best_write = is_write
         for act_table, pre_table, policy_table in aux_tables.values():
             if act_table is not None:
                 lb = act_table.t0
@@ -986,25 +999,21 @@ class Scheduler:
         out.priority = best_prio
         if best_prio == PRIO_COLUMN:
             _, out.arrival, out.seq, out.txn = best
-            out.kind = CommandKind.WR if best_col_args[0] \
-                else CommandKind.RD
+            out.kind = _WR if best_write else _RD
             out.victim = out.cause = None
-            out.col_args = best_col_args
         elif best_prio == PRIO_ACT:
             _, out.arrival, out.seq, out.txn = best
-            out.kind = CommandKind.ACT
-            out.victim = out.cause = out.col_args = None
+            out.kind = _ACT
+            out.victim = out.cause = None
         elif best_prio == PRIO_PRE:
             _, out.arrival, out.seq, out.txn, out.victim, out.cause = \
                 best
-            out.kind = CommandKind.PRE
-            out.col_args = None
+            out.kind = _PRE
         else:
             _, out.arrival, out.seq, out.victim = best
             out.txn = None
-            out.kind = CommandKind.PRE
-            out.cause = PrechargeCause.POLICY
-            out.col_args = None
+            out.kind = _PRE
+            out.cause = _CAUSE_POLICY
         return out
 
     # -- selection ---------------------------------------------------------

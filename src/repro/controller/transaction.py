@@ -8,13 +8,17 @@ address mapping produced for it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 
 class TransactionKind(enum.Enum):
     READ = "read"
     WRITE = "write"
+
+
+#: Bound once: an Enum member load costs several global loads.
+_READ = TransactionKind.READ
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,13 @@ class DramCoordinates:
                 self.global_bank(banks_per_group))
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Transaction:
-    """One cache-line memory request flowing through the controller."""
+    """One cache-line memory request flowing through the controller.
+
+    Equality is identity: two requests for the same line are distinct
+    transactions, so queue removal must drop the exact object passed in.
+    """
 
     kind: TransactionKind
     address: int
@@ -70,10 +78,12 @@ class Transaction:
     #: scheduler; the deterministic last-resort tie-break in FR-FCFS
     #: candidate selection.
     seq: int = -1
+    #: Whether this is a read; fixed by ``kind`` and read on every
+    #: command's path, so stored once instead of re-derived.
+    is_read: bool = field(init=False, repr=False)
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind is TransactionKind.READ
+    def __post_init__(self) -> None:
+        self.is_read = self.kind is _READ
 
     @property
     def queueing_latency(self) -> int:

@@ -33,6 +33,14 @@ NEVER = -(1 << 60)
 
 SlotKey = Tuple[int, int]  # (subbank, subarray_group)
 
+# Verdicts bound as module globals: classify() returns one per call, and
+# loading a member off an Enum class costs several global loads.
+_ROW_HIT = ActivationVerdict.ROW_HIT
+_OWN_ROW_CONFLICT = ActivationVerdict.OWN_ROW_CONFLICT
+_ACT_OK = ActivationVerdict.ACT_OK
+_EWLR_HIT = ActivationVerdict.EWLR_HIT
+_PLANE_CONFLICT = ActivationVerdict.PLANE_CONFLICT
+
 
 @dataclass
 class RowSlot:
@@ -126,11 +134,26 @@ class Bank:
         self._pcm = timing.write_pulse_enabled
         self._trcd_wr = timing.trcd_wr
         self._cancel_ok = timing.tWCT > 0
+        #: Write command to end of its data burst.
+        self._wr_data_end = timing.tCWL + timing.burst_time
+        #: Slot keys by sub-bank when the bank has one sub-array group
+        #: (every organisation but MASA), so slot_key skips the group
+        #: lookup; ``None`` when the key depends on the row.
+        self._flat_keys: Optional[Tuple[SlotKey, ...]] = (
+            tuple((sb, 0) for sb in range(geometry.subbanks))
+            if geometry.subarray_groups == 1 else None)
+        #: Whether activations cache the row's plane / MWL tag for
+        #: classify() (sub-banked banks with a row layout).
+        self.plane_tagged = (row_layout is not None
+                             and geometry.subbanks == 2)
 
     # -- addressing -----------------------------------------------------
 
     def slot_key(self, subbank: int, row: int) -> SlotKey:
         """The (sub-bank, sub-array group) slot serving this row."""
+        keys = self._flat_keys
+        if keys is not None:
+            return keys[subbank]
         return (subbank, self.geometry.group_of(row))
 
     def slot(self, subbank: int, row: int) -> RowSlot:
@@ -156,11 +179,11 @@ class Bank:
             key = self.slot_key(subbank, row)
         own = self.slots[key]
         if own.active_row == row:
-            return ActivationVerdict.ROW_HIT, None
+            return _ROW_HIT, None
         if own.active_row is not None:
-            return ActivationVerdict.OWN_ROW_CONFLICT, key
+            return _OWN_ROW_CONFLICT, key
         if self.geometry.subbanks == 1 or self.row_layout is None:
-            return ActivationVerdict.ACT_OK, None
+            return _ACT_OK, None
         # Plane-latch interaction with every active row of the paired
         # sub-bank (with MASA there may be several).
         if plane is None:
@@ -181,10 +204,10 @@ class Bank:
                     continue
             elif other.active_row == row:
                 continue  # naive VSB may share an identical row address
-            return ActivationVerdict.PLANE_CONFLICT, (other_sb, g)
+            return _PLANE_CONFLICT, (other_sb, g)
         if ewlr_hit:
-            return ActivationVerdict.EWLR_HIT, None
-        return ActivationVerdict.ACT_OK, None
+            return _EWLR_HIT, None
+        return _ACT_OK, None
 
     # -- timed state transitions -----------------------------------------
 
@@ -206,7 +229,10 @@ class Bank:
         opens after ``tRCD_WR`` (asymmetric RAS-to-CAS), while DRAM keeps
         the two horizons identical.
         """
-        key = self.slot_key(subbank, row)
+        return self.column_ready(self.slot_key(subbank, row), is_write)
+
+    def column_ready(self, key: SlotKey, is_write: bool) -> int:
+        """:meth:`earliest_column` for an already-resolved slot key."""
         slot = self.slots[key]
         ready = slot.ready_col_wr if is_write else slot.ready_col
         if self._pcm and ready < slot.replay_until:
@@ -241,14 +267,23 @@ class Bank:
                 floor = pulse
         return floor
 
-    def do_activate(self, subbank: int, row: int, time: int) -> None:
+    def do_activate(self, subbank: int, row: int,
+                    time: int) -> ActivationVerdict:
         """Open ``row``: set the slot's ``tRCD``/``tRAS``/``tRC``
-        horizons and cache its plane/MWL tag for classify()."""
-        verdict, _ = self.classify(subbank, row)
-        if verdict not in (ActivationVerdict.ACT_OK,
-                           ActivationVerdict.EWLR_HIT):
+        horizons and cache its plane/MWL tag for classify().
+
+        Returns the verdict the ACT was validated against (``ACT_OK``
+        or ``EWLR_HIT``), so callers need not classify a second time.
+        """
+        key = self.slot_key(subbank, row)
+        plane = mwl = None
+        if self.plane_tagged:
+            plane = self.row_layout.plane_id(row, subbank, self.rap)
+            mwl = self.row_layout.mwl_tag(row)
+        verdict, _ = self.classify(subbank, row, plane, mwl, key)
+        if verdict is not _ACT_OK and verdict is not _EWLR_HIT:
             raise ValueError(f"illegal ACT at {time}: {verdict}")
-        slot = self.slot(subbank, row)
+        slot = self.slots[key]
         if time < slot.act_allowed:
             raise ValueError(
                 f"ACT at {time} violates act_allowed={slot.act_allowed}")
@@ -260,9 +295,10 @@ class Bank:
         slot.pre_allowed = time + t.tRAS
         slot.act_allowed = time + t.tRC
         slot.last_use = time
-        if self.row_layout is not None and self.geometry.subbanks == 2:
-            slot.active_plane = self._plane_of(row, subbank)
-            slot.active_mwl = self.row_layout.mwl_tag(row)
+        if plane is not None:
+            slot.active_plane = plane
+            slot.active_mwl = mwl
+        return verdict
 
     def do_column(self, subbank: int, row: int, time: int,
                   is_write: bool) -> None:
@@ -272,12 +308,13 @@ class Bank:
         slot = self.slots[key]
         if slot.active_row != row:
             raise ValueError("column command to a row that is not open")
-        if time < self.earliest_column(subbank, row, is_write):
+        if time < self.column_ready(key, is_write):
             raise ValueError(f"column command at {time} too early")
         t = self.timing
         if is_write:
-            data_end = time + t.tCWL + t.burst_time
-            slot.pre_allowed = max(slot.pre_allowed, data_end + t.tWR)
+            data_end = time + self._wr_data_end
+            if data_end + t.tWR > slot.pre_allowed:
+                slot.pre_allowed = data_end + t.tWR
             if self._pcm:
                 # The programming pulse occupies the slot past the
                 # burst: columns wait it out; a PRE either waits too or
@@ -288,8 +325,8 @@ class Bank:
                     slot.ready_col = slot.wr_pulse_end
                 if slot.wr_pulse_end > slot.ready_col_wr:
                     slot.ready_col_wr = slot.wr_pulse_end
-        else:
-            slot.pre_allowed = max(slot.pre_allowed, time + t.tRTP)
+        elif time + t.tRTP > slot.pre_allowed:
+            slot.pre_allowed = time + t.tRTP
         self._last_col_slot = key
         self._last_col_time = time
         slot.last_use = time

@@ -24,6 +24,9 @@ from repro.dram.resources import (FLOOR_BANK, FLOOR_BUS, FLOOR_REFRESH,
                                   BusPolicy, ChannelResources)
 from repro.dram.timing import TimingParams
 
+#: Bound once: an Enum member load costs several global loads.
+_EWLR_HIT = ActivationVerdict.EWLR_HIT
+
 
 class Channel:
     """A single DRAM channel (one rank) of some organisation."""
@@ -233,13 +236,12 @@ class Channel:
 
     def issue_act(self, coords: DramCoordinates, time: int) -> bool:
         """Issue an ACT; returns whether it was an EWLR hit."""
-        bank = self.bank(coords)
-        verdict, _ = bank.classify(coords.subbank, coords.row)
-        ewlr_hit = verdict is ActivationVerdict.EWLR_HIT
-        bank.do_activate(coords.subbank, coords.row, time)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        bank = self.banks[bank_index]
+        ewlr_hit = (bank.do_activate(coords.subbank, coords.row, time)
+                    is _EWLR_HIT)
         self.resources.record_act(time)
-        self.energy.record_act(ewlr_hit=ewlr_hit)
-        bank_index = self.bank_index(coords)
+        self.energy.record_act(ewlr_hit)
         slot = bank.slot_key(coords.subbank, coords.row)
         self.open_slots[(bank_index, slot)] = None
         if self.command_log is not None:
@@ -252,9 +254,9 @@ class Channel:
     def issue_column(self, coords: DramCoordinates, time: int,
                      is_write: bool) -> int:
         """Issue a RD/WR; returns the data-burst completion time."""
-        bank = self.bank(coords)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        bank = self.banks[bank_index]
         bank.do_column(coords.subbank, coords.row, time, is_write)
-        bank_index = self.bank_index(coords)
         data_end = self.resources.record_column(
             time, is_write, coords.bank_group, bank_index)
         if is_write:
@@ -281,7 +283,7 @@ class Channel:
             self.write_cancels += 1
             self.energy.record_write()
         self.resources.record_precharge(time)
-        self.energy.record_precharge(partial=partial)
+        self.energy.record_precharge(partial)
         self.precharge_causes[cause] += 1
         self.open_slots.pop((bank_index, slot), None)
         if self.command_log is not None:

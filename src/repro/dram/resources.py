@@ -100,9 +100,16 @@ class ChannelResources:
             if self.refresh_active else None)
         self.ref_due = 0
         self.ref_period = 0
-        ddb = policy is BusPolicy.DDB
+        # Per-channel constants of the column path, fixed at build time
+        # (comparing against Enum members or re-deriving the burst on
+        # every column command cost more than the floors themselves).
+        self._groups = policy is BusPolicy.BANK_GROUPS
+        self._ddb = ddb = policy is BusPolicy.DDB
         self._windows_active = (ddb and timing.tTCW > 0
                                 and timing.ddb_windows_needed())
+        #: Command-to-data-end latency of a read / a write burst.
+        self._rd_data_end = timing.tCL + timing.burst_time
+        self._wr_data_end = timing.tCWL + timing.burst_time
 
     # -- queries ---------------------------------------------------------
 
@@ -115,7 +122,10 @@ class ChannelResources:
         """Channel-side ACT floor: command bus, rank-wide ``tRRD``, and
         the rolling four-activate ``tFAW`` window."""
         t = self.timing
-        best = max(self.cmd_bus_free, self._last_act + t.tRRD)
+        best = self.cmd_bus_free
+        v = self._last_act + t.tRRD
+        if v > best:
+            best = v
         if self._tfaw_active:
             v = self._act_window[0] + t.tFAW
             if v > best:
@@ -150,12 +160,11 @@ class ChannelResources:
         v = self._last_cas_any + t.tCCD_S
         if v > best:
             best = v
-        policy = self.policy
-        if policy is BusPolicy.BANK_GROUPS:
+        if self._groups:
             v = self._last_cas_bg[bank_group] + t.tCCD_L
             if v > best:
                 best = v
-        elif policy is BusPolicy.DDB:
+        elif self._ddb:
             v = self._last_cas_bank[bank] + t.tCCD_L
             if v > best:
                 best = v
@@ -168,11 +177,11 @@ class ChannelResources:
             v = self._wr_end_any + t.tWTR_S
             if v > best:
                 best = v
-            if policy is BusPolicy.BANK_GROUPS:
+            if self._groups:
                 v = self._wr_end_bg[bank_group] + t.tWTR_L
                 if v > best:
                     best = v
-            elif policy is BusPolicy.DDB:
+            elif self._ddb:
                 v = self._wr_end_bank[bank] + t.tWTR_L
                 if v > best:
                     best = v
@@ -270,11 +279,15 @@ class ChannelResources:
         self._last_act = time
         w = self._act_window
         w[0], w[1], w[2], w[3] = w[1], w[2], w[3], time
-        self.cmd_bus_free = max(self.cmd_bus_free, time + self.timing.tCK)
+        free = time + self.timing.tCK
+        if free > self.cmd_bus_free:
+            self.cmd_bus_free = free
 
     def record_precharge(self, time: int) -> None:
         """Commit a PRE: it only occupies the command bus for a clock."""
-        self.cmd_bus_free = max(self.cmd_bus_free, time + self.timing.tCK)
+        free = time + self.timing.tCK
+        if free > self.cmd_bus_free:
+            self.cmd_bus_free = free
 
     # -- refresh ---------------------------------------------------------
 
@@ -310,29 +323,44 @@ class ChannelResources:
             slots[0] = slots[1] = end
         else:
             ru[bank][subbank] = end
-        self.cmd_bus_free = max(self.cmd_bus_free, time + self.timing.tCK)
+        free = time + self.timing.tCK
+        if free > self.cmd_bus_free:
+            self.cmd_bus_free = free
         return end
 
     def record_column(self, time: int, is_write: bool, bank_group: int,
                       bank: int) -> int:
         """Record a column command; returns the data-burst end time."""
         t = self.timing
-        latency = t.tCWL if is_write else t.tCL
-        data_end = time + latency + t.burst_time
-        self._last_cas_any = max(self._last_cas_any, time)
-        self._last_cas_bg[bank_group] = max(
-            self._last_cas_bg[bank_group], time)
-        self._last_cas_bank[bank] = max(self._last_cas_bank[bank], time)
-        self._last_data_end = max(self._last_data_end, data_end)
+        data_end = time + (self._wr_data_end if is_write
+                           else self._rd_data_end)
+        # Running maxima, updated by comparison (one call per column
+        # command; max() calls dominated this recorder).
+        if time > self._last_cas_any:
+            self._last_cas_any = time
+        cas_bg = self._last_cas_bg
+        if time > cas_bg[bank_group]:
+            cas_bg[bank_group] = time
+        cas_bank = self._last_cas_bank
+        if time > cas_bank[bank]:
+            cas_bank[bank] = time
+        if data_end > self._last_data_end:
+            self._last_data_end = data_end
         self._last_data_write = is_write
         window = self._cas_window[bank_group]
         window[0], window[1] = window[1], time
         if is_write:
-            self._wr_end_any = max(self._wr_end_any, data_end)
-            self._wr_end_bg[bank_group] = max(
-                self._wr_end_bg[bank_group], data_end)
-            self._wr_end_bank[bank] = max(self._wr_end_bank[bank], data_end)
+            if data_end > self._wr_end_any:
+                self._wr_end_any = data_end
+            wr_bg = self._wr_end_bg
+            if data_end > wr_bg[bank_group]:
+                wr_bg[bank_group] = data_end
+            wr_bank = self._wr_end_bank
+            if data_end > wr_bank[bank]:
+                wr_bank[bank] = data_end
             wr_window = self._wr_window[bank_group]
             wr_window[0], wr_window[1] = wr_window[1], time
-        self.cmd_bus_free = max(self.cmd_bus_free, time + t.tCK)
+        free = time + t.tCK
+        if free > self.cmd_bus_free:
+            self.cmd_bus_free = free
         return data_end

@@ -82,8 +82,8 @@ _trace_memo_evictions = 0
 def trace_memo_stats() -> Dict[str, int]:
     """Current size and eviction count of this process's trace memo.
 
-    Surfaced by ``repro stats`` next to the route-cache counters; an
-    eviction is one oldest-half sweep, not one dropped entry.
+    Surfaced by ``repro stats``; an eviction is one oldest-half sweep,
+    not one dropped entry.
     """
     return {"size": len(_trace_memo),
             "evictions": _trace_memo_evictions}

@@ -38,7 +38,6 @@ import hashlib
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.controller.controller import ChannelController, ControllerStats
@@ -55,6 +54,9 @@ from repro.sim.accounting import (
 from repro.sim.config import SystemConfig
 from repro.sim.tracing import TraceSink
 
+#: Bound once: an Enum member load costs several global loads.
+_READ, _WRITE = TransactionKind.READ, TransactionKind.WRITE
+
 
 class MemorySystem:
     """All channels of one configuration plus its address mapping.
@@ -65,14 +67,6 @@ class MemorySystem:
     every controller.  Observation never changes scheduling -- the
     command stream is bit-identical either way.
     """
-
-    #: Capacity bound on the address-route memo.  Traces with a huge
-    #: address footprint (or an adversarial address stream) would
-    #: otherwise grow the memo without limit; on overflow the
-    #: oldest-inserted half is evicted (dict order is insertion order),
-    #: so recently touched rows survive while the hit path stays a
-    #: plain dict ``get`` with no per-hit bookkeeping.
-    ROUTE_CACHE_CAPACITY = 1 << 16
 
     def __init__(self, config: SystemConfig,
                  observe=None) -> None:
@@ -94,35 +88,11 @@ class MemorySystem:
                 channel, config.queue, config.idle_close_ps,
                 observer=observer, incremental=config.incremental,
                 refresh_policy=config.refresh_policy))
-        #: Memoised address routing: traces revisit rows constantly, and
-        #: a failed enqueue (full queue) re-routes the same address, so
-        #: decoded coordinates are cached per physical address (bounded
-        #: by :attr:`ROUTE_CACHE_CAPACITY`).
-        self._route_cache: Dict[int, Tuple[ChannelController,
-                                           "object", int]] = {}
-        #: How many times the route memo overflowed and evicted its
-        #: oldest half.
-        self.route_cache_clears = 0
-
-    @property
-    def route_cache_size(self) -> int:
-        """Current number of memoised address routes."""
-        return len(self._route_cache)
 
     def controller_for(self, address: int):
         """(controller, coords, channel index) serving this address."""
-        route = self._route_cache.get(address)
-        if route is None:
-            coords = self.mapping.decode(address)
-            route = (self.controllers[coords.channel], coords,
-                     coords.channel)
-            cache = self._route_cache
-            if len(cache) >= self.ROUTE_CACHE_CAPACITY:
-                for key in list(islice(cache, len(cache) // 2)):
-                    del cache[key]
-                self.route_cache_clears += 1
-            cache[address] = route
-        return route
+        coords = self.mapping.decode(address)
+        return self.controllers[coords.channel], coords, coords.channel
 
 
 @dataclass
@@ -147,11 +117,6 @@ class SimulationResult:
     #: Host wall-clock seconds spent in the event loop (perf counter;
     #: like peeks/candidates_built it does not feed the digest).
     wall_time_s: float = 0.0
-    #: Address-route memo diagnostics (perf counters, not in the
-    #: digest): entries held at run end, and how many oldest-half
-    #: evictions the memo performed (``repro stats`` surfaces both).
-    route_cache_size: int = 0
-    route_cache_clears: int = 0
     #: Cycle-accounting report when the run was observed (``observe=``
     #: on :class:`MemorySystem` / :func:`run_traces`); ``None``
     #: otherwise.  Observability never feeds the digest.
@@ -240,6 +205,10 @@ class Simulator:
         self.park_admission = park_admission
         #: Cached scheduler proposals per channel, invalidated on change.
         self._peeks: List = [None] * len(system.controllers)
+        #: Each channel's ``Scheduler.best``, bound once: the loop asks
+        #: the scheduler directly instead of through
+        #: ``ChannelController.peek``.
+        self._bests = [c.scheduler.best for c in system.controllers]
         self._dirty = [True] * len(system.controllers)
         #: Min-heap of (ready time, core id) arrival events; cores whose
         #: next access is BLOCKED have no entry until a read completion
@@ -259,25 +228,6 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------
 
-    def _earliest_command(self):
-        # Per-channel peeks are refreshed inline rather than through a
-        # helper: this runs once per main-loop iteration and the call
-        # overhead was measurable on wide grids.
-        best_idx, best = None, None
-        peeks, dirty = self._peeks, self._dirty
-        controllers = self.system.controllers
-        now = self.now
-        for idx in range(len(controllers)):
-            if dirty[idx]:
-                peeks[idx] = controllers[idx].peek(now)
-                dirty[idx] = False
-            cand = peeks[idx]
-            if cand is None:
-                continue
-            if best is None or cand.issue_time < best.issue_time:
-                best, best_idx = cand, idx
-        return best_idx, best
-
     def _try_enqueue(self, core: TraceCore, ready: int) -> bool:
         entry = core.peek_entry()
         controller, coords, idx = self.system.controller_for(entry.address)
@@ -293,16 +243,12 @@ class Simulator:
                     self._parked_cores.add(cid)
                     self._parked[idx].append((ready, cid))
             return False
-        time = max(self.now, ready)
+        time = ready if ready > self.now else self.now
         core.pop_request(time)
         txn = Transaction(
-            kind=(TransactionKind.WRITE if entry.is_write
-                  else TransactionKind.READ),
-            address=entry.address,
-            coords=coords,
-            core=core.core_id,
-            instruction=core.instruction_index_of_last_request(),
-        )
+            _WRITE if entry.is_write else _READ,
+            entry.address, coords, core.core_id,
+            core.instruction_index_of_last_request())
         controller.enqueue(txn, time)
         self.now = time
         self._dirty[idx] = True
@@ -311,7 +257,8 @@ class Simulator:
     def _commit(self, idx: int, candidate) -> None:
         controller = self.system.controllers[idx]
         completed = controller.commit(candidate)
-        self.now = max(self.now, candidate.issue_time)
+        if candidate.issue_time > self.now:
+            self.now = candidate.issue_time
         self._dirty[idx] = True
         if completed and self._parked[idx]:
             # A retired transaction freed queue room: wake every core
@@ -352,9 +299,24 @@ class Simulator:
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
         park = self.park_admission
+        peeks, dirty, bests = self._peeks, self._dirty, self._bests
+        channels = range(len(bests))
+        try_enqueue, commit = self._try_enqueue, self._commit
         while True:
-            cmd_idx, cmd = self._earliest_command()
-            cmd_time = cmd.issue_time if cmd is not None else BLOCKED
+            # The earliest proposal over all channels (the lowest
+            # channel index on a tie).  Only channels whose state
+            # changed since their last peek are asked again.
+            cmd_idx = cmd = None
+            cmd_time = BLOCKED
+            now = self.now
+            for idx in channels:
+                if dirty[idx]:
+                    peeks[idx] = bests[idx](now)
+                    dirty[idx] = False
+                cand = peeks[idx]
+                if cand is not None and (cmd is None
+                                         or cand.issue_time < cmd_time):
+                    cmd, cmd_idx, cmd_time = cand, idx, cand.issue_time
 
             # All ready core requests, earliest first.  Cores whose target
             # queue is full must not head-of-line-block other cores: a
@@ -365,6 +327,12 @@ class Simulator:
             deferred = None
             while heap:
                 ready, cid = heap[0]
+                if ready > cmd_time:
+                    # Checked before the staleness probe: a core's ready
+                    # time never drops below its heap key until it pops
+                    # a request, so a stale top entry that is already
+                    # too late stays too late once refreshed.
+                    break
                 core = cores[cid]
                 actual = core.next_request_time()
                 if actual != ready:
@@ -373,10 +341,8 @@ class Simulator:
                     if actual < BLOCKED:
                         heappush(heap, (actual, cid))
                     continue
-                if ready > cmd_time:
-                    break
                 heappop(heap)
-                if self._try_enqueue(core, ready):
+                if try_enqueue(core, ready):
                     enqueued = True
                     nxt = core.next_request_time()
                     if nxt < BLOCKED:
@@ -402,7 +368,7 @@ class Simulator:
                         "a command pending -- lost a wake-on-room signal?")
                 raise DeadlockError(
                     "no events but cores unfinished -- lost a completion?")
-            self._commit(cmd_idx, cmd)
+            commit(cmd_idx, cmd)
             commands += 1
             if commands >= max_commands:
                 raise CommandBudgetExceeded(
@@ -444,8 +410,6 @@ def collect_result(system: MemorySystem,
         precharge_causes=causes,
         elapsed_ps=elapsed,
         transactions=stats.columns,
-        route_cache_size=system.route_cache_size,
-        route_cache_clears=system.route_cache_clears,
         accounting=collect_report(system.config.name,
                                   system.observers, elapsed),
         trace=system.trace,

@@ -107,9 +107,9 @@ def store_key(config: SystemConfig, *, accesses: int,
 
 def serialize_result(result: SimulationResult) -> dict:
     """JSON-able summary carrying everything the reducers and the
-    result digest read.  Perf counters (peeks, wall time, route-cache
-    diagnostics) are host-side observations, not behaviour, and are
-    deliberately dropped."""
+    result digest read.  Perf counters (peeks, wall time) are
+    host-side observations, not behaviour, and are deliberately
+    dropped."""
     s = result.stats
     e = result.energy
     return {
@@ -232,7 +232,7 @@ class StoreCounters:
 
 
 #: Process-wide aggregate over every :class:`ResultStore` instance,
-#: surfaced by ``repro stats`` next to the route-cache counters.
+#: surfaced by ``repro stats`` next to the trace-memo counters.
 GLOBAL_COUNTERS = StoreCounters()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.controller.controller import ChannelController
 from repro.controller.mapping import RowLayout
-from repro.controller.queue import QueueConfig
+from repro.controller.queue import QueueConfig, TransactionQueues
 from repro.controller.transaction import (
     DramCoordinates,
     Transaction,
@@ -231,3 +231,35 @@ class TestWriteHandling:
         cands = c.scheduler.candidates(0)
         acts = [x for x in cands if x.kind is CommandKind.ACT]
         assert len(acts) == 1
+
+
+class TestTwinTransactions:
+    """Two requests for the same line are distinct transactions: removal
+    must drop the exact object retired, never an equal-looking twin."""
+
+    def twins(self):
+        first, second = txn(row=3), txn(row=3)
+        # The scheduler numbers only unnumbered transactions, so equal
+        # sequence numbers keep every field of the pair identical.
+        first.seq = second.seq = 0
+        return first, second
+
+    def test_queue_remove_drops_the_object_passed_in(self):
+        q = TransactionQueues()
+        first, second = self.twins()
+        q.enqueue(first, 0)
+        q.enqueue(second, 0)
+        q.remove(second)
+        assert len(q.reads) == 1
+        assert q.reads[0] is first
+
+    def test_note_remove_drops_the_object_passed_in(self):
+        c = flat_controller()
+        first, second = self.twins()
+        c.enqueue(first, 0)
+        c.enqueue(second, 0)
+        c.peek(0)  # groups the schedulable transactions per bank
+        c.scheduler.note_remove(second)
+        remaining = c.scheduler._bank_txns[second.bank_index]
+        assert len(remaining) == 1
+        assert remaining[0] is first

@@ -168,3 +168,40 @@ class TestEnergyMeter:
         assert a.activations == 2
         assert a.ewlr_hit_activations == 1
         assert a.writes == 1
+
+
+class TestActivateVerdict:
+    """The ACT path classifies once: ``Bank.do_activate`` returns the
+    verdict it validated, and ``Channel.issue_act`` reports its EWLR hit
+    from that verdict."""
+
+    @pytest.mark.parametrize("rap", [True, False])
+    def test_act_reports_the_pre_act_verdict(self, rap):
+        # EWLR+RAP is the paper's VSB; the RAP-free bank is where an
+        # EWLR hit can occur (RAP inverts the right sub-bank's plane
+        # bits, so equal planes never share an MWL tag there).
+        bank_side = vsb_channel(ewlr=True, rap=rap)
+        channel_side = vsb_channel(ewlr=True, rap=rap)
+        base = 0b01 << 14
+        for time, c in enumerate((coords(subbank=0, row=base),
+                                  coords(subbank=1, row=base | (1 << 11)))):
+            before, _ = bank_side.classify(c)
+            bank = bank_side.bank(c)
+            assert bank.do_activate(c.subbank, c.row, time) is before
+            hit = channel_side.issue_act(c, time)
+            assert hit == (before is ActivationVerdict.EWLR_HIT)
+        assert before is (ActivationVerdict.ACT_OK if rap
+                          else ActivationVerdict.EWLR_HIT)
+        assert channel_side.energy.ewlr_hit_activations == (0 if rap else 1)
+
+    def test_illegal_act_still_raises(self):
+        ch = vsb_channel(ewlr=True, rap=True)
+        ch.issue_act(coords(subbank=0, row=0b01 << 14), 0)
+        # Under RAP, row 0b10 << 14 on sub-bank 1 lands in the same
+        # plane with a different MWL tag: a plane conflict.
+        clash = coords(subbank=1, row=0b10 << 14)
+        assert ch.classify(clash)[0] is ActivationVerdict.PLANE_CONFLICT
+        with pytest.raises(ValueError, match="illegal ACT"):
+            ch.issue_act(clash, T.tRRD)
+        with pytest.raises(ValueError, match="illegal ACT"):
+            ch.issue_act(coords(subbank=0, row=(0b01 << 14) | 1), T.tRRD)

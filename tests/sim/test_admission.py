@@ -1,4 +1,4 @@
-"""Wake-on-room admission parking and the bounded route cache."""
+"""Wake-on-room admission parking."""
 
 from dataclasses import replace
 
@@ -83,32 +83,3 @@ class TestWakeOnRoomDeterminism:
         sim._commit = commit_without_wakes
         with pytest.raises(DeadlockError, match="parked"):
             sim.run()
-
-
-class TestRouteCacheBound:
-    def test_cache_never_exceeds_capacity(self, monkeypatch):
-        monkeypatch.setattr(MemorySystem, "ROUTE_CACHE_CAPACITY", 8)
-        system = MemorySystem(cfgs.ddr4_baseline())
-        for i in range(50):
-            system.controller_for(i * 64)
-            assert system.route_cache_size <= 8
-        assert system.route_cache_clears >= 5
-
-    def test_cached_and_fresh_routes_agree(self, monkeypatch):
-        monkeypatch.setattr(MemorySystem, "ROUTE_CACHE_CAPACITY", 4)
-        system = MemorySystem(cfgs.ddr4_baseline())
-        fresh = MemorySystem(cfgs.ddr4_baseline())
-        addresses = [i * 4096 for i in range(16)]
-        for address in addresses + addresses:  # second pass hits/misses
-            _, coords, idx = system.controller_for(address)
-            _, expected, expected_idx = fresh.controller_for(address)
-            assert coords == expected
-            assert idx == expected_idx
-
-    def test_unbounded_footprint_would_have_grown(self):
-        # Sanity: the default capacity is finite and the counter starts
-        # at zero on a fresh system.
-        system = MemorySystem(cfgs.ddr4_baseline())
-        assert system.ROUTE_CACHE_CAPACITY == 1 << 16
-        assert system.route_cache_clears == 0
-        assert system.route_cache_size == 0
