@@ -30,6 +30,13 @@ from repro.sim.simulator import MemorySystem, Simulator, run_traces
 from repro.workloads.mixes import mix_traces
 
 
+def mix0_traces(settings):
+    """The mix0 traces every ablation sweep replays."""
+    return mix_traces("mix0", settings.accesses_per_core,
+                      fragmentation=settings.fragmentation,
+                      seed=settings.seed)
+
+
 def run(config, traces):
     res = run_traces(config, traces)
     return sum(res.ipcs), res
@@ -57,10 +64,10 @@ def run_custom_vsb(traces, layout, ewlr, rap, policy=BusPolicy.DDB,
     return Simulator(system, cores).run()
 
 
-def test_ablation_plane_placement(benchmark, sweep_context):
+def test_ablation_plane_placement(benchmark, sweep_settings):
     """EWLR-alone should collect its hits only with LSB plane bits
     (mapping 2 of Fig. 9); with RAP the MSB placement is the useful one."""
-    traces = sweep_context.traces("mix0")
+    traces = mix0_traces(sweep_settings)
 
     def sweep():
         out = {}
@@ -84,10 +91,10 @@ def test_ablation_plane_placement(benchmark, sweep_context):
     assert lsb >= msb
 
 
-def test_ablation_subbank_bit_position(benchmark, sweep_context):
+def test_ablation_subbank_bit_position(benchmark, sweep_settings):
     """Fig. 9 puts the sub-bank ID among low (frequently-changing)
     bits; parking it high starves one sub-bank of traffic."""
-    traces = sweep_context.traces("mix0")
+    traces = mix0_traces(sweep_settings)
     layout = EruConfig.full(4).row_layout()
 
     def sweep():
@@ -104,8 +111,8 @@ def test_ablation_subbank_bit_position(benchmark, sweep_context):
     assert all(sum(r.ipcs) > 0 for r in results.values())
 
 
-def test_ablation_write_drain_watermarks(benchmark, sweep_context):
-    traces = sweep_context.traces("mix0")
+def test_ablation_write_drain_watermarks(benchmark, sweep_settings):
+    traces = mix0_traces(sweep_settings)
 
     def sweep():
         out = {}
@@ -125,9 +132,9 @@ def test_ablation_write_drain_watermarks(benchmark, sweep_context):
     assert default > 0.8 * max(v for v, _ in results.values())
 
 
-def test_ablation_page_policy(benchmark, sweep_context):
+def test_ablation_page_policy(benchmark, sweep_settings):
     """Pure open page vs adaptive idle-close at several thresholds."""
-    traces = sweep_context.traces("mix0")
+    traces = mix0_traces(sweep_settings)
 
     def sweep():
         out = {}
@@ -152,10 +159,10 @@ def test_ablation_page_policy(benchmark, sweep_context):
     assert max(values) / min(values) < 1.3  # policies are in one league
 
 
-def test_ablation_ddb_windows(benchmark, sweep_context):
+def test_ablation_ddb_windows(benchmark, sweep_settings):
     """At 2.4 GHz the tTCW/tTWTRW windows bind; disabling them bounds
     what the DDB hardware could do without the conflict guard."""
-    traces = sweep_context.traces("mix0")
+    traces = mix0_traces(sweep_settings)
     layout = EruConfig.full(4).row_layout()
     fast = ddr4_timings(2.4e9)
 

@@ -6,24 +6,21 @@ Ideal32 ~ +17% (ERUCA within 2% of ideal); paired-bank ERUCA -2%
 (EWLR+RAP) / -1% (+DDB) while *saving* 1.1% die area.
 """
 
-from conftest import print_header
-
-from repro.sim.experiments import run_figure
+from conftest import bench_figure, print_header
 
 
-def test_fig12_weighted_speedup(benchmark, full_context):
-    table = benchmark.pedantic(run_figure,
-                               args=("fig12", full_context),
-                               rounds=1, iterations=1)
 
-    mixes = full_context.settings.mixes
+def test_fig12_weighted_speedup(benchmark, full_settings):
+    table = bench_figure(benchmark, "fig12", full_settings)
+
+    mixes = full_settings.mixes
     norm = table.normalized()
     gmeans = table.gmeans()
 
     print_header(
         "Fig. 12: normalised weighted speedup over DDR4 "
-        f"({full_context.settings.accesses_per_core}/core, "
-        f"frag {full_context.settings.fragmentation:.0%})")
+        f"({full_settings.accesses_per_core}/core, "
+        f"frag {full_settings.fragmentation:.0%})")
     print(f"{'config':36s} " + " ".join(f"{m:>6s}" for m in mixes)
           + f" {'GMEAN':>7s}")
     for config, row in norm.items():

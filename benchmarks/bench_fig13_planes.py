@@ -8,16 +8,13 @@ EWLR at 2 planes; at 50% fragmentation RAP-only loses effectiveness.
 speedup trends.
 """
 
-from conftest import print_header
+from conftest import bench_figure, print_header
 
-from repro.sim.experiments import (
-    FIG13_PLANES, FIG13_SCHEMES, run_figure)
+from repro.sim.specs import FIG13_PLANES, FIG13_SCHEMES
 
 
-def test_fig13_plane_sensitivity(benchmark, sweep_context):
-    points = benchmark.pedantic(run_figure,
-                                args=("fig13", sweep_context),
-                                rounds=1, iterations=1)
+def test_fig13_plane_sensitivity(benchmark, sweep_settings):
+    points = bench_figure(benchmark, "fig13", sweep_settings)
 
     print_header(
         "Fig. 13a: plane-count sensitivity (normalised WS over DDR4) / "

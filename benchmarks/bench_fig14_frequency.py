@@ -7,16 +7,13 @@ DDB at 2.4 GHz.  The DDB two-command windows (tTCW/tTWTRW) bind only at
 the higher frequencies.
 """
 
-from conftest import print_header
+from conftest import bench_figure, print_header
 
 from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ
-from repro.sim.experiments import run_figure
 
 
-def test_fig14_frequency_scaling(benchmark, sweep_context):
-    points = benchmark.pedantic(run_figure,
-                                args=("fig14", sweep_context),
-                                rounds=1, iterations=1)
+def test_fig14_frequency_scaling(benchmark, sweep_settings):
+    points = bench_figure(benchmark, "fig14", sweep_settings)
 
     print_header("Fig. 14: normalised WS vs channel frequency "
                  "(DDR4 baseline at each frequency)")

@@ -7,9 +7,8 @@ combining MASA8 with ERUCA gives +26% (no DDB) / +29% (with DDB) --
 clear synergy over MASA8 alone (~+20%).
 """
 
-from conftest import print_header
+from conftest import bench_figure, print_header
 
-from repro.sim.experiments import run_figure
 
 PAPER = {
     "Half-DRAM": 1.08,
@@ -19,10 +18,8 @@ PAPER = {
 }
 
 
-def test_fig15_prior_work(benchmark, sweep_context):
-    out = benchmark.pedantic(run_figure,
-                             args=("fig15", sweep_context),
-                             rounds=1, iterations=1)
+def test_fig15_prior_work(benchmark, sweep_settings):
+    out = bench_figure(benchmark, "fig15", sweep_settings)
 
     print_header("Fig. 15: prior-work comparison "
                  "(GMEAN normalised WS over DDR4)")

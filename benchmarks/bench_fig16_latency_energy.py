@@ -7,15 +7,12 @@ because rare plane conflicts remain.  (b) Energy vs DDR4: background
 hits), total within 1% of ideal.
 """
 
-from conftest import print_header
-
-from repro.sim.experiments import run_figure
+from conftest import bench_figure, print_header
 
 
-def test_fig16_latency_energy(benchmark, sweep_context):
-    rows = benchmark.pedantic(run_figure,
-                              args=("fig16", sweep_context),
-                              rounds=1, iterations=1)
+
+def test_fig16_latency_energy(benchmark, sweep_settings):
+    rows = bench_figure(benchmark, "fig16", sweep_settings)
 
     base = rows[0]
     print_header("Fig. 16a: read queueing latency (ns)")

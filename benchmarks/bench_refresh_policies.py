@@ -18,16 +18,13 @@ density (tRFC: 260 -> 350 -> 550 ns), which is exactly why the paper's
 sub-array machinery matters at 16 Gb and beyond.
 """
 
-from conftest import print_header
+from conftest import bench_figure, print_header
 
-from repro.sim.experiments import (
-    REFRESH_SWEEP_DENSITIES, run_figure)
+from repro.sim.specs import REFRESH_SWEEP_DENSITIES
 
 
-def test_refresh_policy_sweep(benchmark, sweep_context):
-    points = benchmark.pedantic(run_figure,
-                                args=("figref", sweep_context),
-                                rounds=1, iterations=1)
+def test_refresh_policy_sweep(benchmark, sweep_settings):
+    points = bench_figure(benchmark, "figref", sweep_settings)
 
     print_header("Refresh sweep: normalised WS vs policy x density "
                  "(refresh-off platform = 1.000)")

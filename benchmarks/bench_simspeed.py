@@ -13,7 +13,7 @@ Fig. 12 grid, one phase per layer --
   with ``REPRO_BENCH_JOBS`` worker processes (at least 4 for this
   bench).
 
-Every phase starts from a cold alone-IPC cache and must produce the
+Every phase starts from a cold result store and must produce the
 exact same speedup table *and* per-cell behaviour digests; wall times
 and the scheduler's effort counters (peeks, candidates built,
 candidates examined) are printed and recorded to
@@ -45,11 +45,10 @@ except ImportError:  # pragma: no cover - standalone invocation
                            / "src"))
 
 import repro.controller.scheduler as scheduler_mod
-from repro.sim.experiments import (
-    ExperimentContext,
-    ExperimentSettings,
-    fig12,
-)
+from repro.sim.experiments import FIGURE_REDUCERS
+from repro.sim.runner import run_spec
+from repro.sim.specs import ExperimentSettings, fig12_spec
+from repro.sim.store import ResultStore
 
 #: Effort ceilings asserted by the CI perf smoke.  Generous versus the
 #: observed ~1.4 peeks and ~1.4 built candidates per command -- they
@@ -73,44 +72,42 @@ def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
                     accesses: int, mixes):
     """One timed fig12 grid run under one scheduler path."""
     old_mode = scheduler_mod.INCREMENTAL_DEFAULT
-    old_cache = os.environ.get("REPRO_CACHE_DIR")
     scheduler_mod.INCREMENTAL_DEFAULT = incremental
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
     try:
-        context = ExperimentContext(ExperimentSettings(
-            accesses_per_core=accesses, mixes=mixes),
-            jobs=jobs)
+        spec = fig12_spec(ExperimentSettings(accesses_per_core=accesses,
+                                             mixes=mixes))
+        store = ResultStore(cache_dir)
         start = time.perf_counter()
-        table = fig12(context)
+        rs, _ = run_spec(spec, jobs=jobs, store=store)
+        table = FIGURE_REDUCERS["fig12"](rs, spec.mixes)
         elapsed = time.perf_counter() - start
         counters = {"commands": 0, "peeks": 0, "candidates_built": 0,
                     "candidates_examined": 0, "transactions": 0}
         digests = {}
-        for (config, mix, _, _), result in \
-                sorted(context._result_cache.items(),
-                       key=lambda kv: (kv[0][0].name, kv[0][1])):
+        # Mix cells only: the pinned quick digest predates alone cells
+        # carrying full results.
+        for cell, result in rs.results.items():
+            if cell.kind != "mix":
+                continue
             counters["commands"] += result.stats.commands_issued
             counters["peeks"] += result.stats.peeks
             counters["candidates_built"] += result.stats.candidates_built
             counters["candidates_examined"] += \
                 result.stats.candidates_examined
             counters["transactions"] += result.transactions
-            digests[f"{config.name}|{mix}"] = result.digest()
+            digests[f"{cell.config.name}|{cell.workload}"] = \
+                result.digest()
         # Result-store discipline: each phase ran against a cold cache
         # directory, so the store must have missed once and put once
         # per grid cell, and served nothing.
-        sc = context.store.counters
+        sc = store.counters
         counters["store_hits"] = sc.hits
         counters["store_misses"] = sc.misses
         counters["store_puts"] = sc.puts
-        counters["store_cells"] = len(context._cell_cache)
+        counters["store_cells"] = len(rs.results)
         return elapsed, table, counters, digests
     finally:
         scheduler_mod.INCREMENTAL_DEFAULT = old_mode
-        if old_cache is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = old_cache
 
 
 def _grid_digest(digests: dict) -> str:

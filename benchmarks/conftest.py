@@ -23,8 +23,8 @@ import os
 
 import pytest
 
-from repro.sim.experiments import ExperimentContext, ExperimentSettings
 from repro.sim.parallel import default_workers
+from repro.sim.specs import ExperimentSettings
 from repro.workloads.mixes import MIX_NAMES
 
 
@@ -47,19 +47,27 @@ def bench_jobs() -> int:
 
 
 @pytest.fixture(scope="session")
-def sweep_context():
-    """Context for the sweep figures (13/14/15/16): subset of mixes."""
-    return ExperimentContext(ExperimentSettings(
-        accesses_per_core=bench_accesses(), mixes=bench_mixes()),
-        jobs=bench_jobs())
+def sweep_settings():
+    """Settings for the sweep figures (13/14/15/16): subset of mixes."""
+    return ExperimentSettings(accesses_per_core=bench_accesses(),
+                              mixes=bench_mixes())
 
 
 @pytest.fixture(scope="session")
-def full_context():
-    """Context for Fig. 12: all nine mixes."""
-    return ExperimentContext(ExperimentSettings(
-        accesses_per_core=bench_accesses(), mixes=MIX_NAMES),
-        jobs=bench_jobs())
+def full_settings():
+    """Settings for Fig. 12: all nine mixes."""
+    return ExperimentSettings(accesses_per_core=bench_accesses(),
+                              mixes=MIX_NAMES)
+
+
+def bench_figure(benchmark, name: str, settings: ExperimentSettings):
+    """Regenerate one named figure once under pytest-benchmark; returns
+    the reduced table."""
+    from repro.sim.experiments import run_figure
+    table, _ = benchmark.pedantic(
+        run_figure, args=(name, settings),
+        kwargs={"jobs": bench_jobs()}, rounds=1, iterations=1)
+    return table
 
 
 def print_header(title: str) -> None:

@@ -11,20 +11,18 @@ Run:  python examples/frequency_scaling.py [accesses] [mix]
 
 import sys
 
-from repro import ExperimentContext, ExperimentSettings
+from repro import ExperimentSettings
 from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ
-from repro.sim.experiments import fig14
+from repro.sim.experiments import run_figure
 
 
 def main() -> None:
     accesses = int(sys.argv[1]) if len(sys.argv) > 1 else 1200
     mix = sys.argv[2] if len(sys.argv) > 2 else "mix0"
-    context = ExperimentContext(ExperimentSettings(
-        accesses_per_core=accesses, mixes=(mix,)))
-
     print(f"sweeping channel frequency on {mix} "
           f"({accesses} accesses/core); CPU clock scales along...\n")
-    points = fig14(context)
+    points, _ = run_figure("fig14", ExperimentSettings(
+        accesses_per_core=accesses, mixes=(mix,)))
 
     configs = []
     for p in points:

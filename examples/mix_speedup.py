@@ -9,8 +9,9 @@ Run:  python examples/mix_speedup.py [mix0|...|mix8|all] [accesses]
 
 import sys
 
-from repro import ExperimentContext, ExperimentSettings
-from repro.sim.experiments import fig12, fig12_configs
+from repro import ExperimentSettings
+from repro.sim.experiments import run_figure
+from repro.sim.specs import FIG12_CONFIG_SPECS
 from repro.workloads.mixes import MIX_NAMES
 
 
@@ -22,11 +23,10 @@ def main() -> None:
         raise SystemExit(f"unknown mix {which!r}; choose from "
                          f"{', '.join(MIX_NAMES)} or 'all'")
 
-    context = ExperimentContext(ExperimentSettings(
-        accesses_per_core=accesses, mixes=mixes))
-    print(f"running {len(fig12_configs())} configurations on "
+    print(f"running {len(FIG12_CONFIG_SPECS)} configurations on "
           f"{', '.join(mixes)} ({accesses} accesses/core)...\n")
-    table = fig12(context)
+    table, _ = run_figure("fig12", ExperimentSettings(
+        accesses_per_core=accesses, mixes=mixes))
 
     norm = table.normalized()
     gmeans = table.gmeans()

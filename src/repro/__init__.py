@@ -12,8 +12,12 @@ Typical use::
     eruca = run_traces(vsb(EruConfig.full(planes=4)), traces)
     print(sum(eruca.ipcs) / sum(base.ipcs))
 
-The experiment runners that regenerate every paper figure live in
-:mod:`repro.sim.experiments`; the area model in :mod:`repro.core.area`;
+Every evaluated paper figure is a named grid spec
+(:data:`repro.sim.specs.NAMED_SPECS`) plus a pure reducer
+(:data:`repro.sim.experiments.FIGURE_REDUCERS`);
+``run_figure("fig12", ExperimentSettings())`` in
+:mod:`repro.sim.experiments` runs one through the result store and
+returns its table.  The area model lives in :mod:`repro.core.area`;
 the Fig. 4 trace study in :mod:`repro.analysis.plane_conflict`.
 
 To see *where the cycles go*, pass ``observe=True`` (or an
@@ -42,13 +46,13 @@ from repro.sim.config import (
     paired_bank,
     vsb,
 )
-from repro.sim.experiments import ExperimentContext, ExperimentSettings
 from repro.sim.simulator import (
     MemorySystem,
     SimulationResult,
     Simulator,
     run_traces,
 )
+from repro.sim.specs import ExperimentSettings
 
 __version__ = "1.0.0"
 
@@ -56,7 +60,6 @@ __all__ = [
     "AccountingReport",
     "CoreConfig",
     "EruConfig",
-    "ExperimentContext",
     "ExperimentSettings",
     "MemorySystem",
     "ObserveOptions",

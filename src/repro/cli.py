@@ -39,18 +39,8 @@ from typing import List, Optional
 
 from repro.core.mechanisms import EruConfig
 from repro.sim import config as cfgs
-from repro.sim.experiments import (
-    REFRESH_SWEEP_DENSITIES,
-    ExperimentContext,
-    ExperimentSettings,
-    emit_stats_sidecars,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig_refresh,
-)
+from repro.sim.experiments import emit_stats_sidecars, run_figure
+from repro.sim.specs import ExperimentSettings
 from repro.workloads.mixes import MIX_NAMES
 
 #: Shell-friendly names for the evaluated configurations.
@@ -81,23 +71,19 @@ def _settings(args) -> ExperimentSettings:
                               seed=args.seed, mixes=mixes)
 
 
-def _context(args) -> ExperimentContext:
+def _jobs(args) -> int:
+    """``--jobs``, with 0 meaning every core."""
     from repro.sim.parallel import default_workers
-    jobs = getattr(args, "jobs", 1)
-    if jobs <= 0:
-        jobs = default_workers()
-    observe = getattr(args, "emit_stats", None) is not None
-    return ExperimentContext(_settings(args), jobs=jobs, observe=observe)
+    return args.jobs if args.jobs > 0 else default_workers()
 
 
-def _emit_sidecars(context: ExperimentContext, args,
-                   prefix: str = "") -> None:
-    """Write stall-attribution sidecars if ``--emit-stats`` was given."""
-    directory = getattr(args, "emit_stats", None)
-    if directory is None:
-        return
-    for path in emit_stats_sidecars(context, directory, prefix=prefix):
-        print(f"wrote {path}")
+def _resolve_spec(args):
+    """The spec ``run``/``cells`` name, or a one-line error exit."""
+    from repro.sim.specs import resolve_spec
+    try:
+        return resolve_spec(args.spec, _settings(args))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: error: {exc}") from None
 
 
 def _cell_config(args):
@@ -164,12 +150,9 @@ def _run_spec_cmd(args) -> None:
     is stable for scripting -- the CI resume-smoke step asserts
     ``submitted=0`` on a second run.
     """
-    from repro.sim.parallel import default_workers
     from repro.sim.runner import run_spec
-    from repro.sim.specs import resolve_spec
-    spec = resolve_spec(args.spec, _settings(args))
-    jobs = args.jobs if args.jobs > 0 else default_workers()
-    _, report = run_spec(spec, jobs=jobs,
+    spec = _resolve_spec(args)
+    _, report = run_spec(spec, jobs=_jobs(args),
                          progress=_progress_printer())
     print(f"spec {spec.name} digest {spec.digest()[:12]}")
     print(report.summary())
@@ -177,9 +160,8 @@ def _run_spec_cmd(args) -> None:
 
 def cmd_cells(args) -> None:
     """``repro cells``: preview a spec's expansion and its store diff."""
-    from repro.sim.specs import resolve_spec
     from repro.sim.store import ResultStore
-    spec = resolve_spec(args.spec, _settings(args))
+    spec = _resolve_spec(args)
     store = ResultStore()
     cached = 0
     for cell in spec.expand():
@@ -316,48 +298,37 @@ def cmd_fig11(args) -> None:
               f"{row.overhead_pct:7.3f}%")
 
 
-def cmd_fig12(args) -> None:
-    context = _context(args)
-    table = fig12(context)
+def _print_fig12(table) -> None:
     norm = table.normalized()
     gmeans = table.gmeans()
-    mixes = context.settings.mixes
+    mixes = list(norm[table.baseline])
     print(f"{'config':36s} " + " ".join(f"{m:>6s}" for m in mixes)
           + f" {'GMEAN':>7s}")
     for config, row in norm.items():
         cells = " ".join(f"{row[m]:6.3f}" for m in mixes)
         print(f"{config:36s} {cells} {gmeans[config]:7.3f}")
-    _emit_sidecars(context, args, prefix="fig12__")
 
 
-def cmd_fig13(args) -> None:
-    context = _context(args)
-    for p in fig13(context):
+def _print_fig13(points) -> None:
+    for p in points:
         print(f"{p.scheme:22s} {p.planes:2d}P frag={p.fragmentation:3.0%} "
               f"ws={p.normalized_ws:5.3f} "
               f"plane-pre={p.plane_precharge_fraction:5.1%} "
               f"ewlr={p.ewlr_hit_rate:5.1%}")
-    _emit_sidecars(context, args, prefix="fig13__")
 
 
-def cmd_fig14(args) -> None:
-    context = _context(args)
-    for p in fig14(context):
+def _print_fig14(points) -> None:
+    for p in points:
         print(f"{p.config:30s} {p.bus_frequency_hz / 1e9:4.2f}GHz "
               f"ws={p.normalized_ws:5.3f}")
-    _emit_sidecars(context, args, prefix="fig14__")
 
 
-def cmd_fig15(args) -> None:
-    context = _context(args)
-    for name, value in fig15(context).items():
+def _print_fig15(table) -> None:
+    for name, value in table.items():
         print(f"{name:36s} {value:6.3f}")
-    _emit_sidecars(context, args, prefix="fig15__")
 
 
-def cmd_fig16(args) -> None:
-    context = _context(args)
-    rows = fig16(context)
+def _print_fig16(rows) -> None:
     base = rows[0]
     for row in rows:
         s = row.latency_stats_ns
@@ -366,25 +337,36 @@ def cmd_fig16(args) -> None:
               f"{s['mean']:6.1f}/{s['median']:6.1f}/{s['q3']:6.1f} ns"
               f"   energy bg/act/total = {rel['background']:.1%}/"
               f"{rel['activation']:.1%}/{rel['total']:.1%}")
-    _emit_sidecars(context, args, prefix="fig16__")
 
 
-def cmd_figref(args) -> None:
-    """``repro figref``: refresh policy x density sweep (docs/REFRESH.md)."""
-    context = _context(args)
-    points = fig_refresh(context)
-    policies = []
+def _print_figref(points) -> None:
+    """Refresh policy x density sweep (docs/REFRESH.md)."""
+    policies, densities = [], []
     for p in points:
         if p.policy not in policies:
             policies.append(p.policy)
+        if p.density not in densities:
+            densities.append(p.density)
     by_key = {(p.policy, p.density): p for p in points}
-    print(f"{'policy':10s} " + " ".join(
-        f"{d:>8s}" for d in REFRESH_SWEEP_DENSITIES))
+    print(f"{'policy':10s} " + " ".join(f"{d:>8s}" for d in densities))
     for policy in policies:
         print(f"{policy:10s} " + "    ".join(
             f"{by_key[(policy, d)].normalized_ws:5.3f}"
-            for d in REFRESH_SWEEP_DENSITIES))
-    _emit_sidecars(context, args, prefix="figref__")
+            for d in densities))
+
+
+def cmd_figure(args) -> None:
+    """``repro fig12`` ... ``repro figref``: run a named figure spec
+    through the store and print its table (plus stall-attribution
+    sidecars with ``--emit-stats DIR``)."""
+    table, rs = run_figure(args.command, _settings(args),
+                           jobs=_jobs(args),
+                           observe=args.emit_stats is not None)
+    args.printer(table)
+    if args.emit_stats is not None:
+        for path in emit_stats_sidecars(rs, args.emit_stats,
+                                        prefix=f"{args.command}__"):
+            print(f"wrote {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,22 +498,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dump binary pstats to FILE")
     profile.set_defaults(func=cmd_profile)
 
-    for name, func, needs_mixes in (
-            ("fig4", cmd_fig4, False), ("fig11", cmd_fig11, False),
-            ("fig12", cmd_fig12, True), ("fig13", cmd_fig13, True),
-            ("fig14", cmd_fig14, True), ("fig15", cmd_fig15, True),
-            ("fig16", cmd_fig16, True), ("figref", cmd_figref, True)):
+    for name, func in (("fig4", cmd_fig4), ("fig11", cmd_fig11)):
         p = sub.add_parser(name, help=f"regenerate {name}")
         if name != "fig11":
             common(p)
-        if needs_mixes:
-            p.add_argument("--mixes", default="mix0,mix3,mix6",
-                           help="comma-separated mix subset")
-            p.add_argument("--emit-stats", metavar="DIR", default=None,
-                           help="run observed and write one stall-"
-                                "attribution JSON sidecar per "
-                                "(config, mix) cell into DIR")
         p.set_defaults(func=func)
+    for name, printer in (("fig12", _print_fig12), ("fig13", _print_fig13),
+                          ("fig14", _print_fig14), ("fig15", _print_fig15),
+                          ("fig16", _print_fig16),
+                          ("figref", _print_figref)):
+        p = common(sub.add_parser(name, help=f"regenerate {name}"))
+        p.add_argument("--mixes", default="mix0,mix3,mix6",
+                       help="comma-separated mix subset")
+        p.add_argument("--emit-stats", metavar="DIR", default=None,
+                       help="run observed and write one stall-"
+                            "attribution JSON sidecar per "
+                            "(config, mix) cell into DIR")
+        p.set_defaults(func=cmd_figure, printer=printer)
     return parser
 
 

@@ -1,15 +1,16 @@
-"""One runner per paper table/figure (shared by benches and examples).
+"""The paper's figures: one pure reducer per named spec.
 
-Each figure is now a *declarative spec plus a pure reducer*: the grid
-(configs x mixes x fragmentations x seeds) is described by an
-:class:`~repro.sim.specs.ExperimentSpec` from :mod:`repro.sim.specs`,
-executed through the content-addressed result store by
-:mod:`repro.sim.runner`, and reduced to the paper's tables by the
-``reduce_figN`` functions below -- pure functions over a
-:class:`~repro.sim.runner.ResultSet`.  The historical entry points
-(``fig12(context)`` and friends) remain as thin shims over that
-pipeline, producing bit-identical numbers to the pre-refactor path
-(pinned in ``tests/data/figure_digests.json``).
+Each figure has exactly one definition.  Its grid (configs x mixes x
+fragmentations x seeds) is a builder in
+:data:`repro.sim.specs.NAMED_SPECS`; :func:`repro.sim.runner.run_spec`
+executes it through the content-addressed result store; and its table
+is a reducer in :data:`FIGURE_REDUCERS` -- a pure function over the
+returned :class:`~repro.sim.runner.ResultSet`.  Every reducer is called
+as ``reducer(rs, mixes)`` and reads all other axes (configs, planes,
+scheme labels, fragmentations, frequencies, densities, core config)
+from ``rs.spec`` and ``rs``, so a cut-down or re-clocked grid reduces
+exactly as it was built.  :func:`run_figure` joins the three.  The
+reduced numbers are pinned in ``tests/data/figure_digests.json``.
 
 Weighted speedup follows the paper: per-mix Snavely-Tullsen WS normalised
 to the DDR4 baseline, GMEAN across mixes.  Alone-IPCs are measured on the
@@ -19,274 +20,24 @@ from the store on every later run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import json
+import os
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.core.mechanisms import EruConfig
-from repro.cpu.core import CoreConfig
-from repro.cpu.trace import Trace
-from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ
-from repro.sim import config as cfgs
-from repro.sim.config import SystemConfig
-from repro.sim.metrics import (
-    LatencyHistogram,
-    gmean,
-    quartiles,
-    weighted_speedup,
-)
-from repro.sim.runner import ResultSet, RunReport, execute_cells
-from repro.sim.simulator import SimulationResult, run_traces
-from repro.sim.specs import (  # noqa: F401  (re-exports)
-    FIG12_CONFIG_SPECS,
-    FIG13_PLANES,
-    FIG13_SCHEMES,
-    FIG14_CONFIG_SPECS,
-    FIG15_CONFIG_SPECS,
-    FIG16_CONFIG_SPECS,
-    REFRESH_SWEEP_DENSITIES,
-    CellKey,
-    ConfigSpec,
-    ExperimentSettings,
-    ExperimentSpec,
-    fig12_spec,
-    fig13_spec,
-    fig14_spec,
-    fig15_spec,
-    fig16_spec,
-    figref_spec,
-    refresh_config_specs,
-    refresh_platform_spec,
-)
-from repro.sim.store import ResultStore
-from repro.workloads.generator import generate_traces
-from repro.workloads.mixes import MIXES, mix_traces
-from repro.workloads.profiles import profile
+from repro.sim.metrics import LatencyHistogram, gmean, quartiles
+from repro.sim.runner import ResultSet, run_spec
+from repro.sim.specs import NAMED_SPECS, ExperimentSettings, fig13_scheme
 
 
-class ExperimentContext:
-    """Caches traces and cell results across runners, store-backed.
-
-    The context is the execution engine behind the figure shims: it
-    holds the in-process layer (traces, finished cells) above the
-    persistent :class:`~repro.sim.store.ResultStore`, and
-    :meth:`execute` runs a whole spec through
-    :func:`repro.sim.runner.execute_cells` -- memory first, store
-    second, simulation (``jobs``-wide) only for what is left.  Serial
-    and parallel execution produce identical tables.
-
-    ``disk_cache`` (on by default) persists every cell result across
-    invocations; pass ``disk_cache=False`` for a hermetic context.
-
-    ``observe`` attaches cycle accounting (:mod:`repro.sim.accounting`)
-    to every mix run, so each cached result carries a stall-attribution
-    report that :func:`emit_stats_sidecars` can export next to the
-    figure tables.  Alone-IPC runs are never observed -- only their
-    scalar IPC is kept.  Observation never changes any table value.
-    """
-
-    def __init__(self, settings: ExperimentSettings = ExperimentSettings(),
-                 core_config: CoreConfig = CoreConfig(),
-                 jobs: int = 1, disk_cache: bool = True,
-                 observe: bool = False,
-                 alone_config: Optional[SystemConfig] = None) -> None:
-        self.settings = settings
-        self.core_config = core_config
-        self.jobs = jobs
-        self.observe = observe
-        #: The configuration alone-IPC denominators run on (weighted
-        #: speedup normalises against it).  Part of every alone cell's
-        #: content address, so a refresh-enabled or non-DRAM alone
-        #: baseline never collides with the default's entries.
-        self.alone_config = alone_config or cfgs.ddr4_baseline()
-        #: Persistent result store (``None`` for hermetic contexts).
-        self.store: Optional[ResultStore] = (
-            ResultStore() if disk_cache else None)
-        #: Counters of the most recent :meth:`execute` pass.
-        self.last_report: Optional[RunReport] = None
-        self._trace_cache: Dict[tuple, List[Trace]] = {}
-        self._alone_cache: Dict[tuple, float] = {}
-        #: Finished cells keyed by :class:`CellKey` -- the memory layer
-        #: :func:`~repro.sim.runner.execute_cells` diffs first.
-        self._cell_cache: Dict[CellKey, SimulationResult] = {}
-        #: Finished cells keyed by (config, mix, frag, core_config) --
-        #: all frozen dataclasses, so equal configs hit across figures
-        #: (kept for :func:`emit_stats_sidecars` and :meth:`run`).
-        self._result_cache: Dict[tuple, SimulationResult] = {}
-
-    # -- workloads ---------------------------------------------------------
-
-    def traces(self, mix: str,
-               fragmentation: Optional[float] = None) -> List[Trace]:
-        s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        key = (mix, frag, s.seed, s.accesses_per_core)
-        if key not in self._trace_cache:
-            self._trace_cache[key] = mix_traces(
-                mix, s.accesses_per_core, fragmentation=frag, seed=s.seed)
-        return self._trace_cache[key]
-
-    # -- cell keys ---------------------------------------------------------
-
-    def _alone_key(self, benchmark: str, frag: float,
-                   cc: CoreConfig) -> tuple:
-        s = self.settings
-        return (benchmark, frag, s.seed, s.accesses_per_core, cc.clock_hz)
-
-    def _alone_cell(self, benchmark: str, frag: float,
-                    cc: CoreConfig) -> CellKey:
-        s = self.settings
-        return CellKey(kind="alone", config=self.alone_config,
-                       workload=benchmark,
-                       accesses=s.accesses_per_core, fragmentation=frag,
-                       seed=s.seed, core_config=cc)
-
-    def _mix_cell(self, config: SystemConfig, mix: str, frag: float,
-                  cc: CoreConfig) -> CellKey:
-        s = self.settings
-        return CellKey(kind="mix", config=config, workload=mix,
-                       accesses=s.accesses_per_core, fragmentation=frag,
-                       seed=s.seed, core_config=cc)
-
-    def alone_ipc(self, benchmark: str,
-                  fragmentation: Optional[float] = None,
-                  core_config: Optional[CoreConfig] = None) -> float:
-        s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        cc = core_config or self.core_config
-        key = self._alone_key(benchmark, frag, cc)
-        if key not in self._alone_cache:
-            cell = self._alone_cell(benchmark, frag, cc)
-            value = (self.store.get_scalar(cell.store_key())
-                     if self.store is not None else None)
-            if value is None:
-                traces = generate_traces(
-                    [profile(benchmark)], s.accesses_per_core,
-                    fragmentation=frag, seed=s.seed)
-                result = run_traces(self.alone_config, traces,
-                                    core_config=cc)
-                value = result.ipcs[0]
-                self._cell_cache[cell] = result
-                if self.store is not None:
-                    self.store.put(cell.store_key(), result,
-                                   key_info=cell.describe())
-            self._alone_cache[key] = value
-        return self._alone_cache[key]
-
-    # -- one (config, mix) evaluation ---------------------------------------
-
-    def run(self, config: SystemConfig, mix: str,
-            fragmentation: Optional[float] = None,
-            core_config: Optional[CoreConfig] = None) -> SimulationResult:
-        s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        cc = core_config or self.core_config
-        key = (config, mix, frag, cc)
-        result = self._result_cache.get(key)
-        if result is None:
-            cell = self._mix_cell(config, mix, frag, cc)
-            if self.store is not None:
-                result = self.store.get(cell.store_key(),
-                                        need_accounting=self.observe)
-            if result is None:
-                result = run_traces(config, self.traces(mix, frag),
-                                    core_config=cc,
-                                    observe=self.observe or None)
-                if self.store is not None:
-                    self.store.put(cell.store_key(), result,
-                                   key_info=cell.describe())
-            self._cell_cache[cell] = result
-            self._result_cache[key] = result
-        return result
-
-    def mix_ws(self, config: SystemConfig, mix: str,
-               fragmentation: Optional[float] = None,
-               core_config: Optional[CoreConfig] = None
-               ) -> Tuple[float, SimulationResult]:
-        result = self.run(config, mix, fragmentation, core_config)
-        names, _ = MIXES[mix]
-        alone = [self.alone_ipc(n, fragmentation, core_config)
-                 for n in names]
-        return weighted_speedup(result.ipcs, alone), result
-
-    # -- spec execution -----------------------------------------------------
-
-    def _sync_legacy_caches(self, cells: Sequence[CellKey]) -> None:
-        """Mirror executed cells into the historical cache shapes that
-        :meth:`mix_ws` and :func:`emit_stats_sidecars` read."""
-        s = self.settings
-        for cell in cells:
-            result = self._cell_cache.get(cell)
-            if result is None or cell.seed != s.seed \
-                    or cell.accesses != s.accesses_per_core:
-                continue
-            if cell.kind == "mix":
-                self._result_cache[(cell.config, cell.workload,
-                                    cell.fragmentation,
-                                    cell.core_config)] = result
-            else:
-                self._alone_cache[self._alone_key(
-                    cell.workload, cell.fragmentation,
-                    cell.core_config)] = result.ipcs[0]
-
-    def run_cells(self, cells: Sequence[CellKey],
-                  observe: Optional[bool] = None) -> RunReport:
-        """Execute a cell list through memory -> store -> simulation."""
-        report = execute_cells(
-            cells, results=self._cell_cache, store=self.store,
-            jobs=self.jobs,
-            observe=self.observe if observe is None else observe)
-        self._sync_legacy_caches(cells)
-        self.last_report = report
-        return report
-
-    def execute(self, spec: ExperimentSpec) -> ResultSet:
-        """Run a whole spec; only cells absent everywhere simulate."""
-        self.run_cells(spec.expand(self.core_config),
-                       observe=spec.observe)
-        return ResultSet(spec, self._cell_cache, self.core_config)
-
-    # -- grid prefetch ------------------------------------------------------
-
-    def prefetch(self, cells: Sequence[tuple], alone: bool = True) -> None:
-        """Warm the caches for a list of grid cells, ``jobs``-wide.
-
-        ``cells`` holds (config, mix, fragmentation, core_config)
-        tuples (the trailing pair may be ``None`` for the context
-        defaults).  With ``alone`` set, the member benchmarks' alone-IPC
-        runs are prefetched too.  Serial contexts return immediately:
-        the lazy per-cell path is just as fast in-process, reuses
-        cached traces, and reads the same store.
-        """
-        if self.jobs <= 1:
-            return
-        s = self.settings
-        keys: List[CellKey] = []
-        seen = set()
-
-        def emit(cell: CellKey) -> None:
-            if cell not in seen:
-                seen.add(cell)
-                keys.append(cell)
-
-        for cell in cells:
-            config, mix = cell[0], cell[1]
-            frag = cell[2] if len(cell) > 2 and cell[2] is not None \
-                else s.fragmentation
-            cc = cell[3] if len(cell) > 3 and cell[3] is not None \
-                else self.core_config
-            if alone:
-                for benchmark in MIXES[mix][0]:
-                    emit(self._alone_cell(benchmark, frag, cc))
-            emit(self._mix_cell(config, mix, frag, cc))
-        self.run_cells(keys)
+def _baseline_ws(rs: ResultSet, mixes: Sequence[str],
+                 fragmentation: float = None) -> Dict[str, float]:
+    """Per-mix weighted speedup of the spec's first (baseline) config."""
+    base = rs.spec.configs[0].to_config()
+    return {mix: rs.ws(base, mix, fragmentation)[0] for mix in mixes}
 
 
 # -- Fig. 12: normalised weighted speedup per mix ---------------------------
-
-
-def fig12_configs() -> List[SystemConfig]:
-    """The Fig. 12 comparison set (plus the paired-bank variants)."""
-    return [cs.to_config() for cs in FIG12_CONFIG_SPECS]
 
 
 @dataclass
@@ -308,31 +59,14 @@ class SpeedupTable:
                 for config, row in self.normalized().items()}
 
 
-def reduce_fig12(rs: ResultSet,
-                 configs: Sequence[SystemConfig],
-                 mixes: Sequence[str]) -> SpeedupTable:
-    """Pure Fig. 12 reducer: weighted speedups per (config, mix)."""
-    table = SpeedupTable()
+def reduce_fig12(rs: ResultSet, mixes: Sequence[str]) -> SpeedupTable:
+    """Weighted speedups per (config, mix), normalised to the first."""
+    configs = [cs.to_config() for cs in rs.spec.configs]
+    table = SpeedupTable(baseline=configs[0].name)
     for config in configs:
         table.values[config.name] = {mix: rs.ws(config, mix)[0]
                                      for mix in mixes}
     return table
-
-
-def fig12(context: ExperimentContext,
-          configs: Optional[Sequence[SystemConfig]] = None) -> SpeedupTable:
-    if configs is None:
-        spec = fig12_spec(context.settings, observe=context.observe)
-    else:
-        spec = ExperimentSpec(
-            name="fig12", mixes=context.settings.mixes,
-            accesses_per_core=context.settings.accesses_per_core,
-            fragmentations=(context.settings.fragmentation,),
-            seeds=(context.settings.seed,), observe=context.observe,
-            configs=tuple(ConfigSpec(inline=c) for c in configs))
-    rs = context.execute(spec)
-    return reduce_fig12(rs, [cs.to_config() for cs in spec.configs],
-                        context.settings.mixes)
 
 
 # -- Fig. 13: plane-count sensitivity + conflict precharges -----------------
@@ -348,43 +82,26 @@ class PlaneSweepPoint:
     ewlr_hit_rate: float
 
 
-def reduce_fig13(rs: ResultSet, mixes: Sequence[str],
-                 fragmentations: Sequence[float],
-                 planes: Sequence[int],
-                 schemes) -> List[PlaneSweepPoint]:
-    """Pure Fig. 13 reducer over the (scheme, planes, frag) sweep."""
+def reduce_fig13(rs: ResultSet,
+                 mixes: Sequence[str]) -> List[PlaneSweepPoint]:
+    """One point per (fragmentation, scheme, planes) of the sweep."""
     points: List[PlaneSweepPoint] = []
-    for frag in fragmentations:
-        base_ws = {mix: rs.ws(cfgs.ddr4_baseline(), mix, frag)[0]
-                   for mix in mixes}
-        for scheme, make in schemes:
-            for n in planes:
-                config = cfgs.vsb(make(n))
-                normalized, pre_frac, hits = [], [], []
-                for mix in mixes:
-                    ws, result = rs.ws(config, mix, frag)
-                    normalized.append(ws / base_ws[mix])
-                    pre_frac.append(
-                        result.plane_conflict_precharge_fraction)
-                    hits.append(result.ewlr_hit_rate)
-                points.append(PlaneSweepPoint(
-                    scheme=scheme, planes=n, fragmentation=frag,
-                    normalized_ws=gmean(normalized),
-                    plane_precharge_fraction=(
-                        sum(pre_frac) / len(pre_frac)),
-                    ewlr_hit_rate=sum(hits) / len(hits)))
+    for frag in rs.spec.fragmentations:
+        base_ws = _baseline_ws(rs, mixes, frag)
+        for cs in rs.spec.configs[1:]:
+            config = cs.to_config()
+            normalized, pre_frac, hits = [], [], []
+            for mix in mixes:
+                ws, result = rs.ws(config, mix, frag)
+                normalized.append(ws / base_ws[mix])
+                pre_frac.append(result.plane_conflict_precharge_fraction)
+                hits.append(result.ewlr_hit_rate)
+            points.append(PlaneSweepPoint(
+                scheme=fig13_scheme(cs), planes=cs.mechanism.planes,
+                fragmentation=frag, normalized_ws=gmean(normalized),
+                plane_precharge_fraction=sum(pre_frac) / len(pre_frac),
+                ewlr_hit_rate=sum(hits) / len(hits)))
     return points
-
-
-def fig13(context: ExperimentContext,
-          fragmentations: Sequence[float] = (0.1, 0.5),
-          planes: Sequence[int] = FIG13_PLANES,
-          schemes=FIG13_SCHEMES) -> List[PlaneSweepPoint]:
-    spec = fig13_spec(context.settings, fragmentations, planes,
-                      schemes, observe=context.observe)
-    rs = context.execute(spec)
-    return reduce_fig13(rs, context.settings.mixes, fragmentations,
-                        planes, schemes)
 
 
 # -- Fig. 14: channel-frequency sensitivity of DDB ---------------------------
@@ -397,71 +114,43 @@ class FrequencyPoint:
     normalized_ws: float
 
 
-def fig14_configs() -> List[SystemConfig]:
-    return [cs.to_config() for cs in FIG14_CONFIG_SPECS]
+def reduce_fig14(rs: ResultSet,
+                 mixes: Sequence[str]) -> List[FrequencyPoint]:
+    """Normalised WS per (frequency, config).
 
-
-def reduce_fig14(rs: ResultSet, mixes: Sequence[str],
-                 frequencies: Sequence[float],
-                 core_config: CoreConfig) -> List[FrequencyPoint]:
-    """Pure Fig. 14 reducer: normalised WS per (config, frequency)."""
+    Each frequency's configs open with its baseline; cores run at
+    ``rs.core_config`` scaled by the config's ``core_scale`` (the CPU
+    clock scales with the channel, per the paper).
+    """
     points: List[FrequencyPoint] = []
-    base_freq = frequencies[0]
-    for freq in frequencies:
-        factor = freq / base_freq
-        core = core_config.scaled(factor)
-        base_ws = {
-            mix: rs.ws(cfgs.ddr4_baseline().at_frequency(freq), mix,
-                       core_config=core)[0]
-            for mix in mixes}
-        for config in fig14_configs():
-            scaled = config.at_frequency(freq)
-            normalized = [
-                rs.ws(scaled, mix, core_config=core)[0] / base_ws[mix]
-                for mix in mixes]
-            points.append(FrequencyPoint(
-                config=config.name, bus_frequency_hz=freq,
-                normalized_ws=gmean(normalized)))
+    frequency, base_ws = None, None
+    for cs in rs.spec.configs:
+        config = cs.to_config()
+        core = rs.core_config.scaled(cs.core_scale)
+        ws = [rs.ws(config, mix, core_config=core)[0] for mix in mixes]
+        if cs.frequency_hz != frequency:
+            frequency, base_ws = cs.frequency_hz, ws
+            continue
+        points.append(FrequencyPoint(
+            config=replace(cs, frequency_hz=None).to_config().name,
+            bus_frequency_hz=frequency,
+            normalized_ws=gmean([w / b for w, b in zip(ws, base_ws)])))
     return points
-
-
-def fig14(context: ExperimentContext,
-          frequencies: Sequence[float] = FIG14_BUS_FREQUENCIES_HZ
-          ) -> List[FrequencyPoint]:
-    """DDB speedup as the channel clock scales (CPU clock scales along,
-    per the paper, to keep memory intensity constant)."""
-    spec = fig14_spec(context.settings, frequencies,
-                      observe=context.observe)
-    rs = context.execute(spec)
-    return reduce_fig14(rs, context.settings.mixes, frequencies,
-                        context.core_config)
 
 
 # -- Fig. 15: comparison to prior sub-banking work ---------------------------
 
 
-def fig15_configs() -> List[SystemConfig]:
-    return [cs.to_config() for cs in FIG15_CONFIG_SPECS]
-
-
 def reduce_fig15(rs: ResultSet,
                  mixes: Sequence[str]) -> Dict[str, float]:
-    """Pure Fig. 15 reducer: GMEAN normalised WS per prior-work config."""
-    base_ws = {mix: rs.ws(cfgs.ddr4_baseline(), mix)[0]
-               for mix in mixes}
+    """GMEAN normalised WS per prior-work config."""
+    base_ws = _baseline_ws(rs, mixes)
     out: Dict[str, float] = {}
-    for config in fig15_configs():
-        normalized = [rs.ws(config, mix)[0] / base_ws[mix]
-                      for mix in mixes]
-        out[config.name] = gmean(normalized)
+    for cs in rs.spec.configs[1:]:
+        config = cs.to_config()
+        out[config.name] = gmean([rs.ws(config, mix)[0] / base_ws[mix]
+                                  for mix in mixes])
     return out
-
-
-def fig15(context: ExperimentContext) -> Dict[str, float]:
-    """GMEAN normalised weighted speedup of each prior-work config."""
-    spec = fig15_spec(context.settings, observe=context.observe)
-    rs = context.execute(spec)
-    return reduce_fig15(rs, context.settings.mixes)
 
 
 # -- Fig. 16: read queueing latency and energy -------------------------------
@@ -483,15 +172,12 @@ class LatencyEnergyRow:
         }
 
 
-def fig16_configs() -> List[SystemConfig]:
-    return [cs.to_config() for cs in FIG16_CONFIG_SPECS]
-
-
 def reduce_fig16(rs: ResultSet,
                  mixes: Sequence[str]) -> List[LatencyEnergyRow]:
-    """Pure Fig. 16 reducer: latency quartiles + energy per config."""
+    """Latency quartiles + energy per config."""
     rows: List[LatencyEnergyRow] = []
-    for config in fig16_configs():
+    for cs in rs.spec.configs:
+        config = cs.to_config()
         # Merging histograms is O(unique latencies), never O(samples).
         latencies = LatencyHistogram()
         background = activation = total = 0.0
@@ -510,13 +196,6 @@ def reduce_fig16(rs: ResultSet,
     return rows
 
 
-def fig16(context: ExperimentContext) -> List[LatencyEnergyRow]:
-    # Fig. 16 never computes weighted speedup, so no alone cells.
-    spec = fig16_spec(context.settings, observe=context.observe)
-    rs = context.execute(spec)
-    return reduce_fig16(rs, context.settings.mixes)
-
-
 # -- refresh sweep: policy x density grade (docs/REFRESH.md) -----------------
 
 
@@ -533,26 +212,14 @@ class RefreshPoint:
     refreshes: int
 
 
-def refresh_platform() -> SystemConfig:
-    """The sweep's platform: the headline VSB(EWLR+RAP,4P)+DDB config
-    (its sub-banks are what the ``sarp`` policy refreshes under open
-    neighbours)."""
-    return refresh_platform_spec().to_config()
-
-
-def refresh_configs(densities: Sequence[str] = REFRESH_SWEEP_DENSITIES
-                    ) -> List[SystemConfig]:
-    return [cs.to_config() for cs in refresh_config_specs(densities)]
-
-
-def reduce_figref(rs: ResultSet, mixes: Sequence[str],
-                  densities: Sequence[str]) -> List[RefreshPoint]:
-    """Pure refresh-sweep reducer, normalised to the refresh-off
-    platform."""
-    base = refresh_platform()
-    base_ws = {mix: rs.ws(base, mix)[0] for mix in mixes}
+def reduce_figref(rs: ResultSet,
+                  mixes: Sequence[str]) -> List[RefreshPoint]:
+    """One point per (density, policy), normalised to the refresh-off
+    platform (the spec's first config)."""
+    base_ws = _baseline_ws(rs, mixes)
     points: List[RefreshPoint] = []
-    for config in refresh_configs(densities):
+    for cs in rs.spec.configs[1:]:
+        config = cs.to_config()
         normalized, refreshes = [], 0
         for mix in mixes:
             ws, result = rs.ws(config, mix)
@@ -566,56 +233,31 @@ def reduce_figref(rs: ResultSet, mixes: Sequence[str],
     return points
 
 
-def fig_refresh(context: ExperimentContext,
-                densities: Sequence[str] = REFRESH_SWEEP_DENSITIES
-                ) -> List[RefreshPoint]:
-    """Weighted speedup per refresh policy and density grade, normalised
-    to the refresh-off platform (the figure in ``docs/REFRESH.md``)."""
-    spec = figref_spec(context.settings, densities,
-                       observe=context.observe)
-    rs = context.execute(spec)
-    return reduce_figref(rs, context.settings.mixes, densities)
-
-
-#: Pure reducer per named figure spec, for callers that execute specs
-#: directly through :func:`repro.sim.runner.run_spec`:
-#: ``FIGURE_REDUCERS[spec.name](rs, mixes)`` with the spec's default
-#: axes.
+#: The pure reducer of each spec in :data:`repro.sim.specs.NAMED_SPECS`:
+#: ``FIGURE_REDUCERS[spec.name](rs, spec.mixes)``.
 FIGURE_REDUCERS: Dict[str, Callable[[ResultSet, Sequence[str]], object]] = {
-    "fig12": lambda rs, mixes: reduce_fig12(
-        rs, [cs.to_config() for cs in rs.spec.configs], mixes),
-    "fig13": lambda rs, mixes: reduce_fig13(
-        rs, mixes, rs.spec.fragmentations, FIG13_PLANES, FIG13_SCHEMES),
-    "fig14": lambda rs, mixes: reduce_fig14(
-        rs, mixes, FIG14_BUS_FREQUENCIES_HZ, CoreConfig()),
+    "fig12": reduce_fig12,
+    "fig13": reduce_fig13,
+    "fig14": reduce_fig14,
     "fig15": reduce_fig15,
     "fig16": reduce_fig16,
-    "figref": lambda rs, mixes: reduce_figref(
-        rs, mixes, REFRESH_SWEEP_DENSITIES),
+    "figref": reduce_figref,
 }
 
 
-#: Named figure runners: shim per spec in
-#: :data:`repro.sim.specs.NAMED_SPECS` (benches and the CLI resolve
-#: figures by name through this).
-FIGURES: Dict[str, Callable] = {
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig14": fig14,
-    "fig15": fig15,
-    "fig16": fig16,
-    "figref": fig_refresh,
-}
+def run_figure(name: str, settings: ExperimentSettings, *, jobs: int = 1,
+               observe: bool = False, **axes) -> Tuple[object, ResultSet]:
+    """Build, run and reduce one named figure; return (table, results).
 
-
-def run_figure(name: str, context: ExperimentContext, **axes):
-    """Run one named figure spec through ``context`` and reduce it.
-
-    The thin entry point the benches wrap: resolves ``name`` in
-    :data:`FIGURES`, executes the figure's declarative spec against the
-    store (only absent cells simulate), and returns the reduced table.
+    ``axes`` go to the figure's spec builder (e.g. ``planes=(2, 4)``
+    for ``fig13``).  The spec runs through :func:`run_spec` against the
+    default store, so only cells it lacks simulate (``jobs``-wide);
+    ``observe`` attaches cycle accounting to every mix cell, which
+    :func:`emit_stats_sidecars` exports from the returned results.
     """
-    return FIGURES[name](context, **axes)
+    spec = NAMED_SPECS[name](settings, observe=observe, **axes)
+    rs, _ = run_spec(spec, jobs=jobs)
+    return FIGURE_REDUCERS[name](rs, spec.mixes), rs
 
 
 # -- stall-attribution sidecars ----------------------------------------------
@@ -631,45 +273,45 @@ def slug(name: str) -> str:
     return collapsed or "config"
 
 
-def emit_stats_sidecars(context: ExperimentContext, directory: str,
+def emit_stats_sidecars(rs: ResultSet, directory: str,
                         prefix: str = "") -> List[str]:
-    """Write one JSON stall-attribution sidecar per observed mix run.
+    """Write one JSON stall-attribution sidecar per observed mix cell.
 
-    Walks every result the context has cached so far (i.e. everything
-    the figure runners executed) and, for each one that carries an
-    accounting report, writes ``<prefix><config-slug>__<mix>.json`` with
-    the report's :meth:`~repro.sim.accounting.AccountingReport.to_dict`
+    For each mix cell of ``rs`` that carries an accounting report,
+    writes ``<prefix><config-slug>__<mix>.json`` (plus
+    ``__frag<f>`` off the spec's first fragmentation level) with the
+    report's :meth:`~repro.sim.accounting.AccountingReport.to_dict`
     schema (documented in ``docs/OBSERVABILITY.md``) plus a ``system``
     block naming the technology backend and the *effective* refresh
     policy -- ``sarp`` on a non-sub-banked organisation degrades to
     ``darp``, and the sidecar records the policy actually applied.
     Results restored from the store carry their persisted report, so
     re-emitted sidecars are identical to the original run's.  Returns
-    the paths written, sorted.  Runs without accounting
+    the paths written, sorted.  Cells without accounting
     (``observe=False``) are skipped silently, so the helper is safe to
     call unconditionally.
     """
-    import json
-    import os
-
     os.makedirs(directory, exist_ok=True)
+    default_frag = rs.spec.fragmentations[0]
     paths: List[str] = []
-    for (config, mix, frag, _cc), result in sorted(
-            context._result_cache.items(),
-            key=lambda kv: (kv[0][0].name, kv[0][1], kv[0][2])):
-        report = result.accounting
+    cells = sorted((c for c in rs.results if c.kind == "mix"),
+                   key=lambda c: (c.config.name, c.workload,
+                                  c.fragmentation))
+    for cell in cells:
+        report = rs.results[cell].accounting
         if report is None:
             continue
         report.verify()
         payload = report.to_dict()
+        config = cell.config
         payload["system"] = {
             "backend": config.backend,
             "refresh_policy": config.refresh_policy,
             "effective_refresh_policy": config.effective_refresh_policy,
         }
-        name = f"{prefix}{slug(config.name)}__{mix}"
-        if frag != context.settings.fragmentation:
-            name += f"__frag{frag:g}"
+        name = f"{prefix}{slug(config.name)}__{cell.workload}"
+        if cell.fragmentation != default_frag:
+            name += f"__frag{cell.fragmentation:g}"
         path = os.path.join(directory, name + ".json")
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

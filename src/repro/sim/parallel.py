@@ -8,11 +8,7 @@ so a cell can execute in any process and return the exact same
 list of :class:`SimJob` cells out over a ``ProcessPoolExecutor`` and
 returns results in submission order, which keeps every downstream
 aggregation (GMEAN tables, sweeps) bit-identical to a serial run.
-
-Result persistence lives in :mod:`repro.sim.store` (the
-content-addressed store that subsumed the old alone-IPC table); the
-cache constants and :class:`~repro.sim.store.AloneIpcDiskCache`
-compatibility view are re-exported here for historical importers.
+Result persistence lives in :mod:`repro.sim.store`.
 """
 
 from __future__ import annotations
@@ -28,12 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cpu.core import CoreConfig
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import SimulationResult, run_traces
-from repro.sim.store import (  # noqa: F401  (re-exports)
-    CACHE_DIR_ENV,
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    AloneIpcDiskCache,
-)
+from repro.sim.store import CACHE_DIR_ENV
 
 #: Environment variable overriding :data:`DEFAULT_GRID_MIN_COST`: set it
 #: to ``0`` to force the pool path, or very high to force serial.

@@ -10,11 +10,11 @@ benches print) into a canonical JSON-able payload and hashes it.
 ``tools/pin_figure_digests.py`` ran these builders against the
 pre-refactor code and pinned the digests in
 ``tests/data/figure_digests.json``; ``tests/sim/test_figure_digests.py``
-re-runs them through the refactored spec/store/runner path (cold store,
-warm store, serial and ``--jobs N``) and asserts equality digest by
-digest.  The builders therefore call only the *public* figure APIs
-(``fig12(context)`` and friends), whose signatures the refactor keeps
-as shims.
+re-runs them through the spec/store/runner path (cold store, warm
+store, serial and ``--jobs N``) and asserts equality digest by digest.
+Every builder takes ``(settings, jobs)``; the spec-backed figures run
+through :func:`repro.sim.experiments.run_figure`, the others ignore
+``jobs``.
 
 Floats are carried verbatim: ``json.dumps`` round-trips Python floats
 exactly, so digest equality means bit-identical arithmetic, not
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
-from repro.sim.experiments import ExperimentContext, ExperimentSettings
+from repro.sim.experiments import run_figure
+from repro.sim.specs import ExperimentSettings
 
 #: Scale the digests were pinned at: small enough for CI, large enough
 #: that every mechanism (EWLR, RAP, DDB, refresh) changes the numbers.
@@ -66,13 +67,12 @@ def payload_digest(payload) -> str:
 # -- per-figure payload builders --------------------------------------------
 
 
-def _fig4_payload(context: ExperimentContext) -> dict:
+def _fig4_payload(s: ExperimentSettings, jobs: int) -> dict:
     from repro.analysis.plane_conflict import analyze_plane_conflicts
     from repro.controller.mapping import skylake_mapping
     from repro.workloads.generator import generate_traces
     from repro.workloads.profiles import PROFILES
 
-    s = context.settings
     names = ("mcf", "lbm", "gemsFDTD", "omnetpp")
     traces = generate_traces([PROFILES[n] for n in names],
                              s.accesses_per_core,
@@ -91,14 +91,14 @@ def _fig4_payload(context: ExperimentContext) -> dict:
     }
 
 
-def _fig11_payload(context: ExperimentContext) -> list:
+def _fig11_payload(settings: ExperimentSettings, jobs: int) -> list:
     from repro.core.area import fig11_table
     return [{"scheme": row.scheme, "planes": row.planes,
              "overhead_pct": row.overhead_pct}
             for row in fig11_table()]
 
 
-def _tab1_payload(context: ExperimentContext) -> list:
+def _tab1_payload(settings: ExperimentSettings, jobs: int) -> list:
     from repro.dram.timing import GENERATIONS
     return [{"name": g.name, "bank_count": g.bank_count,
              "channel_clock_mhz": g.channel_clock_mhz,
@@ -108,7 +108,7 @@ def _tab1_payload(context: ExperimentContext) -> list:
             for g in GENERATIONS]
 
 
-def _tab3_payload(context: ExperimentContext) -> dict:
+def _tab3_payload(settings: ExperimentSettings, jobs: int) -> dict:
     from repro.sim import config as cfgs
     from repro.workloads.mixes import MIXES
 
@@ -128,17 +128,16 @@ def _tab3_payload(context: ExperimentContext) -> dict:
     }
 
 
-def _fig12_payload(context: ExperimentContext) -> dict:
-    from repro.sim.experiments import fig12
-    table = fig12(context)
+def _fig12_payload(settings: ExperimentSettings, jobs: int) -> dict:
+    table, _ = run_figure("fig12", settings, jobs=jobs)
     return {"values": table.values, "normalized": table.normalized(),
             "gmeans": table.gmeans()}
 
 
-def _fig13_payload(context: ExperimentContext) -> list:
-    from repro.sim.experiments import fig13
-    points = fig13(context, fragmentations=PINNED_FIG13_FRAGS,
-                   planes=PINNED_FIG13_PLANES)
+def _fig13_payload(settings: ExperimentSettings, jobs: int) -> list:
+    points, _ = run_figure("fig13", settings, jobs=jobs,
+                           fragmentations=PINNED_FIG13_FRAGS,
+                           planes=PINNED_FIG13_PLANES)
     return [{"scheme": p.scheme, "planes": p.planes,
              "fragmentation": p.fragmentation,
              "normalized_ws": p.normalized_ws,
@@ -147,39 +146,39 @@ def _fig13_payload(context: ExperimentContext) -> list:
             for p in points]
 
 
-def _fig14_payload(context: ExperimentContext) -> list:
-    from repro.sim.experiments import fig14
-    points = fig14(context, frequencies=PINNED_FIG14_FREQUENCIES)
+def _fig14_payload(settings: ExperimentSettings, jobs: int) -> list:
+    points, _ = run_figure("fig14", settings, jobs=jobs,
+                           frequencies=PINNED_FIG14_FREQUENCIES)
     return [{"config": p.config,
              "bus_frequency_hz": p.bus_frequency_hz,
              "normalized_ws": p.normalized_ws}
             for p in points]
 
 
-def _fig15_payload(context: ExperimentContext) -> dict:
-    from repro.sim.experiments import fig15
-    return dict(fig15(context))
+def _fig15_payload(settings: ExperimentSettings, jobs: int) -> dict:
+    table, _ = run_figure("fig15", settings, jobs=jobs)
+    return dict(table)
 
 
-def _fig16_payload(context: ExperimentContext) -> list:
-    from repro.sim.experiments import fig16
+def _fig16_payload(settings: ExperimentSettings, jobs: int) -> list:
+    rows, _ = run_figure("fig16", settings, jobs=jobs)
     return [{"config": r.config, "latency_stats_ns": r.latency_stats_ns,
              "background_energy": r.background_energy,
              "activation_energy": r.activation_energy,
              "total_energy": r.total_energy}
-            for r in fig16(context)]
+            for r in rows]
 
 
-def _figref_payload(context: ExperimentContext) -> list:
-    from repro.sim.experiments import fig_refresh
-    points = fig_refresh(context, densities=PINNED_FIGREF_DENSITIES)
+def _figref_payload(settings: ExperimentSettings, jobs: int) -> list:
+    points, _ = run_figure("figref", settings, jobs=jobs,
+                           densities=PINNED_FIGREF_DENSITIES)
     return [{"policy": p.policy, "density": p.density,
              "normalized_ws": p.normalized_ws,
              "refreshes": p.refreshes}
             for p in points]
 
 
-def _ablation_payload(context: ExperimentContext) -> dict:
+def _ablation_payload(settings: ExperimentSettings, jobs: int) -> dict:
     """A representative cell from each ablation sweep in
     ``benchmarks/bench_ablation.py`` (hand-built systems that bypass the
     preset path entirely -- the refactor must leave them untouched)."""
@@ -197,8 +196,11 @@ def _ablation_payload(context: ExperimentContext) -> dict:
     from repro.dram.timing import ddr4_timings
     from repro.sim.config import ddr4_baseline, vsb
     from repro.sim.simulator import MemorySystem, Simulator, run_traces
+    from repro.workloads.mixes import mix_traces
 
-    traces = context.traces("mix0")
+    traces = mix_traces("mix0", settings.accesses_per_core,
+                        fragmentation=settings.fragmentation,
+                        seed=settings.seed)
 
     def run_custom(layout, ewlr, rap, policy=BusPolicy.DDB,
                    timing=None, subbank_low=True):
@@ -261,7 +263,8 @@ def _ablation_payload(context: ExperimentContext) -> dict:
 
 
 #: Every pinned runner, in pin/verification order.
-FIGURE_BUILDERS: Dict[str, Callable[[ExperimentContext], object]] = {
+FIGURE_BUILDERS: Dict[str, Callable[[ExperimentSettings, int],
+                                     object]] = {
     "fig4": _fig4_payload,
     "fig11": _fig11_payload,
     "tab1": _tab1_payload,
@@ -276,15 +279,10 @@ FIGURE_BUILDERS: Dict[str, Callable[[ExperimentContext], object]] = {
 }
 
 
-def figure_payload(name: str, context: ExperimentContext):
+def figure_payload(name: str, settings: ExperimentSettings,
+                   jobs: int = 1):
     """The reduced output of one figure runner as a JSON-able payload."""
-    return FIGURE_BUILDERS[name](context)
-
-
-def all_figure_digests(context: ExperimentContext) -> Dict[str, str]:
-    """{figure name: payload digest} over every pinned runner."""
-    return {name: payload_digest(builder(context))
-            for name, builder in FIGURE_BUILDERS.items()}
+    return FIGURE_BUILDERS[name](settings, jobs)
 
 
 def load_pinned_digests(path: str = PINNED_DIGESTS_PATH) -> dict:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -99,12 +100,9 @@ class MechanismSpec:
 class ConfigSpec:
     """One configuration factor: preset + mechanism + overrides.
 
-    Materializes (:meth:`to_config`) into exactly the
-    :class:`SystemConfig` the historical ``figN_configs()`` helpers
-    built, so spec-driven grids land on the same digests.  ``inline``
-    is an escape hatch for callers that already hold a
-    :class:`SystemConfig` (e.g. ``fig12(context, configs=[...])``) --
-    inline specs still expand and digest, but cannot serialize to JSON.
+    Materializes (:meth:`to_config`) into the :class:`SystemConfig` the
+    preset factory builds, with the overrides applied in a fixed order,
+    so equal factors always land on the same store entries.
     """
 
     preset: str = "ddr4_baseline"
@@ -125,22 +123,18 @@ class ConfigSpec:
     #: CPU-clock scale factor for this configuration's cells (Fig. 14
     #: scales the cores along with the channel).
     core_scale: float = 1.0
-    inline: Optional[SystemConfig] = None
 
     def to_config(self) -> SystemConfig:
         """Materialize the described :class:`SystemConfig`."""
-        if self.inline is not None:
-            config = self.inline
-        else:
-            factory = PRESETS.get(self.preset)
-            if factory is None:
-                raise ValueError(f"unknown preset {self.preset!r}; "
-                                 f"one of {sorted(PRESETS)}")
-            pos: List[object] = []
-            if self.mechanism is not None:
-                pos.append(self.mechanism.to_eru())
-            pos.extend(self.args)
-            config = factory(*pos, **dict(self.kwargs))
+        factory = PRESETS.get(self.preset)
+        if factory is None:
+            raise ValueError(f"unknown preset {self.preset!r}; "
+                             f"one of {sorted(PRESETS)}")
+        pos: List[object] = []
+        if self.mechanism is not None:
+            pos.append(self.mechanism.to_eru())
+        pos.extend(self.args)
+        config = factory(*pos, **dict(self.kwargs))
         if self.frequency_hz is not None:
             config = config.at_frequency(self.frequency_hz)
         overrides: Dict[str, object] = {}
@@ -154,9 +148,9 @@ class ConfigSpec:
             config = replace(config, **overrides)
         return config
 
-    def payload(self) -> dict:
-        """Digest payload (inline configs contribute their digest)."""
-        out = {
+    def to_dict(self) -> dict:
+        """JSON form; also the spec digest's payload."""
+        return {
             "preset": self.preset,
             "mechanism": (self.mechanism.to_dict()
                           if self.mechanism else None),
@@ -168,20 +162,14 @@ class ConfigSpec:
             "rename": self.rename,
             "core_scale": self.core_scale,
         }
-        if self.inline is not None:
-            out["inline"] = self.inline.digest()
-        return out
-
-    def to_dict(self) -> dict:
-        if self.inline is not None:
-            raise ValueError(
-                "inline ConfigSpecs cannot serialize to JSON; name a "
-                "preset instead")
-        return self.payload()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConfigSpec":
+        """Parse :meth:`to_dict` output; unknown keys raise ValueError."""
+        _reject_unknown(data, cls, "config")
         mech = data.get("mechanism")
+        if mech:
+            _reject_unknown(mech, MechanismSpec, "mechanism")
         return cls(
             preset=data.get("preset", "ddr4_baseline"),
             mechanism=MechanismSpec(**mech) if mech else None,
@@ -318,10 +306,11 @@ class ExperimentSpec:
 
     # -- digest + JSON round-trip --------------------------------------
 
-    def payload(self) -> dict:
+    def to_dict(self) -> dict:
+        """JSON form; also the digest's payload."""
         return {
             "name": self.name,
-            "configs": [cs.payload() for cs in self.configs],
+            "configs": [cs.to_dict() for cs in self.configs],
             "mixes": list(self.mixes),
             "accesses_per_core": self.accesses_per_core,
             "fragmentations": list(self.fragmentations),
@@ -329,20 +318,14 @@ class ExperimentSpec:
             "reps": self.reps,
             "include_alone": self.include_alone,
             "observe": self.observe,
-            "alone": self.alone.payload(),
+            "alone": self.alone.to_dict(),
         }
 
     def digest(self) -> str:
         """Canonical-JSON SHA-256: stable across dict/key ordering."""
-        canon = json.dumps(self.payload(), sort_keys=True,
+        canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    def to_dict(self) -> dict:
-        out = self.payload()
-        out["configs"] = [cs.to_dict() for cs in self.configs]
-        out["alone"] = self.alone.to_dict()
-        return out
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
@@ -351,6 +334,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        """Parse :meth:`to_dict` output.
+
+        Unknown keys and unknown mix names raise :class:`ValueError`
+        naming them, so a misspelt factor cannot silently fall back to
+        its default.
+        """
+        _reject_unknown(data, cls, "spec")
+        missing = [k for k in ("configs", "mixes") if k not in data]
+        if missing:
+            raise ValueError(f"spec lacks required key(s) {missing}")
+        unknown_mixes = [m for m in data["mixes"] if m not in MIXES]
+        if unknown_mixes:
+            raise ValueError(f"unknown mix(es) {unknown_mixes}; "
+                             f"known: {', '.join(MIX_NAMES)}")
         alone = data.get("alone")
         return cls(
             name=data.get("name", "spec"),
@@ -372,6 +369,15 @@ class ExperimentSpec:
         return cls.from_dict(json.loads(text))
 
 
+def _reject_unknown(data: dict, cls, what: str) -> None:
+    """ValueError naming every key of ``data`` that ``cls`` lacks."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; "
+                         f"known: {', '.join(sorted(known))}")
+
+
 def load_spec(path: str) -> ExperimentSpec:
     """Read an :class:`ExperimentSpec` from a JSON file."""
     with open(path) as fh:
@@ -379,6 +385,11 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 # -- named figure specs ------------------------------------------------------
+#
+# Each builder is the only definition of its figure's grid; the reducers
+# in repro.sim.experiments read every axis back from the spec.  A
+# speedup figure lists its normalisation baseline first (Fig. 14: first
+# within each frequency).
 
 
 def _mech(eru: EruConfig) -> MechanismSpec:
@@ -463,7 +474,6 @@ def fig12_spec(settings: ExperimentSettings,
 def fig13_spec(settings: ExperimentSettings,
                fragmentations: Sequence[float] = (0.1, 0.5),
                planes: Sequence[int] = FIG13_PLANES,
-               schemes=FIG13_SCHEMES,
                observe: bool = False) -> ExperimentSpec:
     """Plane-count sensitivity sweep: schemes x planes x frag."""
     fields = _base_fields(settings, observe)
@@ -471,8 +481,15 @@ def fig13_spec(settings: ExperimentSettings,
     return ExperimentSpec(
         name="fig13",
         configs=(ConfigSpec("ddr4_baseline"),)
-        + tuple(_vsb(make(n)) for _, make in schemes for n in planes),
+        + tuple(_vsb(make(n)) for _, make in FIG13_SCHEMES
+                for n in planes),
         **fields)
+
+
+def fig13_scheme(cs: ConfigSpec) -> str:
+    """The :data:`FIG13_SCHEMES` label of one Fig. 13 sweep config."""
+    return next(label for label, make in FIG13_SCHEMES
+                if _mech(make(cs.mechanism.planes)) == cs.mechanism)
 
 
 def fig14_spec(settings: ExperimentSettings,
@@ -553,8 +570,16 @@ NAMED_SPECS: Dict[str, Callable[..., ExperimentSpec]] = {
 def resolve_spec(name_or_path: str,
                  settings: Optional[ExperimentSettings] = None,
                  observe: bool = False) -> ExperimentSpec:
-    """A spec from a registry name or a JSON file path."""
+    """A spec from a registry name or a JSON file path.
+
+    Raises :class:`ValueError` listing the registered names when the
+    argument is neither.
+    """
     builder = NAMED_SPECS.get(name_or_path)
     if builder is not None:
         return builder(settings or ExperimentSettings(), observe=observe)
+    if not os.path.isfile(name_or_path):
+        raise ValueError(f"{name_or_path!r} is neither a named spec "
+                         f"({', '.join(sorted(NAMED_SPECS))}) nor a "
+                         f"spec file")
     return load_spec(name_or_path)

@@ -259,8 +259,8 @@ class ResultStore:
 
     One JSON file per entry under ``<root>/store/<key[:2]>/``; see the
     module docstring for key and merge semantics.  All methods tolerate
-    concurrent writers and corrupt files (a corrupt entry reads as a
-    miss and is rewritten on the next put).
+    concurrent writers and corrupt or partial files (such an entry
+    reads as a miss and is rewritten on the next put).
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -274,8 +274,8 @@ class ResultStore:
     def entry_id(key: str) -> str:
         """Normalise a key to a 64-hex entry id.
 
-        Store keys already are digests; the compatibility view may pass
-        arbitrary strings, which are hashed into the same namespace.
+        Store keys already are digests; any other string is hashed into
+        the same namespace.
         """
         if _HEX_KEY.fullmatch(key):
             return key
@@ -305,35 +305,43 @@ class ResultStore:
             return None
         return entry
 
+    def _restore(self, key: str,
+                 need_accounting: bool) -> Optional[SimulationResult]:
+        """The stored result, or ``None`` if absent or unrestorable."""
+        entry = self.load_entry(key)
+        if entry is None or (need_accounting
+                             and not entry.get("accounting")):
+            return None
+        try:
+            payload = dict(entry["result"])
+            if entry.get("accounting"):
+                payload["accounting"] = entry["accounting"]
+            return restore_result(payload)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            # A partial or mistyped entry (e.g. a bare alone IPC from
+            # an older writer) is a miss: the runner re-simulates the
+            # cell and its put overwrites the entry.
+            return None
+
     def get(self, key: str,
             need_accounting: bool = False) -> Optional[SimulationResult]:
         """The stored result, or ``None``.
 
+        Missing, corrupt and unrestorable entries all read as misses.
         ``need_accounting`` makes entries without a stall-attribution
-        sidecar read as misses -- an observed consumer must re-run the
-        cell (the re-run's put then merges the sidecar in).
+        sidecar read as misses too -- an observed consumer must re-run
+        the cell (the re-run's put then merges the sidecar in).
         """
-        entry = self.load_entry(key)
-        if entry is None or "result" not in entry:
+        result = self._restore(key, need_accounting)
+        if result is None:
             self._miss()
-            return None
-        if need_accounting and not entry.get("accounting"):
-            self._miss()
-            return None
-        payload = dict(entry["result"])
-        if entry.get("accounting"):
-            payload["accounting"] = entry["accounting"]
-        self._hit()
-        return restore_result(payload)
+        else:
+            self._hit()
+        return result
 
     def contains(self, key: str, need_accounting: bool = False) -> bool:
-        """Hit test without deserialising (and without counting)."""
-        entry = self.load_entry(key)
-        if entry is None or "result" not in entry:
-            return False
-        if need_accounting and not entry.get("accounting"):
-            return False
-        return True
+        """Whether :meth:`get` would hit (without counting)."""
+        return self._restore(key, need_accounting) is not None
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_paths())
@@ -385,35 +393,6 @@ class ResultStore:
         self._write(key, entry)
         self.counters.puts += 1
         GLOBAL_COUNTERS.puts += 1
-
-    def put_scalar(self, key: str, ipc: float,
-                   key_info: Optional[dict] = None) -> None:
-        """Persist a bare alone-IPC value (compatibility writes).
-
-        The entry holds a degenerate one-core summary so scalar and
-        full-summary writers share one read path (``ipcs[0]``).
-        """
-        entry = {
-            "version": CACHE_VERSION,
-            "key": key_info or {},
-            "result": {"config_name": "", "ipcs": [ipc]},
-            "accounting": None,
-            "written_at": time.time(),
-        }
-        self._write(key, entry)
-        self.counters.puts += 1
-        GLOBAL_COUNTERS.puts += 1
-
-    def get_scalar(self, key: str) -> Optional[float]:
-        """``ipcs[0]`` of the stored entry (works for scalar *and*
-        full-summary entries), or ``None``."""
-        entry = self.load_entry(key)
-        result = entry.get("result") if entry else None
-        if not result or not result.get("ipcs"):
-            self._miss()
-            return None
-        self._hit()
-        return result["ipcs"][0]
 
     def _write(self, key: str, entry: dict) -> None:
         path = self.path_for(key)
@@ -483,49 +462,3 @@ class ResultStore:
     def _miss(self) -> None:
         self.counters.misses += 1
         GLOBAL_COUNTERS.misses += 1
-
-
-# -- alone-IPC compatibility view -------------------------------------------
-
-
-class AloneIpcDiskCache:
-    """The historical alone-IPC cache API as a view over the store.
-
-    ``key()`` computes the *same* content address a spec-run alone cell
-    lands under, so figure runs and compatibility users share entries:
-    a full summary written by the grid satisfies a ``get`` here, and a
-    scalar ``put`` satisfies the runner's hit test.  Pre-v4 state
-    (the single ``alone_ipc.json`` table) is simply never read --
-    that file is not a store entry, so v3 keys cannot surface as hits.
-    """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.store = ResultStore(directory)
-        self.directory = self.store.root
-
-    @staticmethod
-    def key(config: SystemConfig, benchmark: str, fragmentation: float,
-            seed: int, accesses: int, clock_hz: float) -> str:
-        """Content address of one alone run (see :func:`store_key`).
-
-        The historical signature carried only the core *clock*; the
-        remaining core parameters default, matching every caller.
-        """
-        return store_key(config, benchmark=benchmark,
-                         fragmentation=fragmentation, seed=seed,
-                         accesses=accesses,
-                         core_config=CoreConfig(clock_hz=clock_hz))
-
-    def path_for(self, key: str) -> str:
-        """Entry file backing one key (tests poke it directly)."""
-        return self.store.path_for(key)
-
-    def get(self, key: str) -> Optional[float]:
-        return self.store.get_scalar(key)
-
-    def put_many(self, entries: Dict[str, float]) -> None:
-        for key, value in entries.items():
-            self.store.put_scalar(key, value)
-
-    def put(self, key: str, value: float) -> None:
-        self.put_many({key: value})

@@ -1,9 +1,11 @@
 """Suite-wide fixtures: keep tests hermetic.
 
-The experiment pipeline persists alone-IPC results under
-``REPRO_CACHE_DIR`` (default ``.repro_cache/``).  Tests must neither
-read a developer's stale cache nor leave files behind, so the whole
-suite runs against a throwaway cache directory.
+The experiment pipeline persists every grid cell's result in the
+content-addressed store under ``REPRO_CACHE_DIR`` (default
+``.repro_cache/``).  Tests must neither read a developer's stale store
+nor leave files behind, so every test -- and every subprocess it
+starts, such as ``tests/test_examples.py`` -- runs against a throwaway
+cache directory.
 """
 
 import pytest

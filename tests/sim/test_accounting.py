@@ -274,17 +274,22 @@ def test_reports_pickle_for_the_process_pool():
     assert len(clone.trace) == len(result.trace)
 
 
+def _observed_rs(tmp_path, observe):
+    from repro.sim.runner import run_spec
+    from repro.sim.specs import ConfigSpec, ExperimentSpec
+    from repro.sim.store import ResultStore
+    spec = ExperimentSpec(
+        name="sidecars", mixes=("mix0",), accesses_per_core=150,
+        include_alone=False, observe=observe,
+        configs=(ConfigSpec("ddr4_baseline"), ConfigSpec("vsb")))
+    rs, _ = run_spec(spec, store=ResultStore(str(tmp_path / "store")))
+    return rs
+
+
 def test_emit_stats_sidecars(tmp_path):
-    from repro.sim.experiments import (ExperimentContext,
-                                       ExperimentSettings,
-                                       emit_stats_sidecars)
-    settings = ExperimentSettings(accesses_per_core=150,
-                                  mixes=("mix0",))
-    context = ExperimentContext(settings, disk_cache=False,
-                                observe=True)
-    context.run(cfgs.ddr4_baseline(), "mix0")
-    context.run(cfgs.vsb(), "mix0")
-    paths = emit_stats_sidecars(context, str(tmp_path), prefix="t__")
+    from repro.sim.experiments import emit_stats_sidecars
+    rs = _observed_rs(tmp_path, observe=True)
+    paths = emit_stats_sidecars(rs, str(tmp_path / "out"), prefix="t__")
     assert len(paths) == 2
     for path in paths:
         with open(path) as fh:
@@ -293,14 +298,9 @@ def test_emit_stats_sidecars(tmp_path):
 
 
 def test_unobserved_context_emits_nothing(tmp_path):
-    from repro.sim.experiments import (ExperimentContext,
-                                       ExperimentSettings,
-                                       emit_stats_sidecars)
-    context = ExperimentContext(
-        ExperimentSettings(accesses_per_core=120, mixes=("mix0",)),
-        disk_cache=False)
-    context.run(cfgs.ddr4_baseline(), "mix0")
-    assert emit_stats_sidecars(context, str(tmp_path)) == []
+    from repro.sim.experiments import emit_stats_sidecars
+    rs = _observed_rs(tmp_path, observe=False)
+    assert emit_stats_sidecars(rs, str(tmp_path / "out")) == []
 
 
 def test_observed_grid_jobs_carry_reports():

@@ -200,24 +200,21 @@ class TestSarpDegradationSurfaced:
         assert config.effective_refresh_policy == "darp"
 
     def test_sidecar_records_effective_policy(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.sim.experiments import (
-            ExperimentContext,
-            ExperimentSettings,
-            emit_stats_sidecars,
-        )
         import json as _json
 
-        settings = ExperimentSettings(accesses_per_core=200,
-                                      mixes=("mix0",))
-        context = ExperimentContext(settings, disk_cache=False,
-                                    observe=True)
+        from repro.sim.experiments import emit_stats_sidecars
+        from repro.sim.runner import run_spec
+        from repro.sim.specs import ConfigSpec, ExperimentSpec
+        from repro.sim.store import ResultStore
+
+        spec = ExperimentSpec(
+            name="sarp", mixes=("mix0",), accesses_per_core=200,
+            include_alone=False, observe=True,
+            configs=(ConfigSpec(refresh_density="8Gb",
+                                refresh_policy="sarp"),))
         with pytest.warns(UserWarning, match="degrades"):
-            config = replace(ddr4_baseline(), refresh_density="8Gb",
-                             refresh_policy="sarp")
-        context.run(config, "mix0")
-        (path,) = emit_stats_sidecars(context, str(tmp_path))
+            rs, _ = run_spec(spec, store=ResultStore(str(tmp_path)))
+        (path,) = emit_stats_sidecars(rs, str(tmp_path / "sidecars"))
         with open(path) as fh:
             payload = _json.load(fh)
         assert payload["system"]["refresh_policy"] == "sarp"

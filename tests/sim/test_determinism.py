@@ -1,19 +1,24 @@
-"""Determinism guarantees: reruns, worker processes, and the disk cache.
+"""Determinism guarantees: reruns, worker processes, and the store.
 
 The whole experiment pipeline is deterministic given (config, workload,
 seed): identical digests across independent runs, identical results
 whether a grid executes serially or across worker processes, and a
-persistent alone-IPC cache that returns exactly what was computed.
+persistent result store that returns exactly what was computed --
+alone-IPC denominators included.
 """
 
 import json
 
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
-from repro.sim.experiments import ExperimentContext, ExperimentSettings
-from repro.sim.parallel import AloneIpcDiskCache, SimJob, run_grid
+from repro.sim.parallel import SimJob, run_grid
+from repro.sim.runner import run_spec
 from repro.sim.simulator import run_traces
+from repro.sim.specs import ConfigSpec, ExperimentSpec
+from repro.sim.store import ResultStore, store_key
+from repro.workloads.generator import generate_traces
 from repro.workloads.mixes import mix_traces
+from repro.workloads.profiles import profile
 
 
 def test_same_seed_same_digest():
@@ -49,80 +54,97 @@ def test_grid_results_identical_serial_vs_parallel():
         ["DDR4", "DDR4", "VSB(EWLR+RAP,4P)+DDB", "VSB(EWLR+RAP,4P)+DDB"]
 
 
-def test_alone_runs_through_grid_match_inline(tmp_path, monkeypatch):
+def _alone(benchmark="mcf", seed=0):
+    """A live baseline alone run and its store key (250 accesses)."""
+    config = cfgs.ddr4_baseline()
+    traces = generate_traces([profile(benchmark)], 250,
+                             fragmentation=0.1, seed=seed)
+    key = store_key(config, benchmark=benchmark, accesses=250,
+                    fragmentation=0.1, seed=seed, core_config=CoreConfig())
+    return run_traces(config, traces), key
+
+
+#: The smallest spec with alone cells: the baseline on mix0.
+BASELINE_SPEC = ExperimentSpec(name="baseline", configs=(ConfigSpec(),),
+                               mixes=("mix0",), accesses_per_core=250)
+
+
+def test_alone_runs_through_grid_match_inline():
     """A benchmark alone-run gives the same IPC via any execution path."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    settings = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
-    inline = ExperimentContext(settings, disk_cache=False)
+    inline, _ = _alone()
     job = SimJob(config=cfgs.ddr4_baseline(), accesses=250,
                  fragmentation=0.1, seed=0, core_config=CoreConfig(),
                  benchmark="mcf")
     (gridded,) = run_grid([job], workers=1)
-    assert gridded.ipcs[0] == inline.alone_ipc("mcf")
+    assert gridded.ipcs[0] == inline.ipcs[0]
 
 
 def test_disk_cache_round_trip(tmp_path):
-    cache = AloneIpcDiskCache(str(tmp_path / "cache"))
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1,
-                                0, 250, 4e9)
-    assert cache.get(key) is None
-    cache.put(key, 1.234)
+    store = ResultStore(str(tmp_path / "cache"))
+    live, key = _alone()
+    assert store.get(key) is None
+    store.put(key, live)
     # A fresh instance reads what the first one persisted.
-    fresh = AloneIpcDiskCache(str(tmp_path / "cache"))
-    assert fresh.get(key) == 1.234
-    # Merge-on-write keeps entries from concurrent writers.
-    other = AloneIpcDiskCache(str(tmp_path / "cache"))
-    other.put(AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "lbm",
-                                    0.1, 0, 250, 4e9), 2.5)
-    assert AloneIpcDiskCache(str(tmp_path / "cache")).get(key) == 1.234
+    fresh = ResultStore(str(tmp_path / "cache"))
+    assert fresh.get(key).ipcs == live.ipcs
+    # Per-entry files: another writer's key leaves this one intact.
+    other_live, other_key = _alone("lbm")
+    ResultStore(str(tmp_path / "cache")).put(other_key, other_live)
+    assert ResultStore(str(tmp_path / "cache")).get(key).digest() == \
+        live.digest()
 
 
 def test_disk_cache_survives_corruption(tmp_path):
-    cache = AloneIpcDiskCache(str(tmp_path))
-    cache.put("k", 1.0)
+    store = ResultStore(str(tmp_path))
+    live, key = _alone()
+    store.put(key, live)
     # Corrupt the entry in place: it must read as a miss, and a re-put
     # must repair it.
-    with open(cache.path_for("k"), "w") as fh:
+    with open(store.path_for(key), "w") as fh:
         fh.write("{not json")
-    assert cache.get("k") is None
-    cache.put("k", 1.0)
-    assert AloneIpcDiskCache(str(tmp_path)).get("k") == 1.0
+    assert store.get(key) is None
+    store.put(key, live)
+    assert ResultStore(str(tmp_path)).get(key).digest() == live.digest()
 
 
-def test_context_alone_ipc_uses_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    settings = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
-    first = ExperimentContext(settings)
+def test_context_alone_ipc_uses_disk_cache(tmp_path):
+    """A later run serves alone IPCs from the store, not by re-running:
+    poison the stored entry with a sentinel and see it come back."""
+    first, _ = run_spec(BASELINE_SPEC, store=ResultStore(str(tmp_path)))
     value = first.alone_ipc("mcf")
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1, 0,
-                                250, CoreConfig().clock_hz)
-    path = first.store.path_for(key)
+    (cell,) = [c for c in first.results
+               if c.kind == "alone" and c.workload == "mcf"]
+    path = ResultStore(str(tmp_path)).path_for(cell.store_key())
     with open(path) as fh:
         entry = json.load(fh)
     assert entry["result"]["ipcs"][0] == value
-    # A second context must serve the value from disk: poison the
-    # stored entry with a sentinel and observe it coming back.
     sentinel = 42.0
     entry["result"]["ipcs"][0] = sentinel
     with open(path, "w") as fh:
         json.dump(entry, fh)
-    second = ExperimentContext(settings)
+    second, report = run_spec(BASELINE_SPEC,
+                              store=ResultStore(str(tmp_path)))
+    assert report.submitted == 0
     assert second.alone_ipc("mcf") == sentinel
 
 
 def test_parallel_context_matches_serial_tables(tmp_path, monkeypatch):
-    """fig12-style prefetch through workers equals the serial runner."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    from repro.sim.experiments import fig12
-    settings = ExperimentSettings(accesses_per_core=250,
-                                  mixes=("mix0", "mix3"))
-    configs = [cfgs.ddr4_baseline(), cfgs.vsb()]
-    serial = fig12(ExperimentContext(settings, jobs=1), configs)
-    parallel = fig12(ExperimentContext(settings, jobs=4), configs)
-    assert serial.values == parallel.values
+    """A fig12 grid through worker processes equals the serial run."""
+    from repro.sim.experiments import reduce_fig12
+    monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+    spec = ExperimentSpec(
+        name="fig12", configs=(ConfigSpec("ddr4_baseline"),
+                               ConfigSpec("vsb")),
+        mixes=("mix0", "mix3"), accesses_per_core=250)
+    serial, _ = run_spec(spec, jobs=1,
+                         store=ResultStore(str(tmp_path / "serial")))
+    parallel, _ = run_spec(spec, jobs=4,
+                           store=ResultStore(str(tmp_path / "parallel")))
+    assert reduce_fig12(serial, spec.mixes).values == \
+        reduce_fig12(parallel, spec.mixes).values
 
 
-def test_cache_key_includes_full_config_digest(tmp_path, monkeypatch):
+def test_cache_key_includes_full_config_digest(tmp_path):
     """Regression (stale alone-IPC keys): a ``--refresh`` alone run must
     never hit a refresh-free cache entry -- the key carries the full
     config digest, so any behaviour-affecting override separates."""
@@ -131,34 +153,40 @@ def test_cache_key_includes_full_config_digest(tmp_path, monkeypatch):
     base = cfgs.ddr4_baseline()
     refreshed = replace(base, refresh_density="8Gb",
                         refresh_policy="darp")
-    plain = AloneIpcDiskCache.key(base, "mcf", 0.1, 0, 250, 4e9)
-    with_refresh = AloneIpcDiskCache.key(refreshed, "mcf", 0.1, 0,
-                                         250, 4e9)
-    assert plain != with_refresh
-    # Host-side knobs and the cosmetic name must NOT split the key.
-    renamed = replace(base, name="renamed", record_commands=True)
-    assert AloneIpcDiskCache.key(renamed, "mcf", 0.1, 0, 250,
-                                 4e9) == plain
 
-    # End to end: a refresh-enabled alone baseline recomputes instead
-    # of reusing the refresh-free context's persisted entry.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    settings = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
-    ExperimentContext(settings).alone_ipc("mcf")
-    second = ExperimentContext(settings, alone_config=refreshed)
-    second.alone_ipc("mcf")
-    assert len(second.store) == 2
+    def key(config):
+        return store_key(config, benchmark="mcf", accesses=250,
+                         fragmentation=0.1, seed=0,
+                         core_config=CoreConfig(clock_hz=4e9))
+
+    assert key(base) != key(refreshed)
+    # Host-side knobs and the cosmetic name must NOT split the key.
+    assert key(replace(base, name="renamed",
+                       record_commands=True)) == key(base)
+
+    # End to end: a refresh-enabled alone baseline recomputes its alone
+    # cells instead of reusing the refresh-free run's entries.
+    store = ResultStore(str(tmp_path))
+    run_spec(BASELINE_SPEC, store=store)
+    assert len(store) == 5  # four alone cells + the mix cell
+    refreshed_alone = replace(BASELINE_SPEC, alone=ConfigSpec(
+        refresh_density="8Gb", refresh_policy="darp"))
+    _, report = run_spec(refreshed_alone, store=store)
+    assert (report.store_hits, report.submitted) == (1, 4)
+    assert len(store) == 9
 
 
 def test_disk_cache_two_writers_freshest_wins(tmp_path):
     """Regression (stale overlay in put_many): a writer holding an old
-    in-memory snapshot must not shadow a value another process
-    persisted after that snapshot was taken."""
-    stale = AloneIpcDiskCache(str(tmp_path))
-    stale.put("shared", 1.0)       # snapshot now holds shared=1.0
-    other = AloneIpcDiskCache(str(tmp_path))
-    other.put("shared", 2.0)       # a second writer updates the file
-    stale.put("unrelated", 3.0)    # must merge, not resurrect 1.0
-    fresh = AloneIpcDiskCache(str(tmp_path))
-    assert fresh.get("shared") == 2.0
-    assert fresh.get("unrelated") == 3.0
+    view must not shadow a value another writer persisted later."""
+    old, key = _alone(seed=0)
+    new, _ = _alone(seed=1)
+    unrelated, unrelated_key = _alone("lbm")
+    stale = ResultStore(str(tmp_path))
+    stale.put(key, old)
+    other = ResultStore(str(tmp_path))
+    other.put(key, new)              # a second writer updates the entry
+    stale.put(unrelated_key, unrelated)  # must not resurrect ``old``
+    fresh = ResultStore(str(tmp_path))
+    assert fresh.get(key).digest() == new.digest()
+    assert fresh.get(unrelated_key).digest() == unrelated.digest()

@@ -1,130 +1,203 @@
-"""Tests for the experiment runners (small scale, shape assertions)."""
+"""Tests for the figure reducers (small scale, shape assertions).
+
+Every reducer is driven the way ``repro run`` and the benchmark drive
+it: a spec built by a :data:`NAMED_SPECS` builder (or a hand-made
+subset), executed by :func:`run_spec`, reduced through
+:data:`FIGURE_REDUCERS` with ``(rs, mixes)``.  The reducers must read
+every axis back from the spec, so cut-down grids reduce as built.
+"""
 
 import pytest
 
-from repro.sim.config import ddr4_baseline, ideal32, vsb
-from repro.sim.experiments import (
-    ExperimentContext,
+from repro.cpu.core import CoreConfig
+from repro.sim import parallel
+from repro.sim.config import ddr4_baseline, vsb
+from repro.sim.experiments import FIGURE_REDUCERS, run_figure
+from repro.sim.parallel import SimJob
+from repro.sim.runner import run_spec
+from repro.sim.specs import (
+    FIG12_CONFIG_SPECS,
+    FIG13_SCHEMES,
+    FIG14_CONFIG_SPECS,
+    FIG15_CONFIG_SPECS,
+    FIG16_CONFIG_SPECS,
+    ConfigSpec,
     ExperimentSettings,
-    fig12,
-    fig12_configs,
-    fig13,
-    fig14,
-    fig14_configs,
-    fig15,
-    fig15_configs,
-    fig16,
-    fig16_configs,
+    ExperimentSpec,
+    fig13_spec,
+    fig14_spec,
+    fig15_spec,
+    fig16_spec,
+    figref_spec,
 )
+from repro.sim.store import ResultStore
 
 SMALL = ExperimentSettings(accesses_per_core=400, mixes=("mix0",))
+TINY = ExperimentSettings(accesses_per_core=200, mixes=("mix0",))
 
 
 @pytest.fixture(scope="module")
-def context():
-    return ExperimentContext(SMALL)
+def store(tmp_path_factory):
+    """One store per module, so the tests share cells like a user's
+    repeated figure runs do."""
+    return ResultStore(str(tmp_path_factory.mktemp("store")))
+
+
+def _reduce(spec, store, core_config=CoreConfig()):
+    rs, _ = run_spec(spec, store=store, core_config=core_config)
+    return FIGURE_REDUCERS[spec.name](rs, spec.mixes)
+
+
+def _fig12(configs, store):
+    return _reduce(ExperimentSpec(
+        name="fig12", configs=tuple(ConfigSpec(c) for c in configs),
+        mixes=SMALL.mixes, accesses_per_core=SMALL.accesses_per_core),
+        store)
 
 
 class TestContext:
-    def test_traces_cached(self, context):
-        a = context.traces("mix0")
-        b = context.traces("mix0")
-        assert a is b
+    """What a figure runs on besides the store: the worker's trace memo
+    and the ResultSet's alone-IPC / weighted-speedup lookups."""
 
-    def test_traces_differ_by_fragmentation(self, context):
-        a = context.traces("mix0", 0.1)
-        b = context.traces("mix0", 0.9)
-        assert a is not b
+    def _job(self, frag=0.1):
+        return SimJob(config=ddr4_baseline(), accesses=150,
+                      fragmentation=frag, seed=0,
+                      core_config=CoreConfig(), mix="mix0")
 
-    def test_alone_ipc_cached_and_positive(self, context):
-        a = context.alone_ipc("mcf")
-        assert a > 0
-        assert context.alone_ipc("mcf") == a
+    def test_traces_cached(self):
+        assert parallel._job_traces(self._job()) is \
+            parallel._job_traces(self._job())
 
-    def test_mix_ws_positive(self, context):
-        ws, result = context.mix_ws(ddr4_baseline(), "mix0")
+    def test_traces_differ_by_fragmentation(self):
+        assert parallel._job_traces(self._job(0.1)) is not \
+            parallel._job_traces(self._job(0.9))
+
+    SPEC = ExperimentSpec(name="baseline", configs=(ConfigSpec(),),
+                          mixes=SMALL.mixes,
+                          accesses_per_core=SMALL.accesses_per_core)
+
+    def test_alone_ipc_cached_and_positive(self, store):
+        rs, _ = run_spec(self.SPEC, store=store)
+        again, report = run_spec(self.SPEC, store=store)
+        assert rs.alone_ipc("mcf") > 0
+        assert again.alone_ipc("mcf") == rs.alone_ipc("mcf")
+        assert report.submitted == 0
+
+    def test_mix_ws_positive(self, store):
+        rs, _ = run_spec(self.SPEC, store=store)
+        ws, result = rs.ws(ddr4_baseline(), "mix0")
         assert ws > 0
         assert result.transactions == 4 * SMALL.accesses_per_core
 
 
 class TestFig12:
-    def test_table_covers_all_configs(self, context):
-        table = fig12(context, configs=[ddr4_baseline(), ideal32()])
+    def test_table_covers_all_configs(self, store):
+        table = _fig12(("ddr4_baseline", "ideal32"), store)
         assert set(table.values) == {"DDR4", "Ideal32"}
 
-    def test_normalised_baseline_is_one(self, context):
-        table = fig12(context, configs=[ddr4_baseline(), ideal32()])
+    def test_normalised_baseline_is_one(self, store):
+        table = _fig12(("ddr4_baseline", "ideal32"), store)
         norm = table.normalized()
         assert all(v == pytest.approx(1.0)
                    for v in norm["DDR4"].values())
 
-    def test_gmeans_exist_per_config(self, context):
-        table = fig12(context, configs=[ddr4_baseline(), vsb()])
+    def test_gmeans_exist_per_config(self, store):
+        table = _fig12(("ddr4_baseline", "vsb"), store)
         gm = table.gmeans()
         assert gm["DDR4"] == pytest.approx(1.0)
         assert gm[vsb().name] > 0
 
     def test_default_config_list_shape(self):
-        names = [c.name for c in fig12_configs()]
+        names = [cs.to_config().name for cs in FIG12_CONFIG_SPECS]
         assert names[0] == "DDR4"
         assert any("Ideal32" in n for n in names)
         assert any("Paired-bank" in n for n in names)
 
 
 class TestFig13:
-    def test_points_cover_grid(self, context):
-        points = fig13(context, fragmentations=(0.1,), planes=(2, 4),
-                       schemes=(("VSB(naive)+DDB",
-                                 __import__("repro.core.mechanisms",
-                                            fromlist=["EruConfig"])
-                                 .EruConfig.naive_ddb),))
-        assert len(points) == 2
-        assert {p.planes for p in points} == {2, 4}
+    def test_points_cover_grid(self, store):
+        """A one-level plane axis reduces (the reducer reads the
+        planes and scheme labels from the spec, not the defaults)."""
+        points = _reduce(fig13_spec(TINY, fragmentations=(0.1,),
+                                    planes=(2,)), store)
+        assert [p.scheme for p in points] == \
+            [label for label, _ in FIG13_SCHEMES]
+        assert {p.planes for p in points} == {2}
+        assert {p.fragmentation for p in points} == {0.1}
         for p in points:
             assert p.normalized_ws > 0
             assert 0.0 <= p.plane_precharge_fraction <= 1.0
 
 
 class TestFig14:
-    def test_frequency_points(self, context):
-        points = fig14(context, frequencies=(1.333e9, 2.0e9))
+    def test_frequency_points(self, store):
+        """Two frequencies on a 3 GHz core reduce; the reducer reads
+        the frequencies from the spec and the core from the results."""
+        spec = fig14_spec(TINY, frequencies=(1.333e9, 2.0e9))
+        points = _reduce(spec, store, CoreConfig(clock_hz=3e9))
         configs = {p.config for p in points}
-        assert len(configs) == len(fig14_configs())
-        assert len(points) == 2 * len(configs)
+        assert configs == {cs.to_config().name
+                           for cs in FIG14_CONFIG_SPECS}
+        assert [p.bus_frequency_hz for p in points] == \
+            [1.333e9] * len(configs) + [2.0e9] * len(configs)
+        assert all(p.normalized_ws > 0 for p in points)
 
     def test_config_list_contains_bg_and_ddb_variants(self):
-        names = [c.name for c in fig14_configs()]
+        names = [cs.to_config().name for cs in FIG14_CONFIG_SPECS]
         assert any("DDB" in n for n in names)
         assert any("DDB" not in n for n in names)
 
 
 class TestFig15:
-    def test_covers_prior_work(self, context):
-        out = fig15(context)
+    def test_covers_prior_work(self, store):
+        out = _reduce(fig15_spec(SMALL), store)
         assert any("Half-DRAM" in k for k in out)
         assert any("MASA8+ERUCA" in k for k in out)
         assert all(v > 0 for v in out.values())
 
     def test_config_list(self):
-        names = [c.name for c in fig15_configs()]
+        names = [cs.to_config().name for cs in FIG15_CONFIG_SPECS]
         assert "MASA4" in names and "MASA8" in names
 
 
 class TestFig16:
-    def test_rows_have_latency_and_energy(self, context):
-        rows = fig16(context)
-        assert [r.config for r in rows] == [c.name
-                                            for c in fig16_configs()]
+    def test_rows_have_latency_and_energy(self, store):
+        rows = _reduce(fig16_spec(SMALL), store)
+        assert [r.config for r in rows] == [cs.to_config().name
+                                            for cs in FIG16_CONFIG_SPECS]
         for row in rows:
             assert set(row.latency_stats_ns) == {
                 "mean", "q1", "median", "q3"}
             assert row.total_energy > row.background_energy > 0
 
-    def test_relative_energy(self, context):
-        rows = fig16(context)
+    def test_relative_energy(self, store):
+        rows = _reduce(fig16_spec(SMALL), store)
         rel = rows[1].relative_to(rows[0])
         assert set(rel) == {"background", "activation", "total"}
         assert all(v > 0 for v in rel.values())
+
+
+class TestFigref:
+    def test_density_subset_reduces(self, store):
+        """One density grade reduces to one point per policy."""
+        points = _reduce(figref_spec(TINY, densities=("16Gb",)), store)
+        assert {p.density for p in points} == {"16Gb"}
+        assert len({p.policy for p in points}) == len(points) > 1
+        assert all(p.normalized_ws > 0 for p in points)
+
+
+class TestRunFigure:
+    def test_returns_the_table_and_the_results_it_reduced(self):
+        rows, rs = run_figure("fig16", TINY)
+        assert rs.spec == fig16_spec(TINY)
+        assert rows == FIGURE_REDUCERS["fig16"](rs, TINY.mixes)
+
+    def test_observe_reaches_every_mix_cell(self):
+        _, rs = run_figure("fig16", TINY, observe=True)
+        assert rs.spec.observe
+        assert all(result.accounting is not None
+                   for cell, result in rs.results.items()
+                   if cell.kind == "mix")
 
 
 class TestSettings:

@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-from repro.sim.experiments import ExperimentContext
 from repro.sim.pinning import (
     FIGURE_BUILDERS,
     figure_payload,
@@ -48,19 +47,16 @@ def test_pin_file_covers_every_builder_at_the_right_scale():
 
 def test_every_figure_matches_its_pin_cold_then_warm(tmp_path,
                                                      monkeypatch):
-    """One store directory, two lives: a cold context computes every
-    figure and must match the pre-refactor pins; a second context over
+    """One store directory, two lives: a cold pass computes every
+    figure and must match the pre-refactor pins; a second pass over
     the same store must reproduce them entirely from disk."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     pins = _pins()["figures"]
-    cold = ExperimentContext(pinned_settings())
-    for name, entry in pins.items():
-        assert payload_digest(figure_payload(name, cold)) == \
-            entry["digest"], f"{name} diverged from pre-refactor (cold)"
-    warm = ExperimentContext(pinned_settings())
-    for name, entry in pins.items():
-        assert payload_digest(figure_payload(name, warm)) == \
-            entry["digest"], f"{name} diverged from pre-refactor (warm)"
+    for life in ("cold", "warm"):
+        for name, entry in pins.items():
+            assert payload_digest(figure_payload(
+                name, pinned_settings())) == entry["digest"], \
+                f"{name} diverged from pre-refactor ({life})"
     # The warm pass simulated nothing: the speedup figures' grids come
     # back 100% from the store.
     _, report = run_spec(fig12_spec(pinned_settings()))
@@ -74,6 +70,6 @@ def test_fig12_matches_its_pin_through_the_parallel_grid(tmp_path,
     pool path must land on the same pinned digest as serial."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
-    context = ExperimentContext(pinned_settings(), jobs=2)
-    assert payload_digest(figure_payload("fig12", context)) == \
+    assert payload_digest(figure_payload(
+        "fig12", pinned_settings(), jobs=2)) == \
         _pins()["figures"]["fig12"]["digest"]

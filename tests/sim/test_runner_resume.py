@@ -6,13 +6,19 @@ absent.  The :class:`~repro.sim.runner.RunReport` counters are the
 proof -- the same counters the CI resume-smoke step asserts on.
 """
 
-import pytest
+import json
+import os
 
 from repro.sim import parallel
-from repro.sim.experiments import ExperimentContext
+from repro.sim.experiments import run_figure
 from repro.sim.runner import RunReport, execute_cells, run_spec
-from repro.sim.specs import ExperimentSettings, fig16_spec
-from repro.sim.store import ResultStore
+from repro.sim.specs import (
+    ConfigSpec,
+    ExperimentSettings,
+    ExperimentSpec,
+    fig16_spec,
+)
+from repro.sim.store import CACHE_VERSION, ResultStore
 
 SETTINGS = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
 
@@ -93,25 +99,46 @@ def test_cost_gate_prices_only_post_diff_cells(tmp_path, monkeypatch):
     assert parallel._warm_pool is None
     # Warm store + one missing cell (drop one entry): still serial.
     victim = spec.expand()[0]
-    import os
     os.remove(store.path_for(victim.store_key()))
     _, report = run_spec(spec, store=store, jobs=8)
     assert report.submitted == 1
     assert parallel._warm_pool is None
 
 
-def test_context_run_cells_syncs_counters(tmp_path, monkeypatch):
-    """The experiment-context wrapper surfaces the same counters via
-    ``last_report`` (what ``repro run <spec>`` prints)."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def test_context_run_cells_syncs_counters():
+    """``run_figure`` persists through the default store, so the
+    counters ``repro run <spec>`` prints see its cells as hits."""
     spec = fig16_spec(SETTINGS)
-    first = ExperimentContext(SETTINGS)
-    first.execute(spec)
-    assert first.last_report.submitted == len(spec.expand())
-    second = ExperimentContext(SETTINGS)
-    second.execute(spec)
-    assert second.last_report.submitted == 0
-    assert second.last_report.store_hits == len(spec.expand())
+    run_figure("fig16", SETTINGS)
+    _, report = run_spec(spec)
+    assert report.submitted == 0
+    assert report.store_hits == report.cells == len(spec.expand())
+
+
+def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
+    """A current-version entry that cannot be restored (here a bare
+    alone IPC, as the retired alone-IPC writer left them) reads as a
+    miss: the runner re-simulates the cell and overwrites the entry."""
+    spec = ExperimentSpec(name="baseline", configs=(ConfigSpec(),),
+                          mixes=SETTINGS.mixes,
+                          accesses_per_core=SETTINGS.accesses_per_core)
+    alone = next(c for c in spec.expand() if c.kind == "alone")
+    store = ResultStore(str(tmp_path))
+    path = store.path_for(alone.store_key())
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as fh:
+        json.dump({"version": CACHE_VERSION,
+                   "result": {"ipcs": [1.0]}}, fh)
+    assert not store.contains(alone.store_key())
+    submitted = []
+    rs, report = run_spec(
+        spec, store=store,
+        progress=lambda cell, status: submitted.append(cell)
+        if status == "run" else None)
+    assert alone in submitted
+    assert report.submitted == report.cells
+    repaired = ResultStore(str(tmp_path)).get(alone.store_key())
+    assert repaired.digest() == rs.results[alone].digest()
 
 
 def test_run_report_summary_is_greppable():

@@ -114,17 +114,6 @@ def test_unknown_preset_rejected():
         ConfigSpec("no_such_preset").to_config()
 
 
-def test_inline_config_expands_but_does_not_serialize():
-    inline = ConfigSpec(inline=cfgs.vsb())
-    assert inline.to_config() == cfgs.vsb()
-    spec = ExperimentSpec(name="inline", configs=(inline,),
-                          mixes=("mix0",), accesses_per_core=300)
-    assert spec.expand()
-    assert spec.digest()  # digests via the config digest
-    with pytest.raises(ValueError):
-        spec.to_dict()
-
-
 def test_core_scale_factors_into_the_cells():
     spec = fig14_spec(SETTINGS, frequencies=(1.333e9, 2.0e9))
     base = CoreConfig()
@@ -132,3 +121,44 @@ def test_core_scale_factors_into_the_cells():
               if c.kind == "mix"}
     assert clocks == {base.clock_hz,
                       base.scaled(2.0e9 / 1.333e9).clock_hz}
+
+
+# -- spec mistakes fail loudly ------------------------------------------------
+
+
+def _spec_dict(**overrides):
+    data = ExperimentSpec(name="s", configs=(ConfigSpec(),),
+                          mixes=("mix0",)).to_dict()
+    data.update(overrides)
+    return data
+
+
+def test_unknown_spec_keys_are_named():
+    """Singular ``fragmentation``/``seed`` must not silently run at the
+    defaults (0.1, seed 0)."""
+    data = _spec_dict(fragmentation=[0.5], seed=[3])
+    with pytest.raises(ValueError, match="'fragmentation', 'seed'"):
+        ExperimentSpec.from_dict(data)
+
+
+def test_unknown_config_keys_are_named():
+    data = _spec_dict(configs=[{"preset": "vsb",
+                                "refresh_densty": "16Gb"}])
+    with pytest.raises(ValueError, match="refresh_densty"):
+        ExperimentSpec.from_dict(data)
+    with pytest.raises(ValueError, match="plains"):
+        ConfigSpec.from_dict({"preset": "vsb",
+                              "mechanism": {"plains": 4}})
+
+
+def test_unknown_mixes_are_named():
+    with pytest.raises(ValueError, match="mix99"):
+        ExperimentSpec.from_dict(_spec_dict(mixes=["mix0", "mix99"]))
+
+
+def test_unresolvable_spec_lists_the_named_specs(tmp_path):
+    with pytest.raises(ValueError) as err:
+        resolve_spec("fig99")
+    assert all(name in str(err.value) for name in NAMED_SPECS)
+    with pytest.raises(ValueError, match="neither"):
+        resolve_spec(str(tmp_path / "missing.json"))

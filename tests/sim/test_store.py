@@ -17,12 +17,7 @@ from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
 from repro.sim.accounting import ObserveOptions
 from repro.sim.simulator import run_traces
-from repro.sim.store import (
-    CACHE_VERSION,
-    AloneIpcDiskCache,
-    ResultStore,
-    store_key,
-)
+from repro.sim.store import CACHE_VERSION, ResultStore, store_key
 from repro.workloads.mixes import mix_traces
 
 
@@ -91,8 +86,8 @@ def test_need_accounting_misses_on_plain_entries(tmp_path):
     assert store.get(_key()) is not None
 
 
-def _writer(directory, key, value):
-    ResultStore(directory).put_scalar(key, value)
+def _writer(directory, key, result):
+    ResultStore(directory).put(key, result)
 
 
 def test_two_process_writers_both_persist(tmp_path):
@@ -101,59 +96,72 @@ def test_two_process_writers_both_persist(tmp_path):
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
+    live = _small_result()
     keys = [_key(seed=1), _key(seed=2)]
-    procs = [ctx.Process(target=_writer,
-                         args=(str(tmp_path), key, float(i)))
-             for i, key in enumerate(keys)]
+    procs = [ctx.Process(target=_writer, args=(str(tmp_path), key, live))
+             for key in keys]
     for p in procs:
         p.start()
     for p in procs:
         p.join()
         assert p.exitcode == 0
     store = ResultStore(str(tmp_path))
-    assert [store.get_scalar(k) for k in keys] == [0.0, 1.0]
+    assert [store.get(k).digest() for k in keys] == [live.digest()] * 2
+
+
+def _alone_key():
+    return store_key(cfgs.ddr4_baseline(), benchmark="mcf",
+                     fragmentation=0.1, seed=0, accesses=250,
+                     core_config=CoreConfig(clock_hz=4e9))
 
 
 def test_v3_alone_ipc_table_is_ignored_not_misread(tmp_path):
     """Regression for the v3 -> v4 migration: the old single-file
     alone-IPC table must never surface as a store hit."""
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1, 0,
-                                250, 4e9)
+    key = _alone_key()
     # The pre-v4 layout: one JSON table of {key: ipc} at the root.
     with open(tmp_path / "alone_ipc.json", "w") as fh:
         json.dump({"version": 3, "entries": {key: 99.0}}, fh)
-    cache = AloneIpcDiskCache(str(tmp_path))
-    assert cache.get(key) is None
+    store = ResultStore(str(tmp_path))
+    assert store.get(key) is None
     # Even a hand-placed *entry file* from another version reads as a
     # miss (the version is checked inside the payload as well).
-    store = ResultStore(str(tmp_path))
     path = store.path_for(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"version": 3, "result": {"ipcs": [99.0]}}, fh)
-    assert cache.get(key) is None
     assert store.get(key) is None
     # A fresh put repairs the entry in place.
-    cache.put(key, 1.5)
-    assert AloneIpcDiskCache(str(tmp_path)).get(key) == 1.5
+    live = _small_result()
+    store.put(key, live)
+    assert ResultStore(str(tmp_path)).get(key).digest() == live.digest()
 
 
 def test_scalar_and_full_entries_share_one_read_path(tmp_path):
-    """A full grid-run summary satisfies an alone-IPC ``get`` and vice
-    versa: both read ``ipcs[0]`` of the same entry."""
+    """``get`` and ``contains`` read through one path: a full summary
+    hits both, and a current-version entry holding only a scalar IPC
+    (what the retired alone-IPC writer produced) misses both instead
+    of crashing the reader."""
     store = ResultStore(str(tmp_path))
     live = _small_result()
     store.put(_key(), live)
-    view = AloneIpcDiskCache(str(tmp_path))
-    assert view.get(_key()) == live.ipcs[0]
-    view.put(_key(seed=5), 2.75)
-    assert ResultStore(str(tmp_path)).get_scalar(_key(seed=5)) == 2.75
+    assert store.contains(_key())
+    assert store.get(_key()).ipcs == list(live.ipcs)
+    path = store.path_for(_key(seed=5))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump({"version": CACHE_VERSION,
+                   "result": {"config_name": "", "ipcs": [2.75]}}, fh)
+    assert not store.contains(_key(seed=5))
+    assert store.get(_key(seed=5)) is None
+    assert store.counters.misses == 1
 
 
 def test_gc_prunes_versions_age_and_excess(tmp_path):
     store = ResultStore(str(tmp_path))
+    live = _small_result()
     for seed in range(3):
-        store.put_scalar(_key(seed=seed), float(seed))
+        store.put(_key(seed=seed), live)
     # A stale-version file and a corrupt file both go unconditionally.
     stale = store.path_for("stale")
     os.makedirs(os.path.dirname(stale), exist_ok=True)

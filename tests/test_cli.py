@@ -72,6 +72,25 @@ class TestExecution:
         with pytest.raises(SystemExit):
             main(["fig12", "--mixes", "nope", "--accesses", "100"])
 
+    @pytest.mark.parametrize("command", ["run", "cells"])
+    def test_unknown_spec_is_a_one_line_error(self, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "fig99"])
+        message = str(err.value.code)
+        assert "\n" not in message
+        assert message.startswith(f"repro {command}: error:")
+        assert "fig12" in message and "figref" in message
+
+    @pytest.mark.parametrize("command", ["run", "cells"])
+    def test_bad_spec_file_is_a_one_line_error(self, command, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"name": "s", "configs": [{"preset": "vsb", '
+                        '"refresh_densty": "16Gb"}], "mixes": ["mix0"]}')
+        with pytest.raises(SystemExit) as err:
+            main([command, str(path)])
+        message = str(err.value.code)
+        assert "\n" not in message and "refresh_densty" in message
+
 
 class TestObservability:
     def test_stats_table_sums(self, capsys):

@@ -23,10 +23,10 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.sim.experiments import ExperimentContext  # noqa: E402
 from repro.sim.pinning import (  # noqa: E402
     FIGURE_BUILDERS,
     PINNED_DIGESTS_PATH,
+    figure_payload,
     payload_digest,
     pinned_settings,
 )
@@ -37,10 +37,9 @@ def compute() -> dict:
     # developer-machine cache entry may leak into the pinned numbers.
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
-        context = ExperimentContext(pinned_settings())
         figures = {}
-        for name, builder in FIGURE_BUILDERS.items():
-            payload = builder(context)
+        for name in FIGURE_BUILDERS:
+            payload = figure_payload(name, pinned_settings())
             figures[name] = {"digest": payload_digest(payload),
                              "payload": payload}
             print(f"{name:10s} {figures[name]['digest']}")
