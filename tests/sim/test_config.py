@@ -23,7 +23,9 @@ from repro.sim.config import (
 class TestStoreIdentity:
     """Config digests key the result store (with ``CACHE_VERSION``), so
     a digest that moves orphans every stored entry of that config.  One
-    preset per memory technology is pinned to a literal value."""
+    preset per memory technology, plus the two sub-banked organisations
+    whose :class:`EruConfig` enters the digest, is pinned to a literal
+    value."""
 
     @pytest.mark.parametrize("factory,digest", [
         (ddr4_baseline,
@@ -32,7 +34,11 @@ class TestStoreIdentity:
          "7d058078c30e0a1a3fd4802a7f4135a5a268066ff00b8993f5b935942e5c7c81"),
         (gddr5,
          "56379c125360d7f858d21e1e4c16fd93c6ef3a6289e759332343cf1c2f142652"),
-    ], ids=["dram", "pcm_palp", "gddr5"])
+        (vsb,
+         "8eaabb00219f0e2c84d392b9407e924d5b00ba54b7a07a0c0dfa234dd4897747"),
+        (paired_bank,
+         "0f055f6caae34135cb817d357bef8a44afe94fc20a0e6d5550e71400eda73b02"),
+    ], ids=["dram", "pcm_palp", "gddr5", "vsb", "paired_bank"])
     def test_config_digest_is_pinned(self, factory, digest):
         assert factory().digest() == digest
 
