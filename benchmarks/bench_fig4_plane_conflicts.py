@@ -9,14 +9,10 @@ high-order bits, spatial low-order bits) shaping the curve.
 from conftest import bench_accesses, print_header
 
 from repro.analysis.plane_conflict import (
+    FIG4_BENCHMARKS,
     FIG4_PLANE_COUNTS,
-    analyze_plane_conflicts,
+    fig4_plane_conflicts,
 )
-from repro.controller.mapping import skylake_mapping
-from repro.workloads.generator import generate_traces
-from repro.workloads.profiles import PROFILES
-
-FIG4_BENCHMARKS = ("mcf", "lbm", "gemsFDTD", "omnetpp")
 
 #: Paper's reported points for reference printing.
 PAPER = {2: 51.0, 32768: 17.0}
@@ -24,16 +20,9 @@ PAPER = {2: 51.0, 32768: 17.0}
 
 def test_fig4_plane_conflicts(benchmark):
     accesses = max(2000, bench_accesses())
-    profiles = [PROFILES[name] for name in FIG4_BENCHMARKS]
-    traces = generate_traces(profiles, accesses, fragmentation=0.1,
-                             seed=0)
-    mapping = skylake_mapping(subbanked=True)
+    results, total = benchmark.pedantic(
+        fig4_plane_conflicts, args=(accesses,), rounds=1, iterations=1)
 
-    results = benchmark.pedantic(
-        analyze_plane_conflicts, args=(traces, mapping),
-        rounds=1, iterations=1)
-
-    total = sum(len(t) for t in traces)
     print_header(
         "Fig. 4: transactions with plane conflicts per tRC interval "
         f"({'+'.join(FIG4_BENCHMARKS)}, {accesses}/core)")

@@ -20,15 +20,19 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.controller.mapping import AddressMapping
+from repro.controller.mapping import AddressMapping, skylake_mapping
 from repro.cpu.core import CoreConfig
 from repro.cpu.trace import Trace
 from repro.dram.timing import ddr4_timings
+from repro.workloads.generator import generate_traces
+from repro.workloads.profiles import PROFILES
 
 #: Fig. 4's x-axis: 2 .. 32768 planes.
 FIG4_PLANE_COUNTS = tuple(2 ** k for k in range(1, 16))
+#: The benchmarks whose traces Fig. 4 analyses.
+FIG4_BENCHMARKS = ("mcf", "lbm", "gemsFDTD", "omnetpp")
 
 
 @dataclass(frozen=True)
@@ -158,3 +162,17 @@ def overlap_fraction(results: Dict[int, ConflictCounts],
     if not total_transactions:
         return 0.0
     return any_counts.overlapping / total_transactions
+
+
+def fig4_plane_conflicts(accesses: int, fragmentation: float = 0.1,
+                         seed: int = 0
+                         ) -> Tuple[Dict[int, ConflictCounts], int]:
+    """Fig. 4: the study over fresh :data:`FIG4_BENCHMARKS` traces on
+    the sub-banked Skylake mapping; returns the per-plane-count
+    outcome and the number of transactions analysed."""
+    traces = generate_traces([PROFILES[n] for n in FIG4_BENCHMARKS],
+                             accesses, fragmentation=fragmentation,
+                             seed=seed)
+    results = analyze_plane_conflicts(traces,
+                                      skylake_mapping(subbanked=True))
+    return results, sum(len(t) for t in traces)

@@ -12,6 +12,7 @@
     python -m repro run --config vsb --mix mix0
     python -m repro run fig12 --jobs 0           # spec-driven, resumable
     python -m repro run my_spec.json
+    python -m repro run ablation                 # design-choice sweeps
     python -m repro cells fig12                  # expansion + store diff
     python -m repro gc --max-age-days 30         # prune the result store
     python -m repro stats --config vsb --mix mix0 --per-bank
@@ -210,18 +211,10 @@ def cmd_run(args) -> None:
 
 def cmd_stats(args) -> None:
     """``repro stats``: full stall attribution for one (config, mix)."""
-    from repro.sim.parallel import trace_memo_stats
-    from repro.sim.store import store_counter_stats
     result = _observed_run(args)
     report = result.accounting
     report.verify()
     print(report.format_table(per_bank=args.per_bank))
-    memo = trace_memo_stats()
-    print(f"trace memo: {memo['size']} entries, "
-          f"{memo['evictions']} oldest-half evictions")
-    sc = store_counter_stats()
-    print(f"result store: {sc['hits']} hits, {sc['misses']} misses, "
-          f"{sc['puts']} puts, {sc['evictions']} evictions")
     if args.json:
         with open(args.json, "w") as fh:
             report.write_json(fh)
@@ -272,18 +265,9 @@ def cmd_profile(args) -> None:
 
 def cmd_fig4(args) -> None:
     from repro.analysis.plane_conflict import (
-        FIG4_PLANE_COUNTS, analyze_plane_conflicts)
-    from repro.controller.mapping import skylake_mapping
-    from repro.workloads.generator import generate_traces
-    from repro.workloads.profiles import PROFILES
-    names = ("mcf", "lbm", "gemsFDTD", "omnetpp")
-    traces = generate_traces([PROFILES[n] for n in names],
-                             args.accesses,
-                             fragmentation=args.fragmentation,
-                             seed=args.seed)
-    results = analyze_plane_conflicts(traces,
-                                      skylake_mapping(subbanked=True))
-    total = sum(len(t) for t in traces)
+        FIG4_PLANE_COUNTS, fig4_plane_conflicts)
+    results, total = fig4_plane_conflicts(
+        args.accesses, args.fragmentation, args.seed)
     print(f"{'planes':>8s} {'conflict':>10s} {'no conflict':>12s}")
     for n in FIG4_PLANE_COUNTS:
         c = results[n]

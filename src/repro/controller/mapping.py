@@ -145,7 +145,7 @@ class MappingConfig:
     #: Fig. 9 places the sub-bank ID among the frequently-changing low
     #: bits (just above the low bank-group field) so consecutive lines
     #: interleave the two sub-banks; False parks it below the row bits
-    #: instead (an ablation knob).
+    #: instead (the ablation setting ``EruConfig.subbank_low``).
     subbank_low: bool = True
 
     @property

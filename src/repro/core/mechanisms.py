@@ -8,14 +8,26 @@ sub-banked organisation:
 * ``rap`` -- per-sub-bank plane-ID permutation (RAP, Section IV).
 * ``ddb`` -- dual data bus (Section V).
 
+Three more fields hold the design choices the ablation sweep varies
+(``repro run ablation``): where the plane ID sits in the row address,
+where the sub-bank ID sits in the physical address, and whether the
+DDB guard windows apply.  Each is marked :data:`OMIT_AT_DEFAULT`, so a
+config digest leaves it out while it holds its default.
+
 The named constructors match the configurations evaluated in Figs. 12-15.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.controller.mapping import PlanePlacement, RowLayout
+
+#: Field metadata key: a config digest omits a field marked with it
+#: while the field holds its default, so adding such a field moves no
+#: digest and no store key.
+OMIT_AT_DEFAULT = "omit_at_default"
 
 
 @dataclass(frozen=True)
@@ -28,10 +40,27 @@ class EruConfig:
     ddb: bool = True
     ewlr_bits: int = 3
     row_bits: int = 16
+    #: Row bits the plane ID comes from (Fig. 9's two mappings); None
+    #: derives the paper's choice from ``ewlr``/``rap``, see
+    #: :meth:`row_layout`.  JSON names (``"lsb"``/``"msb"``) are
+    #: accepted.
+    plane_placement: Optional[PlanePlacement] = field(
+        default=None, metadata={OMIT_AT_DEFAULT: True})
+    #: Sub-bank ID among the frequently-changing low address bits
+    #: (Fig. 9); False parks it just below the row bits.
+    subbank_low: bool = field(default=True,
+                              metadata={OMIT_AT_DEFAULT: True})
+    #: Apply the tTCW/tTWTRW two-command windows on a DDB channel
+    #: (Section V); False bounds what DDB could do without the guard.
+    ddb_windows: bool = field(default=True,
+                              metadata={OMIT_AT_DEFAULT: True})
 
     def __post_init__(self) -> None:
         if self.planes < 1 or self.planes & (self.planes - 1):
             raise ValueError("planes must be a power of two >= 1")
+        if isinstance(self.plane_placement, str):
+            object.__setattr__(self, "plane_placement",
+                               PlanePlacement(self.plane_placement))
 
     @property
     def name(self) -> str:
@@ -55,10 +84,13 @@ class EruConfig:
         inverts them on one sub-bank); with EWLR alone the plane ID comes
         from the row LSBs so that spatially-adjacent rows land in
         different planes.  Naive VSB planes are contiguous row regions
-        (row MSBs), as drawn in Fig. 3a/3b.
+        (row MSBs), as drawn in Fig. 3a/3b.  ``plane_placement``
+        overrides that choice.
         """
-        placement = (PlanePlacement.LSB
-                     if self.ewlr and not self.rap else PlanePlacement.MSB)
+        placement = self.plane_placement
+        if placement is None:
+            placement = (PlanePlacement.LSB if self.ewlr and not self.rap
+                         else PlanePlacement.MSB)
         return RowLayout(
             row_bits=self.row_bits,
             plane_count=self.planes,

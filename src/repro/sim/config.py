@@ -37,13 +37,30 @@ from typing import Optional
 
 from repro.controller.mapping import AddressMapping, skylake_mapping
 from repro.controller.queue import QueueConfig
-from repro.core.mechanisms import EruConfig
+from repro.core.mechanisms import OMIT_AT_DEFAULT, EruConfig
 from repro.dram.backends import get_backend
 from repro.dram.bank import BankGeometry
 from repro.dram.device import Channel
 from repro.dram.power import EnergyParams
 from repro.dram.resources import BusPolicy
 from repro.dram.timing import TimingParams, ns
+
+
+def canonical(value):
+    """JSON-able form of a config value: enums by value, dataclasses as
+    dicts of their fields, recursively.  A field marked
+    :data:`~repro.core.mechanisms.OMIT_AT_DEFAULT` is left out while it
+    holds its default."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if not (f.metadata.get(OMIT_AT_DEFAULT) and item == f.default):
+                out[f.name] = canonical(item)
+        return out
+    return value
 
 
 class Organization(enum.Enum):
@@ -193,7 +210,7 @@ class SystemConfig:
             t = t.replace(**tech.refresh_overrides(self.refresh_density))
         elif self.refresh_ns:
             t = t.replace(**tech.adhoc_refresh_overrides(self.refresh_ns))
-        if self.bus_policy is BusPolicy.DDB:
+        if self.bus_policy is BusPolicy.DDB and self.eru.ddb_windows:
             t = t.with_ddb_windows()
         return t
 
@@ -202,20 +219,12 @@ class SystemConfig:
 
         Host-side knobs (``record_commands``, ``incremental``) and the
         cosmetic ``name`` are excluded: configs differing only in those
-        produce bit-identical simulations.
+        produce bit-identical simulations.  Nested fields marked
+        :data:`~repro.core.mechanisms.OMIT_AT_DEFAULT` are left out
+        while they hold their default.
         """
         skip = {"name", "record_commands", "incremental"}
-
-        def conv(value):
-            if isinstance(value, enum.Enum):
-                return value.value
-            if dataclasses.is_dataclass(value) and not isinstance(value,
-                                                                  type):
-                return {f.name: conv(getattr(value, f.name))
-                        for f in dataclasses.fields(value)}
-            return value
-
-        return {f.name: conv(getattr(self, f.name))
+        return {f.name: canonical(getattr(self, f.name))
                 for f in dataclasses.fields(self) if f.name not in skip}
 
     def digest(self) -> str:
@@ -235,15 +244,15 @@ class SystemConfig:
         )
 
     def mapping(self) -> AddressMapping:
-        layout = self.eru.row_layout() if (self.subbanked and self.eru) \
-            else None
+        eru = self.eru if self.subbanked else None
         return skylake_mapping(
             subbanked=self.subbanked,
-            row_layout=layout,
+            row_layout=eru.row_layout() if eru else None,
             bank_groups=self.bank_groups,
             banks_per_group=self.banks_per_group,
             channels=self.channels,
             row_bits=self.row_bits,
+            subbank_low=eru.subbank_low if eru else True,
         )
 
     def build_channel(self) -> Channel:

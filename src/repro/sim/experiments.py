@@ -27,7 +27,13 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sim.metrics import LatencyHistogram, gmean, quartiles
 from repro.sim.runner import ResultSet, run_spec
-from repro.sim.specs import NAMED_SPECS, ExperimentSettings, fig13_scheme
+from repro.sim.simulator import SimulationResult
+from repro.sim.specs import (
+    NAMED_SPECS,
+    ExperimentSettings,
+    ablation_sweep,
+    fig13_scheme,
+)
 
 
 def _baseline_ws(rs: ResultSet, mixes: Sequence[str],
@@ -233,6 +239,21 @@ def reduce_figref(rs: ResultSet,
     return points
 
 
+# -- design-choice ablations (DESIGN.md) -------------------------------------
+
+
+def reduce_ablation(rs: ResultSet, mixes: Sequence[str]
+                    ) -> Dict[str, Dict[str, SimulationResult]]:
+    """Each arm's result on the spec's mix: ``{sweep: {label: result}}``
+    (see :data:`repro.sim.specs.ABLATION_SWEEPS`)."""
+    out: Dict[str, Dict[str, SimulationResult]] = {}
+    for cs in rs.spec.configs:
+        config = cs.to_config()
+        out.setdefault(ablation_sweep(cs), {})[config.name] = \
+            rs.mix(config, mixes[0])
+    return out
+
+
 #: The pure reducer of each spec in :data:`repro.sim.specs.NAMED_SPECS`:
 #: ``FIGURE_REDUCERS[spec.name](rs, spec.mixes)``.
 FIGURE_REDUCERS: Dict[str, Callable[[ResultSet, Sequence[str]], object]] = {
@@ -242,6 +263,7 @@ FIGURE_REDUCERS: Dict[str, Callable[[ResultSet, Sequence[str]], object]] = {
     "fig15": reduce_fig15,
     "fig16": reduce_fig16,
     "figref": reduce_figref,
+    "ablation": reduce_ablation,
 }
 
 

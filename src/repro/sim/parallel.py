@@ -67,21 +67,9 @@ class SimJob:
 #: so recent entries survive an overflow instead of a full wipe.
 _trace_memo: Dict[tuple, object] = {}
 TRACE_MEMO_CAPACITY = 64
-_trace_memo_evictions = 0
-
-
-def trace_memo_stats() -> Dict[str, int]:
-    """Current size and eviction count of this process's trace memo.
-
-    Surfaced by ``repro stats``; an eviction is one oldest-half sweep,
-    not one dropped entry.
-    """
-    return {"size": len(_trace_memo),
-            "evictions": _trace_memo_evictions}
 
 
 def _job_traces(job: SimJob):
-    global _trace_memo_evictions
     key = (job.mix, job.benchmark, job.accesses, job.fragmentation,
            job.seed)
     traces = _trace_memo.get(key)
@@ -100,7 +88,6 @@ def _job_traces(job: SimJob):
         if len(_trace_memo) >= TRACE_MEMO_CAPACITY:  # bound memory
             for old in list(islice(_trace_memo, len(_trace_memo) // 2)):
                 del _trace_memo[old]
-            _trace_memo_evictions += 1
         _trace_memo[key] = traces
     return traces
 

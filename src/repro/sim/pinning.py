@@ -68,18 +68,9 @@ def payload_digest(payload) -> str:
 
 
 def _fig4_payload(s: ExperimentSettings, jobs: int) -> dict:
-    from repro.analysis.plane_conflict import analyze_plane_conflicts
-    from repro.controller.mapping import skylake_mapping
-    from repro.workloads.generator import generate_traces
-    from repro.workloads.profiles import PROFILES
-
-    names = ("mcf", "lbm", "gemsFDTD", "omnetpp")
-    traces = generate_traces([PROFILES[n] for n in names],
-                             s.accesses_per_core,
-                             fragmentation=s.fragmentation, seed=s.seed)
-    results = analyze_plane_conflicts(
-        traces, skylake_mapping(subbanked=True))
-    total = sum(len(t) for t in traces)
+    from repro.analysis.plane_conflict import fig4_plane_conflicts
+    results, total = fig4_plane_conflicts(
+        s.accesses_per_core, s.fragmentation, s.seed)
     return {
         "overlapping": results[2].overlapping,
         "total": total,
@@ -179,86 +170,29 @@ def _figref_payload(settings: ExperimentSettings, jobs: int) -> list:
 
 
 def _ablation_payload(settings: ExperimentSettings, jobs: int) -> dict:
-    """A representative cell from each ablation sweep in
-    ``benchmarks/bench_ablation.py`` (hand-built systems that bypass the
-    preset path entirely -- the refactor must leave them untouched)."""
-    from dataclasses import replace
-
-    from repro.controller.controller import ChannelController
-    from repro.controller.mapping import (
-        AddressMapping, PlanePlacement, RowLayout)
-    from repro.controller.queue import QueueConfig
-    from repro.core.mechanisms import EruConfig
-    from repro.cpu.core import TraceCore
-    from repro.dram.bank import BankGeometry
-    from repro.dram.device import Channel
-    from repro.dram.resources import BusPolicy
-    from repro.dram.timing import ddr4_timings
-    from repro.sim.config import ddr4_baseline, vsb
-    from repro.sim.simulator import MemorySystem, Simulator, run_traces
-    from repro.workloads.mixes import mix_traces
-
-    traces = mix_traces("mix0", settings.accesses_per_core,
-                        fragmentation=settings.fragmentation,
-                        seed=settings.seed)
-
-    def run_custom(layout, ewlr, rap, policy=BusPolicy.DDB,
-                   timing=None, subbank_low=True):
-        if timing is None:
-            timing = ddr4_timings()
-            if policy is BusPolicy.DDB:
-                timing = timing.with_ddb_windows()
-        base = vsb()
-        system = MemorySystem(base)
-        mapping_cfg = replace(base.mapping().config,
-                              subbank_low=subbank_low)
-        system.mapping = AddressMapping(mapping_cfg, layout)
-        system.controllers = [
-            ChannelController(Channel(
-                timing, policy, base.bank_groups, base.banks_per_group,
-                BankGeometry(subbanks=2, row_bits=layout.row_bits),
-                row_layout=layout, ewlr=ewlr, rap=rap))
-            for _ in range(base.channels)
-        ]
-        cores = [TraceCore(t, core_id=i) for i, t in enumerate(traces)]
-        return Simulator(system, cores).run()
-
+    """A representative arm of each ablation sweep
+    (:data:`repro.sim.specs.ABLATION_SWEEPS`)."""
+    sweeps, _ = run_figure("ablation", settings, jobs=jobs)
     out: Dict[str, dict] = {}
-    # Plane-ID bit placement x RAP (Fig. 9's two mappings).
     for rap in (False, True):
-        for placement in (PlanePlacement.LSB, PlanePlacement.MSB):
-            layout = RowLayout(row_bits=16, plane_count=4,
-                               plane_placement=placement, ewlr_bits=3)
-            res = run_custom(layout, ewlr=True, rap=rap)
-            out[f"plane rap={rap},placement={placement.value}"] = {
+        for placement in ("lsb", "msb"):
+            res = sweeps["plane"][f"rap={rap},plane={placement}"]
+            out[f"plane rap={rap},placement={placement}"] = {
                 "ipc": sum(res.ipcs),
                 "plane_pre": res.plane_conflict_precharge_fraction,
                 "ewlr_hits": res.ewlr_hit_rate,
             }
-    # Sub-bank ID bit position.
-    full_layout = EruConfig.full(4).row_layout()
-    for low in (True, False):
-        res = run_custom(full_layout, ewlr=True, rap=True,
-                         subbank_low=low)
-        out[f"subbank_low={low}"] = {"ipc": sum(res.ipcs)}
-    # Write-drain watermarks.
-    for high, lowm in ((24, 8), (31, 30)):
-        cfg = replace(ddr4_baseline(),
-                      queue=QueueConfig(drain_high=high, drain_low=lowm),
-                      name=f"drain {high}/{lowm}")
-        res = run_traces(cfg, traces)
-        out[cfg.name] = {"ipc": sum(res.ipcs)}
-    # Page policy.
-    for label, idle in (("open page", None), ("close@400ns", 400_000)):
-        cfg = replace(ddr4_baseline(), idle_close_ps=idle, name=label)
-        res = run_traces(cfg, traces)
-        out[f"page {label}"] = {"ipc": sum(res.ipcs)}
-    # DDB two-command windows at a fast channel.
-    fast = ddr4_timings(2.4e9)
-    for label, timing in (("tTCW on", fast.with_ddb_windows()),
-                          ("tTCW off", fast)):
-        res = run_custom(full_layout, ewlr=True, rap=True, timing=timing)
-        out[f"ddb {label}"] = {"ipc": sum(res.ipcs)}
+    # (sweep, arm label, pinned key)
+    picks = (("subbank", "subbank_low=True", "subbank_low=True"),
+             ("subbank", "subbank_low=False", "subbank_low=False"),
+             ("drain", "drain 24/8", "drain 24/8"),
+             ("drain", "drain 31/30", "drain 31/30"),
+             ("page", "open page", "page open page"),
+             ("page", "close@400ns", "page close@400ns"),
+             ("ddb", "tTCW on", "ddb tTCW on"),
+             ("ddb", "tTCW off", "ddb tTCW off"))
+    for sweep, label, key in picks:
+        out[key] = {"ipc": sum(sweeps[sweep][label].ipcs)}
     return out
 
 

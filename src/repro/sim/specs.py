@@ -21,12 +21,14 @@ paper figure's grid declaratively; ``repro run fig12`` resolves through
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.controller.mapping import PlanePlacement
 from repro.core.mechanisms import EruConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ
@@ -52,8 +54,8 @@ class ExperimentSettings:
 
 
 #: Preset factories a :class:`ConfigSpec` may name.  Mechanism-taking
-#: factories receive the spec's :class:`MechanismSpec` as an
-#: :class:`EruConfig` first positional argument.
+#: factories receive the spec's :class:`EruConfig` as their first
+#: positional argument.
 PRESETS: Dict[str, Callable[..., SystemConfig]] = {
     "ddr4_baseline": cfgs.ddr4_baseline,
     "bg32": cfgs.bg32,
@@ -69,34 +71,6 @@ PRESETS: Dict[str, Callable[..., SystemConfig]] = {
 
 
 @dataclass(frozen=True)
-class MechanismSpec:
-    """JSON-able mirror of :class:`~repro.core.mechanisms.EruConfig`."""
-
-    planes: int = 4
-    ewlr: bool = True
-    rap: bool = True
-    ddb: bool = True
-    ewlr_bits: int = 3
-    row_bits: int = 16
-
-    @classmethod
-    def from_eru(cls, eru: EruConfig) -> "MechanismSpec":
-        return cls(planes=eru.planes, ewlr=eru.ewlr, rap=eru.rap,
-                   ddb=eru.ddb, ewlr_bits=eru.ewlr_bits,
-                   row_bits=eru.row_bits)
-
-    def to_eru(self) -> EruConfig:
-        return EruConfig(planes=self.planes, ewlr=self.ewlr,
-                         rap=self.rap, ddb=self.ddb,
-                         ewlr_bits=self.ewlr_bits,
-                         row_bits=self.row_bits)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
-
-
-@dataclass(frozen=True)
 class ConfigSpec:
     """One configuration factor: preset + mechanism + overrides.
 
@@ -106,7 +80,7 @@ class ConfigSpec:
     """
 
     preset: str = "ddr4_baseline"
-    mechanism: Optional[MechanismSpec] = None
+    mechanism: Optional[EruConfig] = None
     #: Extra positional arguments after the mechanism (JSON scalars
     #: only), e.g. ``("masa", args=(4,))`` for ``masa(4)``.
     args: Tuple = ()
@@ -116,10 +90,11 @@ class ConfigSpec:
     #: Re-derive the config at this bus frequency
     #: (:meth:`SystemConfig.at_frequency`).
     frequency_hz: Optional[float] = None
-    refresh_density: Optional[str] = None
-    refresh_policy: Optional[str] = None
-    #: Final display name override (applied last).
-    rename: Optional[str] = None
+    #: (SystemConfig field, JSON value) pairs applied last, e.g.
+    #: ``(("refresh_density", "8Gb"), ("name", "VSB+ref"))``.  A dict
+    #: value updates only the named sub-fields of a dataclass field:
+    #: ``(("queue", {"drain_high": 31, "drain_low": 30}),)``.
+    overrides: Tuple[Tuple[str, object], ...] = ()
     #: CPU-clock scale factor for this configuration's cells (Fig. 14
     #: scales the cores along with the channel).
     core_scale: float = 1.0
@@ -132,55 +107,66 @@ class ConfigSpec:
                              f"one of {sorted(PRESETS)}")
         pos: List[object] = []
         if self.mechanism is not None:
-            pos.append(self.mechanism.to_eru())
+            pos.append(self.mechanism)
         pos.extend(self.args)
         config = factory(*pos, **dict(self.kwargs))
         if self.frequency_hz is not None:
             config = config.at_frequency(self.frequency_hz)
-        overrides: Dict[str, object] = {}
-        if self.refresh_density is not None:
-            overrides["refresh_density"] = self.refresh_density
-        if self.refresh_policy is not None:
-            overrides["refresh_policy"] = self.refresh_policy
-        if self.rename is not None:
-            overrides["name"] = self.rename
-        if overrides:
-            config = replace(config, **overrides)
-        return config
+        if not self.overrides:
+            return config
+        changes = dict(self.overrides)
+        _reject_unknown(changes, SystemConfig, "override")
+        for name, value in changes.items():
+            current = getattr(config, name)
+            if isinstance(value, dict):
+                if not dataclasses.is_dataclass(current):
+                    raise ValueError(f"override {name!r} has no "
+                                     f"sub-fields to update")
+                _reject_unknown(value, type(current), f"{name} override")
+                changes[name] = replace(current, **value)
+            elif dataclasses.is_dataclass(current):
+                raise ValueError(f"override {name!r} takes an object "
+                                 f"of sub-fields")
+            elif isinstance(current, enum.Enum):
+                changes[name] = type(current)(value)
+        return replace(config, **changes)
 
     def to_dict(self) -> dict:
         """JSON form; also the spec digest's payload."""
         return {
             "preset": self.preset,
-            "mechanism": (self.mechanism.to_dict()
+            "mechanism": (cfgs.canonical(self.mechanism)
                           if self.mechanism else None),
             "args": list(self.args),
             "kwargs": [[k, v] for k, v in self.kwargs],
             "frequency_hz": self.frequency_hz,
-            "refresh_density": self.refresh_density,
-            "refresh_policy": self.refresh_policy,
-            "rename": self.rename,
+            "overrides": [[k, v] for k, v in self.overrides],
             "core_scale": self.core_scale,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConfigSpec":
-        """Parse :meth:`to_dict` output; unknown keys raise ValueError."""
+        """Parse :meth:`to_dict` output.
+
+        Unknown keys, presets and override names raise ValueError here,
+        at parse time, rather than when the grid expands.
+        """
         _reject_unknown(data, cls, "config")
         mech = data.get("mechanism")
         if mech:
-            _reject_unknown(mech, MechanismSpec, "mechanism")
-        return cls(
+            _reject_unknown(mech, EruConfig, "mechanism")
+        spec = cls(
             preset=data.get("preset", "ddr4_baseline"),
-            mechanism=MechanismSpec(**mech) if mech else None,
+            mechanism=EruConfig(**mech) if mech else None,
             args=tuple(data.get("args") or ()),
             kwargs=tuple((k, v) for k, v in (data.get("kwargs") or ())),
             frequency_hz=data.get("frequency_hz"),
-            refresh_density=data.get("refresh_density"),
-            refresh_policy=data.get("refresh_policy"),
-            rename=data.get("rename"),
+            overrides=tuple((k, v) for k, v
+                            in (data.get("overrides") or ())),
             core_scale=data.get("core_scale", 1.0),
         )
+        spec.to_config()
+        return spec
 
 
 @dataclass(frozen=True)
@@ -392,12 +378,9 @@ def load_spec(path: str) -> ExperimentSpec:
 # within each frequency).
 
 
-def _mech(eru: EruConfig) -> MechanismSpec:
-    return MechanismSpec.from_eru(eru)
-
-
-def _vsb(eru: EruConfig) -> ConfigSpec:
-    return ConfigSpec("vsb", mechanism=_mech(eru))
+def _vsb(eru: EruConfig, name: Optional[str] = None) -> ConfigSpec:
+    return ConfigSpec("vsb", mechanism=eru,
+                      overrides=(("name", name),) if name else ())
 
 
 def _base_fields(settings: ExperimentSettings, observe: bool) -> dict:
@@ -430,10 +413,8 @@ FIG12_CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
     _vsb(EruConfig.full(4)),
     ConfigSpec("bg32"),
     ConfigSpec("ideal32"),
-    ConfigSpec("paired_bank",
-               mechanism=_mech(EruConfig.full(4, ddb=False))),
-    ConfigSpec("paired_bank",
-               mechanism=_mech(EruConfig.full(4, ddb=True))),
+    ConfigSpec("paired_bank", mechanism=EruConfig.full(4, ddb=False)),
+    ConfigSpec("paired_bank", mechanism=EruConfig.full(4, ddb=True)),
 )
 
 #: Fig. 14 platforms (without the baseline), before frequency scaling.
@@ -489,7 +470,7 @@ def fig13_spec(settings: ExperimentSettings,
 def fig13_scheme(cs: ConfigSpec) -> str:
     """The :data:`FIG13_SCHEMES` label of one Fig. 13 sweep config."""
     return next(label for label, make in FIG13_SCHEMES
-                if _mech(make(cs.mechanism.planes)) == cs.mechanism)
+                if make(cs.mechanism.planes) == cs.mechanism)
 
 
 def fig14_spec(settings: ExperimentSettings,
@@ -537,8 +518,9 @@ def refresh_config_specs(
     base = refresh_platform_spec()
     base_name = base.to_config().name
     return tuple(
-        replace(base, refresh_density=density, refresh_policy=policy,
-                rename=f"{base_name}+ref-{policy}-{density}")
+        replace(base, overrides=(
+            ("refresh_density", density), ("refresh_policy", policy),
+            ("name", f"{base_name}+ref-{policy}-{density}")))
         for density in densities
         for policy in REFRESH_POLICIES)
 
@@ -554,6 +536,64 @@ def figref_spec(settings: ExperimentSettings,
         **_base_fields(settings, observe))
 
 
+#: The mix every ablation arm replays.
+ABLATION_MIX = "mix0"
+
+#: The design choices DESIGN.md calls worth ablating: sweep -> arms,
+#: each arm named by its label.
+ABLATION_SWEEPS: Dict[str, Tuple[ConfigSpec, ...]] = {
+    # Fig. 9's two plane-ID mappings, with and without RAP.
+    "plane": tuple(
+        _vsb(EruConfig(rap=rap, plane_placement=placement),
+             name=f"rap={rap},plane={placement.value}")
+        for rap in (False, True)
+        for placement in (PlanePlacement.LSB, PlanePlacement.MSB)),
+    # Sub-bank ID among the low address bits (Fig. 9), or parked high.
+    "subbank": tuple(
+        _vsb(EruConfig(subbank_low=low), name=f"subbank_low={low}")
+        for low in (True, False)),
+    # Write-drain watermarks on the baseline.
+    "drain": tuple(
+        ConfigSpec(overrides=(
+            ("queue", {"drain_high": high, "drain_low": low}),
+            ("name", f"drain {high}/{low}")))
+        for high, low in ((24, 8), (31, 30), (9, 8))),
+    # Pure open page vs adaptive idle-close at three thresholds.
+    "page": tuple(
+        ConfigSpec(overrides=(("idle_close_ps", idle), ("name", label)))
+        for label, idle in (("open page", None),
+                            ("close@100ns", 100_000),
+                            ("close@400ns", 400_000),
+                            ("close@1600ns", 1_600_000))),
+    # The DDB guard windows at 2.4 GHz, where they bind.
+    "ddb": tuple(
+        ConfigSpec("vsb", mechanism=EruConfig(ddb_windows=on),
+                   frequency_hz=2.4e9,
+                   overrides=(("name", f"tTCW {'on' if on else 'off'}"),))
+        for on in (True, False)),
+}
+
+
+def ablation_spec(settings: ExperimentSettings,
+                  observe: bool = False) -> ExperimentSpec:
+    """Every :data:`ABLATION_SWEEPS` arm on :data:`ABLATION_MIX` (no
+    weighted speedup, so no alone cells; ``settings.mixes`` is
+    ignored)."""
+    fields = _base_fields(settings, observe)
+    fields["mixes"] = (ABLATION_MIX,)
+    return ExperimentSpec(
+        name="ablation",
+        configs=tuple(cs for arms in ABLATION_SWEEPS.values()
+                      for cs in arms),
+        include_alone=False, **fields)
+
+
+def ablation_sweep(cs: ConfigSpec) -> str:
+    """The :data:`ABLATION_SWEEPS` key of one ablation arm."""
+    return next(sweep for sweep, arms in ABLATION_SWEEPS.items()
+                if cs in arms)
+
+
 #: ``repro run <name>`` / ``repro cells <name>`` resolve through this:
 #: each builder takes (settings, observe=...) and returns the figure's
 #: full grid spec.
@@ -564,6 +604,7 @@ NAMED_SPECS: Dict[str, Callable[..., ExperimentSpec]] = {
     "fig15": fig15_spec,
     "fig16": fig16_spec,
     "figref": figref_spec,
+    "ablation": ablation_spec,
 }
 
 

@@ -23,8 +23,8 @@ results:
   identical deterministic payload, and a new unobserved write never
   drops an existing entry's accounting sidecar.
 * **Counters** -- hits / misses / puts / evictions -- are kept per
-  store and aggregated process-wide (``repro stats`` prints the
-  aggregate); ``repro gc`` prunes stale versions and old entries.
+  store (:attr:`ResultStore.counters`); ``repro gc`` prunes stale
+  versions and old entries.
 
 Set ``REPRO_CACHE_DIR`` to relocate the store (tests run against a
 throwaway directory); delete the directory to invalidate everything.
@@ -40,7 +40,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.controller.controller import ControllerStats
 from repro.cpu.core import CoreConfig
@@ -219,26 +219,12 @@ def restore_result(payload: dict) -> SimulationResult:
 
 @dataclass
 class StoreCounters:
-    """Hit/miss/put/evict tallies for one store (and the process)."""
+    """Hit/miss/put/evict tallies for one store."""
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts, "evictions": self.evictions}
-
-
-#: Process-wide aggregate over every :class:`ResultStore` instance,
-#: surfaced by ``repro stats`` next to the trace-memo counters.
-GLOBAL_COUNTERS = StoreCounters()
-
-
-def store_counter_stats() -> Dict[str, int]:
-    """This process's aggregate store counters (``repro stats``)."""
-    return GLOBAL_COUNTERS.as_dict()
 
 
 # -- the store ---------------------------------------------------------------
@@ -334,9 +320,9 @@ class ResultStore:
         """
         result = self._restore(key, need_accounting)
         if result is None:
-            self._miss()
+            self.counters.misses += 1
         else:
-            self._hit()
+            self.counters.hits += 1
         return result
 
     def contains(self, key: str, need_accounting: bool = False) -> bool:
@@ -392,7 +378,6 @@ class ResultStore:
                 entry["key"] = existing["key"]
         self._write(key, entry)
         self.counters.puts += 1
-        GLOBAL_COUNTERS.puts += 1
 
     def _write(self, key: str, entry: dict) -> None:
         path = self.path_for(key)
@@ -451,14 +436,3 @@ class ResultStore:
         report.removed += 1
         report.freed_bytes += size
         self.counters.evictions += 1
-        GLOBAL_COUNTERS.evictions += 1
-
-    # -- counter plumbing ---------------------------------------------
-
-    def _hit(self) -> None:
-        self.counters.hits += 1
-        GLOBAL_COUNTERS.hits += 1
-
-    def _miss(self) -> None:
-        self.counters.misses += 1
-        GLOBAL_COUNTERS.misses += 1

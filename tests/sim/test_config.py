@@ -42,6 +42,19 @@ class TestStoreIdentity:
     def test_config_digest_is_pinned(self, factory, digest):
         assert factory().digest() == digest
 
+    @pytest.mark.parametrize("field,value", [
+        ("plane_placement", "lsb"),
+        ("subbank_low", False),
+        ("ddb_windows", False),
+    ])
+    def test_ablation_field_off_default_moves_the_digest(self, field,
+                                                         value):
+        """An ablation arm must never be served a figure cell's entry."""
+        from dataclasses import replace
+        base = vsb()
+        arm = replace(base, eru=replace(base.eru, **{field: value}))
+        assert arm.digest() != base.digest()
+
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
         assert CACHE_VERSION == 4
@@ -101,6 +114,28 @@ class TestVsb:
         geo = vsb().bank_geometry()
         assert geo.subbanks == 2
         assert geo.subarray_groups == 1
+
+
+class TestAblationFields:
+    """The three :class:`EruConfig` ablation fields reach the system."""
+
+    def test_plane_placement_overrides_fig9(self):
+        from repro.controller.mapping import PlanePlacement
+        eru = EruConfig(plane_placement="lsb")  # JSON name accepted
+        assert eru.plane_placement is PlanePlacement.LSB
+        layout = vsb(eru).mapping().row_layout
+        assert layout.plane_placement is PlanePlacement.LSB
+        with pytest.raises(ValueError):
+            EruConfig(plane_placement="middle")
+
+    def test_subbank_low_reaches_the_mapping(self):
+        assert vsb().mapping().config.subbank_low
+        mapping = vsb(EruConfig(subbank_low=False)).mapping()
+        assert not mapping.config.subbank_low
+
+    def test_ddb_windows_off_drops_the_guard(self):
+        t = vsb(EruConfig(ddb_windows=False)).timing()
+        assert t.tTCW == 0 and t.tTWTRW == 0
 
 
 class TestPairedBank:
@@ -216,8 +251,8 @@ class TestSarpDegradationSurfaced:
         spec = ExperimentSpec(
             name="sarp", mixes=("mix0",), accesses_per_core=200,
             include_alone=False, observe=True,
-            configs=(ConfigSpec(refresh_density="8Gb",
-                                refresh_policy="sarp"),))
+            configs=(ConfigSpec(overrides=(("refresh_density", "8Gb"),
+                                           ("refresh_policy", "sarp"))),))
         with pytest.warns(UserWarning, match="degrades"):
             rs, _ = run_spec(spec, store=ResultStore(str(tmp_path)))
         (path,) = emit_stats_sidecars(rs, str(tmp_path / "sidecars"))

@@ -170,7 +170,8 @@ def test_cache_key_includes_full_config_digest(tmp_path):
     run_spec(BASELINE_SPEC, store=store)
     assert len(store) == 5  # four alone cells + the mix cell
     refreshed_alone = replace(BASELINE_SPEC, alone=ConfigSpec(
-        refresh_density="8Gb", refresh_policy="darp"))
+        overrides=(("refresh_density", "8Gb"),
+                   ("refresh_policy", "darp"))))
     _, report = run_spec(refreshed_alone, store=store)
     assert (report.store_hits, report.submitted) == (1, 4)
     assert len(store) == 9

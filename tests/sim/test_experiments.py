@@ -14,6 +14,7 @@ from repro.sim import parallel
 from repro.sim.config import ddr4_baseline, vsb
 from repro.sim.experiments import FIGURE_REDUCERS, run_figure
 from repro.sim.parallel import SimJob
+from repro.sim.pinning import pinned_settings
 from repro.sim.runner import run_spec
 from repro.sim.specs import (
     FIG12_CONFIG_SPECS,
@@ -184,6 +185,46 @@ class TestFigref:
         assert {p.density for p in points} == {"16Gb"}
         assert len({p.policy for p in points}) == len(points) > 1
         assert all(p.normalized_ws > 0 for p in points)
+
+
+class TestAblation:
+    """The ablation bench's shape claims, held at the pinned scale.
+
+    Measured there: EWLR-alone hit rate 0.0075 (LSB) vs 0.0010 (MSB);
+    drain 24/8 at 0.988 of the best watermark; page-policy spread
+    1.081; tTCW on/off 0.999.
+    """
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_CACHE_DIR",
+                      str(tmp_path_factory.mktemp("ablation")))
+            sweeps, _ = run_figure("ablation", pinned_settings())
+        return sweeps
+
+    @staticmethod
+    def _ipc(result) -> float:
+        return sum(result.ipcs)
+
+    def test_ewlr_alone_hits_need_lsb_plane_bits(self, sweeps):
+        plane = sweeps["plane"]
+        assert (plane["rap=False,plane=lsb"].ewlr_hit_rate
+                >= plane["rap=False,plane=msb"].ewlr_hit_rate)
+
+    def test_default_drain_watermarks_near_the_best(self, sweeps):
+        ipcs = [self._ipc(r) for r in sweeps["drain"].values()]
+        assert self._ipc(sweeps["drain"]["drain 24/8"]) > 0.8 * max(ipcs)
+
+    def test_page_policies_in_one_league(self, sweeps):
+        ipcs = [self._ipc(r) for r in sweeps["page"].values()]
+        assert len(ipcs) == 4
+        assert max(ipcs) / min(ipcs) < 1.3
+
+    def test_ddb_guard_costs_little(self, sweeps):
+        ratio = (self._ipc(sweeps["ddb"]["tTCW on"])
+                 / self._ipc(sweeps["ddb"]["tTCW off"]))
+        assert 0.85 <= ratio <= 1.02
 
 
 class TestRunFigure:

@@ -18,7 +18,6 @@ from repro.sim.parallel import (
     _job_cost,
     grid_min_cost,
     run_grid,
-    trace_memo_stats,
 )
 
 
@@ -112,15 +111,13 @@ class TestTraceMemo:
     def test_oldest_half_eviction(self, monkeypatch):
         monkeypatch.setattr(parallel, "TRACE_MEMO_CAPACITY", 4)
         monkeypatch.setattr(parallel, "_trace_memo", {})
-        monkeypatch.setattr(parallel, "_trace_memo_evictions", 0)
         for seed in range(6):
             parallel._job_traces(_job(accesses=8, mix=None,
                                       benchmark="mcf", seed=seed))
-        stats = trace_memo_stats()
-        assert stats["evictions"] >= 1
-        assert stats["size"] <= 4
-        # The newest entries survive the sweep.
         memo_keys = list(parallel._trace_memo)
+        assert len(memo_keys) <= 4
+        # The oldest entries were swept; the newest survive.
+        assert all(key[4] != 0 for key in memo_keys)
         assert any(key[4] == 5 for key in memo_keys)
 
     def test_memo_hit_returns_same_object(self, monkeypatch):

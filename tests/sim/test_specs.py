@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.controller.queue import QueueConfig
 from repro.core.mechanisms import EruConfig
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
@@ -18,7 +19,6 @@ from repro.sim.specs import (
     ConfigSpec,
     ExperimentSettings,
     ExperimentSpec,
-    MechanismSpec,
     fig12_spec,
     fig13_spec,
     fig14_spec,
@@ -101,12 +101,46 @@ def test_reps_extend_seeds_without_duplicates():
 def test_config_spec_materializes_the_preset_exactly():
     assert ConfigSpec("ddr4_baseline").to_config() == \
         cfgs.ddr4_baseline()
-    mech = MechanismSpec.from_eru(EruConfig.full(4))
-    assert ConfigSpec("vsb", mechanism=mech).to_config() == cfgs.vsb()
+    assert ConfigSpec("vsb", mechanism=EruConfig.full(4)).to_config() == \
+        cfgs.vsb()
     assert ConfigSpec("masa", args=(8,)).to_config() == cfgs.masa(8)
     assert ConfigSpec("masa_eruca", args=(8,),
                       kwargs=(("ddb", False),)).to_config() == \
         cfgs.masa_eruca(8, ddb=False)
+
+
+def test_overrides_set_fields_and_update_sub_fields():
+    cs = ConfigSpec(overrides=(
+        ("idle_close_ps", 400_000),
+        ("queue", {"drain_high": 31, "drain_low": 30}),
+        ("name", "drain 31/30")))
+    config = cs.to_config()
+    assert config.idle_close_ps == 400_000
+    assert config.name == "drain 31/30"
+    # Only the named sub-fields move; the depths keep their defaults.
+    assert config.queue == QueueConfig(drain_high=31, drain_low=30)
+
+
+def test_unknown_override_names_fail_with_one_line():
+    for overrides in ((("refresh_densty", "8Gb"),),
+                      (("queue", {"drain_hi": 31}),),
+                      (("idle_close_ps", {"ps": 1}),),
+                      (("queue", 31),),
+                      (("organization", "vsbb"),)):
+        with pytest.raises(ValueError) as err:
+            ConfigSpec(overrides=overrides).to_config()
+        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="drain_hi"):
+        ConfigSpec(overrides=(("queue", {"drain_hi": 31}),)).to_config()
+
+
+def test_ablation_fields_round_trip_through_json():
+    spec = NAMED_SPECS["ablation"](SETTINGS)
+    again = ExperimentSpec.from_json(spec.to_json())
+    assert again == spec
+    assert again.expand() == spec.expand()
+    # Defaults stay out of the JSON, as they stay out of the digest.
+    assert "subbank_low" not in json.dumps(fig12_spec(SETTINGS).to_dict())
 
 
 def test_unknown_preset_rejected():

@@ -84,12 +84,15 @@ class TestExecution:
     @pytest.mark.parametrize("command", ["run", "cells"])
     def test_bad_spec_file_is_a_one_line_error(self, command, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text('{"name": "s", "configs": [{"preset": "vsb", '
-                        '"refresh_densty": "16Gb"}], "mixes": ["mix0"]}')
-        with pytest.raises(SystemExit) as err:
-            main([command, str(path)])
-        message = str(err.value.code)
-        assert "\n" not in message and "refresh_densty" in message
+        for typo, config in (
+                ("refresh_densty", '"refresh_densty": "16Gb"'),
+                ("drain_hi", '"overrides": [["queue", {"drain_hi": 3}]]')):
+            path.write_text('{"name": "s", "configs": [{"preset": "vsb", '
+                            + config + '}], "mixes": ["mix0"]}')
+            with pytest.raises(SystemExit) as err:
+                main([command, str(path)])
+            message = str(err.value.code)
+            assert "\n" not in message and typo in message
 
 
 class TestObservability:
