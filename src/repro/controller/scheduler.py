@@ -314,26 +314,32 @@ class RefreshScheduler:
         #: Scopes still owed a refresh this round, deadline order.
         self.rotation = list(scopes)
         channel.resources.init_refresh_schedule(self.period)
-        #: Memoised (bank, sub-bank) pairs with schedulable demand;
+        #: The row slots each scope covers (a bank's slots are fixed
+        #: objects for the channel's lifetime), so the opportunistic
+        #: scan tests "any row open in scope" without building a list.
+        self._scope_slots = {
+            (b, s): tuple(slot for key, slot
+                          in channel.banks[b].slots.items()
+                          if s < 0 or key[0] == s)
+            for b, s in scopes if b >= 0}
+        #: Memoised scopes with schedulable demand: every busy
+        #: (bank, sub-bank) pair plus its ``(bank, -1)`` per-bank scope,
+        #: so one set lookup answers both DARP and SARP scopes.
         #: ``None`` = stale (queue membership changed since computed).
         self._busy: Optional[Set[Tuple[int, int]]] = None
 
     # -- internals ---------------------------------------------------------
 
-    def _busy_pairs(self) -> Set[Tuple[int, int]]:
+    def _busy_scopes(self) -> Set[Tuple[int, int]]:
         busy = self._busy
         if busy is None:
-            busy = {(txn.bank_index, txn.coords.subbank)
-                    for txn in self.queues.schedulable()}
+            busy = set()
+            for txn in self.queues.schedulable():
+                bank_index = txn.bank_index
+                busy.add((bank_index, txn.coords.subbank))
+                busy.add((bank_index, -1))
             self._busy = busy
         return busy
-
-    def _scope_idle(self, scope: Tuple[int, int],
-                    busy: Set[Tuple[int, int]]) -> bool:
-        bank_index, subbank = scope
-        if subbank >= 0:
-            return (bank_index, subbank) not in busy
-        return not any(b == bank_index for b, _ in busy)
 
     def _chain(self, now: int, scope: Tuple[int, int],
                clamp: int) -> Candidate:
@@ -369,24 +375,25 @@ class RefreshScheduler:
     def _opportunistic(self, now: int) -> Optional[Candidate]:
         """DARP/SARP pull-in: refresh the oldest-owed scope that has no
         pending demand and no open rows (no closes ever race demand)."""
-        busy = self._busy_pairs()
-        channel = self.channel
-        clamp = channel.resources.ref_due - self.defer_slack
+        busy = self._busy_scopes()
+        scope_slots = self._scope_slots
         for scope in self.rotation:
-            if not self._scope_idle(scope, busy):
+            if scope in busy:
                 continue
-            bank_index, subbank = scope
-            if channel.refresh_scope_open(bank_index, subbank):
-                continue
-            t = channel.earliest_refresh(bank_index, subbank)
-            if t < clamp:
-                t = clamp
-            if t < now:
-                t = now
-            kind = (CommandKind.REF if bank_index < 0
-                    else CommandKind.REFPB)
-            return Candidate(t, PRIO_REFRESH, None, kind,
-                             victim=(bank_index, (subbank, -1)))
+            for slot in scope_slots[scope]:
+                if slot.active_row is not None:
+                    break
+            else:
+                bank_index, subbank = scope
+                channel = self.channel
+                t = channel.earliest_refresh(bank_index, subbank)
+                clamp = channel.resources.ref_due - self.defer_slack
+                if t < clamp:
+                    t = clamp
+                if t < now:
+                    t = now
+                return Candidate(t, PRIO_REFRESH, None, CommandKind.REFPB,
+                                 victim=(bank_index, (subbank, -1)))
         return None
 
     # -- scheduler-facing --------------------------------------------------
@@ -397,19 +404,29 @@ class RefreshScheduler:
 
         Called once per peek while the queues are non-empty.
         """
-        due = self.channel.resources.ref_due
+        resources = self.channel.resources
+        due = resources.ref_due
         if self.policy == "baseline":
             if demand is not None and demand.issue_time < due:
                 return demand
             return self._chain(now, self.rotation[0], due)
-        forced_at = due + self.defer_slack
-        if demand is None or demand.issue_time >= forced_at:
+        if demand is None or demand.issue_time >= due + self.defer_slack:
             # Out of slack: the oldest owed scope refreshes now, closing
             # rows over demand if it must.
             return self._chain(now, self.rotation[0], due - self.defer_slack)
+        # Every opportunistic candidate issues no earlier than the
+        # pull-in bound, ``now`` and the command bus (earliest_refresh
+        # starts from it), and PRIO_REFRESH loses exact ties: a demand
+        # at or before that bound wins without scanning the scopes.
+        bound = due - self.defer_slack
+        if now > bound:
+            bound = now
+        if resources.cmd_bus_free > bound:
+            bound = resources.cmd_bus_free
+        if demand.issue_time <= bound:
+            return demand
         cand = self._opportunistic(now)
-        if cand is not None and (cand.issue_time, cand.priority) < \
-                (demand.issue_time, demand.priority):
+        if cand is not None and cand.issue_time < demand.issue_time:
             return cand
         return demand
 

@@ -17,12 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.mapping import RowLayout
-from repro.controller.scheduler import REFRESH_POLICIES
-from repro.controller.transaction import DramCoordinates
+from repro.controller.queue import QueueConfig, TransactionQueues
+from repro.controller.scheduler import (
+    PRIO_ACT,
+    REFRESH_POLICIES,
+    Candidate,
+    RefreshScheduler,
+    Scheduler,
+)
+from repro.controller.transaction import (
+    DramCoordinates,
+    Transaction,
+    TransactionKind,
+)
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.bank import NEVER, BankGeometry
-from repro.dram.commands import PrechargeCause
+from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.resources import (
     FLOOR_BUS,
@@ -43,7 +54,10 @@ from repro.dram.validation import (
 )
 from repro.sim import config as cfgs
 from repro.sim.accounting import StallBucket
+from repro.sim.pinning import PINNED_FIGREF_DENSITIES, pinned_settings
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
+from repro.sim.specs import figref_spec
+from repro.workloads.mixes import mix_traces
 
 T = ddr4_timings()
 RT = T.replace(**ddr4_refresh_overrides("8Gb"))
@@ -315,6 +329,108 @@ class TestSystemRefresh:
         result = run_traces(cfgs.vsb(), traces)
         assert PrechargeCause.REFRESH not in result.precharge_causes \
             or result.precharge_causes[PrechargeCause.REFRESH] == 0
+
+
+def _scan_winner(refresh, now, demand):
+    """The DARP/SARP pull-in decision with the scope scan always run:
+    the opportunistic candidate wins only if it sorts strictly first."""
+    cand = refresh._opportunistic(now)
+    if cand is not None and (cand.issue_time, cand.priority) < \
+            (demand.issue_time, demand.priority):
+        return cand
+    return demand
+
+
+class TestArbitrationEarlyOut:
+    """``RefreshScheduler.arbitrate`` answers a DARP/SARP peek without
+    scanning the scopes when the demand issues no later than every
+    possible refresh candidate; the answer must be the full scan's."""
+
+    @staticmethod
+    def pull_in(policy="darp"):
+        """Both sub-banks of bank 0 hold demand and bank 1 has just
+        closed a row in sub-bank 0, so (a sub-bank of) bank 1 heads the
+        idle scopes and its REFpb can issue no earlier than that row's
+        ``tRP``/``tRC`` horizon -- strictly after the early-out bound.
+        Returns (refresh machine, a bank-0 txn, that horizon)."""
+        channel = vsb_channel()
+        queues = TransactionQueues(QueueConfig())
+        scheduler = Scheduler(channel, queues, refresh_policy=policy)
+        closed = coords(bank=1, row=7)
+        channel.issue_act(closed, channel.earliest_act(closed))
+        slot = channel.bank(closed).slot_key(0, 7)
+        channel.issue_precharge(1, slot, channel.earliest_precharge(1, slot),
+                                PrechargeCause.ROW_CONFLICT)
+        for subbank in (0, 1):
+            txn = Transaction(TransactionKind.READ, 0,
+                              coords(bank=0, subbank=subbank, row=3))
+            queues.enqueue(txn, 0)
+            scheduler.note_enqueue(txn)
+        t_ref = channel.earliest_refresh(1)
+        assert t_ref > channel.resources.cmd_bus_free
+        return scheduler.refresh, txn, t_ref
+
+    @staticmethod
+    def demand(txn, issue_time):
+        return Candidate(issue_time, PRIO_ACT, txn, CommandKind.ACT,
+                         seq=txn.seq, arrival=txn.arrival_time)
+
+    @pytest.mark.parametrize("policy", ("darp", "sarp"))
+    def test_strictly_earlier_refresh_wins(self, policy):
+        refresh, txn, t_ref = self.pull_in(policy)
+        winner = refresh.arbitrate(0, self.demand(txn, t_ref + 1))
+        assert winner.kind is CommandKind.REFPB
+        assert winner.issue_time == t_ref
+        assert winner.victim[0] == 1
+
+    @pytest.mark.parametrize("policy", ("darp", "sarp"))
+    def test_exact_tie_goes_to_the_demand(self, policy):
+        refresh, txn, t_ref = self.pull_in(policy)
+        demand = self.demand(txn, t_ref)
+        assert refresh.arbitrate(0, demand) is demand
+        # The full scan agrees: the candidate exists and ties exactly.
+        assert refresh._opportunistic(0).issue_time == t_ref
+        assert _scan_winner(refresh, 0, demand) is demand
+
+    @pytest.mark.parametrize("incremental", (False, True),
+                             ids=("reference", "incremental"))
+    def test_early_out_matches_the_full_scan_on_pinned_cells(
+            self, incremental, monkeypatch):
+        """Every DARP/SARP peek of the pinned figref cells, on both
+        selection paths, also computes the full scan's answer."""
+        arbitrate = RefreshScheduler.arbitrate
+        opportunistic = RefreshScheduler._opportunistic
+        scans = [0]
+        seen = {"skipped": 0, "scanned": 0, "refresh": 0}
+
+        def counting(self, now):
+            scans[0] += 1
+            return opportunistic(self, now)
+
+        def checked(self, now, demand):
+            before = scans[0]
+            winner = arbitrate(self, now, demand)
+            if demand is None or demand.issue_time >= \
+                    self.channel.resources.ref_due + self.defer_slack:
+                return winner  # forced refresh: no pull-in decision
+            seen["scanned" if scans[0] > before else "skipped"] += 1
+            assert winner == _scan_winner(self, now, demand)
+            seen["refresh"] += winner is not demand
+            return winner
+
+        monkeypatch.setattr(RefreshScheduler, "_opportunistic", counting)
+        monkeypatch.setattr(RefreshScheduler, "arbitrate", checked)
+        spec = figref_spec(pinned_settings(), PINNED_FIGREF_DENSITIES)
+        cells = [c for c in spec.expand() if c.kind == "mix"
+                 and c.config.refresh_policy in ("darp", "sarp")]
+        assert len(cells) == 8
+        for cell in cells:
+            traces = mix_traces(cell.workload, cell.accesses,
+                                fragmentation=cell.fragmentation,
+                                seed=cell.seed)
+            run_traces(replace(cell.config, incremental=incremental),
+                       traces, core_config=cell.core_config)
+        assert min(seen.values()) > 0, seen
 
 
 @settings(max_examples=10, deadline=None)
