@@ -164,9 +164,8 @@ class ChannelController:
             self.scheduler.note_bank_change(bank_index)
             self.stats.precharges += 1
             if obs is not None:
-                obs.on_command(candidate, floors, ewlr_hit=False,
-                               partial=partial,
-                               queue_empty_after=not self.queues.pending())
+                obs.on_command(candidate, floors, False, partial,
+                               not self.queues.pending())
             return []
         if kind is _REF or kind is _REFPB:
             bank_index, slot = candidate.victim
@@ -179,9 +178,8 @@ class ChannelController:
             self.scheduler.refresh.note_refresh(candidate)
             self.stats.refreshes += 1
             if obs is not None:
-                obs.on_command(candidate, floors, ewlr_hit=False,
-                               partial=False,
-                               queue_empty_after=not self.queues.pending())
+                obs.on_command(candidate, floors, False, False,
+                               not self.queues.pending())
             return []
         c = txn.coords
         if kind is _ACT:
@@ -191,9 +189,8 @@ class ChannelController:
             if ewlr_hit:
                 self.stats.ewlr_hits += 1
             if obs is not None:
-                obs.on_command(candidate, floors, ewlr_hit=ewlr_hit,
-                               partial=False,
-                               queue_empty_after=not self.queues.pending())
+                obs.on_command(candidate, floors, ewlr_hit, False,
+                               not self.queues.pending())
             return []
         is_write = kind is _WR
         data_end = self.channel.issue_column(c, time, is_write)
@@ -204,7 +201,6 @@ class ChannelController:
         if txn.is_read:
             self.stats.read_latencies.add(txn.queueing_latency)
         if obs is not None:
-            obs.on_command(candidate, floors, ewlr_hit=False,
-                           partial=False,
-                           queue_empty_after=not self.queues.pending())
+            obs.on_command(candidate, floors, False, False,
+                           not self.queues.pending())
         return [txn]

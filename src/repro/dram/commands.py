@@ -69,6 +69,12 @@ class PrechargeCause(enum.Enum):
     #: slot in its scope precharged first.
     REFRESH = "refresh"
 
+    #: Members are singletons compared by identity, so identity hashing
+    #: is consistent; it keeps the per-precharge cause counters from
+    #: calling ``Enum.__hash__`` (a Python-level function).  No set of
+    #: members is ever iterated: dicts keep insertion order regardless.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Command:

@@ -199,38 +199,41 @@ class Channel:
     # command is issued (they read pre-issue state) and exist only for
     # observability -- the scheduler never calls them.
 
-    def _refresh_floors(self, bank_index: int, subbank: int) -> list:
-        """The (possibly empty) refresh-blackout floor for one slot."""
+    def _with_bank_floors(self, floors: list, bank_index: int,
+                          subbank: int, bank_floor: int) -> list:
+        """Append the bank FSM floor and, with refresh on, the refresh
+        blackout over (bank, sub-bank) to a channel-side decomposition."""
+        floors.append((FLOOR_BANK, bank_floor))
         ru = self.resources.ref_until
-        if ru is None:
-            return []
-        return [(FLOOR_REFRESH, ru[bank_index][subbank])]
+        if ru is not None:
+            floors.append((FLOOR_REFRESH, ru[bank_index][subbank]))
+        return floors
 
     def explain_act(self, coords: DramCoordinates) -> list:
         """Tagged floors of :meth:`earliest_act` for these coordinates."""
-        bank = self.bank(coords)
-        return self.resources.act_floors() + [
-            (FLOOR_BANK, bank.earliest_act(coords.subbank, coords.row))
-        ] + self._refresh_floors(self.bank_index(coords), coords.subbank)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        return self._with_bank_floors(
+            self.resources.act_floors(), bank_index, coords.subbank,
+            self.banks[bank_index].earliest_act(coords.subbank,
+                                                coords.row))
 
     def explain_column(self, coords: DramCoordinates,
                        is_write: bool) -> list:
         """Tagged floors of :meth:`earliest_column`."""
-        bank = self.bank(coords)
-        bank_index = self.bank_index(coords)
-        return self.resources.column_floors(
-            is_write, coords.bank_group, bank_index) + [
-            (FLOOR_BANK,
-             bank.earliest_column(coords.subbank, coords.row, is_write))
-        ] + self._refresh_floors(bank_index, coords.subbank)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        return self._with_bank_floors(
+            self.resources.column_floors(is_write, coords.bank_group,
+                                         bank_index),
+            bank_index, coords.subbank,
+            self.banks[bank_index].earliest_column(
+                coords.subbank, coords.row, is_write))
 
     def explain_precharge(self, bank_index: int, slot: SlotKey,
                           cancel: bool = False) -> list:
         """Tagged floors of :meth:`earliest_precharge`."""
-        return self.resources.precharge_floors() + [
-            (FLOOR_BANK,
-             self.banks[bank_index].earliest_precharge(slot, cancel))
-        ] + self._refresh_floors(bank_index, slot[0])
+        return self._with_bank_floors(
+            self.resources.precharge_floors(), bank_index, slot[0],
+            self.banks[bank_index].earliest_precharge(slot, cancel))
 
     # -- committed issues --------------------------------------------------
 

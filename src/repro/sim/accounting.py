@@ -101,31 +101,53 @@ class StallBucket(enum.Enum):
     TFAW = "tfaw"
     BUS = "bus"
 
+    #: Members are singletons compared by identity, so identity hashing
+    #: is consistent; it keeps the per-command bucket updates from
+    #: calling ``Enum.__hash__`` (a Python-level function).  No set of
+    #: members is ever iterated: dicts keep insertion order regardless.
+    __hash__ = object.__hash__
 
-#: Floor-tag (from :mod:`repro.dram.resources` / ``Channel.explain_*``)
-#: to bucket mapping.
-_FLOOR_BUCKETS = {
-    res.FLOOR_BUS: StallBucket.BUS,
-    res.FLOOR_CCD_WTR_LONG: StallBucket.CCD_WTR_LONG,
-    res.FLOOR_DDB_WINDOW: StallBucket.DDB_WINDOW,
-    res.FLOOR_TRRD: StallBucket.TRRD,
-    res.FLOOR_TFAW: StallBucket.TFAW,
-    res.FLOOR_BANK: StallBucket.BANK_BUSY,
-    res.FLOOR_REFRESH: StallBucket.REFRESH,
-}
 
-#: Tie-break order among floors releasing at the same time: prefer the
-#: mechanism-specific explanation over the generic bus.  A refresh
+#: Floor tags (from :mod:`repro.dram.resources` / ``Channel.explain_*``)
+#: in tie-break order: among floors releasing at the same time, prefer
+#: the mechanism-specific explanation over the generic bus.  A refresh
 #: blackout is the most specific of all -- when it ties with a bank
 #: floor the bank was busy *because* of the refresh.
-_FLOOR_PRIORITY = {
-    StallBucket.REFRESH: 0,
-    StallBucket.DDB_WINDOW: 1,
-    StallBucket.CCD_WTR_LONG: 2,
-    StallBucket.TFAW: 3,
-    StallBucket.TRRD: 4,
-    StallBucket.BANK_BUSY: 5,
-    StallBucket.BUS: 6,
+_FLOOR_ORDER = (
+    (res.FLOOR_REFRESH, StallBucket.REFRESH),
+    (res.FLOOR_DDB_WINDOW, StallBucket.DDB_WINDOW),
+    (res.FLOOR_CCD_WTR_LONG, StallBucket.CCD_WTR_LONG),
+    (res.FLOOR_TFAW, StallBucket.TFAW),
+    (res.FLOOR_TRRD, StallBucket.TRRD),
+    (res.FLOOR_BANK, StallBucket.BANK_BUSY),
+    (res.FLOOR_BUS, StallBucket.BUS),
+)
+#: Floor tag -> (tie-break rank, bucket); ranked once, lower rank wins.
+_FLOOR_RANK = {tag: (rank, bucket)
+               for rank, (tag, bucket) in enumerate(_FLOOR_ORDER)}
+
+# Enum members the per-command path reads, bound as module globals:
+# loading a member off an Enum class costs several global loads.
+_ACT, _RD, _WR = CommandKind.ACT, CommandKind.RD, CommandKind.WR
+_PRE, _PRE_PARTIAL = CommandKind.PRE, CommandKind.PRE_PARTIAL
+_REF, _REFPB = CommandKind.REF, CommandKind.REFPB
+_CAUSE_ROW = PrechargeCause.ROW_CONFLICT
+_CAUSE_PLANE = PrechargeCause.PLANE_CONFLICT
+_CAUSE_POLICY = PrechargeCause.POLICY
+_CAUSE_REFRESH = PrechargeCause.REFRESH
+_ISSUE = StallBucket.ISSUE
+_QUEUE_EMPTY = StallBucket.QUEUE_EMPTY
+_REQUEST_GAP = StallBucket.REQUEST_GAP
+_REFRESH = StallBucket.REFRESH
+_DDB_WINDOW = StallBucket.DDB_WINDOW
+
+#: Precharge cause -> the bucket its gap is charged to (a plane
+#: conflict files as ``ewlr_miss`` on EWLR organisations instead).
+_CAUSE_BUCKETS = {
+    PrechargeCause.ROW_CONFLICT: StallBucket.ROW_CONFLICT,
+    PrechargeCause.PLANE_CONFLICT: StallBucket.PLANE_CONFLICT,
+    PrechargeCause.POLICY: StallBucket.POLICY_CLOSE,
+    PrechargeCause.REFRESH: StallBucket.REFRESH,
 }
 
 
@@ -136,13 +158,13 @@ def binding_floor(floors: List[Tuple[str, int]]
     ``floors`` is the ``Channel.explain_*`` decomposition: (tag, time)
     pairs whose max equals the command's earliest legal issue time.
     """
-    best_bucket, best_time = StallBucket.BUS, None
+    best_bucket, best_time, best_rank = StallBucket.BUS, None, 0
     for tag, time in floors:
-        bucket = _FLOOR_BUCKETS[tag]
-        if (best_time is None or time > best_time
-                or (time == best_time and _FLOOR_PRIORITY[bucket]
-                    < _FLOOR_PRIORITY[best_bucket])):
-            best_bucket, best_time = bucket, time
+        if best_time is None or time >= best_time:
+            rank, bucket = _FLOOR_RANK[tag]
+            if (best_time is None or time > best_time
+                    or rank < best_rank):
+                best_bucket, best_time, best_rank = bucket, time, rank
     return best_bucket, best_time if best_time is not None else 0
 
 
@@ -246,6 +268,9 @@ class ChannelAccounting:
         self.tCK = tCK
         #: Plane conflicts file under EWLR_MISS on EWLR organisations.
         self.ewlr = ewlr
+        self._cause_buckets = dict(_CAUSE_BUCKETS)
+        if ewlr:
+            self._cause_buckets[_CAUSE_PLANE] = StallBucket.EWLR_MISS
         self.buckets: Dict[StallBucket, int] = {
             b: 0 for b in StallBucket}
         #: Per (bank index, sub-bank) counters.
@@ -272,14 +297,8 @@ class ChannelAccounting:
         nonempty = self._nonempty_at if self._nonempty_at is not None \
             else time
         end = min(max(nonempty, self.cursor), time)
-        self.buckets[StallBucket.QUEUE_EMPTY] += end - self.cursor
+        self.buckets[_QUEUE_EMPTY] += end - self.cursor
         return end
-
-    def bank_stats(self, bank: int, subbank: int) -> BankStats:
-        stats = self.banks.get((bank, subbank))
-        if stats is None:
-            stats = self.banks[(bank, subbank)] = BankStats()
-        return stats
 
     def on_command(self, time: int, kind: CommandKind,
                    cause: Optional[PrechargeCause],
@@ -295,75 +314,70 @@ class ChannelAccounting:
         their cause).  ``queue_empty_after`` reports whether the
         channel queue drained as a result of this command.
         """
-        if time < self.cursor:
+        cursor = self.cursor
+        if time < cursor:
             raise ValueError(
                 f"command at {time} overlaps accounted time "
-                f"{self.cursor} (commands must be >= tCK apart)")
-        stall_start = self._queue_empty_prefix(time)
+                f"{cursor} (commands must be >= tCK apart)")
+        buckets = self.buckets
+        stall_start = (cursor if self._empty_since is None
+                       else self._queue_empty_prefix(time))
         wait = time - stall_start
-        bucket = StallBucket.ISSUE
-        stats = self.bank_stats(bank, subbank)
+        bucket = _ISSUE
+        stats = self.banks.get((bank, subbank))
+        if stats is None:
+            stats = self.banks[(bank, subbank)] = BankStats()
         if wait > 0:
-            if (kind is CommandKind.REF or kind is CommandKind.REFPB
-                    or cause is PrechargeCause.REFRESH):
-                # Refresh work: the REF/REFpb itself or a close forced
-                # so the scope could refresh.
-                bucket = StallBucket.REFRESH
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.PLANE_CONFLICT:
-                bucket = (StallBucket.EWLR_MISS if self.ewlr
-                          else StallBucket.PLANE_CONFLICT)
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.ROW_CONFLICT:
-                bucket = StallBucket.ROW_CONFLICT
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.POLICY:
-                bucket = StallBucket.POLICY_CLOSE
-                self.buckets[bucket] += wait
+            if cause is None:
+                if kind is _REF or kind is _REFPB:
+                    # The REF/REFpb itself: refresh work.
+                    bucket = _REFRESH
+                    buckets[bucket] += wait
+                else:
+                    bucket, released = binding_floor(floors or [])
+                    device_end = min(max(released, stall_start), time)
+                    buckets[bucket] += device_end - stall_start
+                    buckets[_REQUEST_GAP] += time - device_end
+                    if device_end == stall_start:
+                        bucket = _REQUEST_GAP
             else:
-                bucket, released = binding_floor(floors or [])
-                device_end = min(max(released, stall_start), time)
-                self.buckets[bucket] += device_end - stall_start
-                self.buckets[StallBucket.REQUEST_GAP] += time - device_end
-                if device_end == stall_start:
-                    bucket = StallBucket.REQUEST_GAP
+                # A precharge: charged to the conflict (or the refresh)
+                # that forced the close.
+                bucket = self._cause_buckets[cause]
+                buckets[bucket] += wait
             stats.stall_ps += wait
-            if bucket is StallBucket.DDB_WINDOW:
+            if bucket is _DDB_WINDOW:
                 stats.ddb_window_stalls += 1
         # The command itself: one bus clock on the command bus.
-        self.buckets[StallBucket.ISSUE] += self.tCK
+        buckets[_ISSUE] += self.tCK
         self.cursor = time + self.tCK
         self.commands += 1
         # Per-bank command counters.
-        if kind is CommandKind.ACT:
+        if kind is _RD:
+            stats.reads += 1
+        elif kind is _WR:
+            stats.writes += 1
+        elif kind is _ACT:
             stats.acts += 1
             if ewlr_hit:
                 stats.ewlr_hits += 1
-        elif kind is CommandKind.RD:
-            stats.reads += 1
-        elif kind is CommandKind.WR:
-            stats.writes += 1
-        elif kind is CommandKind.REF or kind is CommandKind.REFPB:
+        elif kind is _REF or kind is _REFPB:
             stats.refreshes += 1
         else:
             stats.precharges += 1
             if partial:
                 stats.partial_precharges += 1
-            if cause is PrechargeCause.PLANE_CONFLICT:
-                stats.plane_conflict_precharges += 1
-            elif cause is PrechargeCause.ROW_CONFLICT:
+            if cause is _CAUSE_ROW:
                 stats.row_conflict_precharges += 1
-            elif cause is PrechargeCause.POLICY:
+            elif cause is _CAUSE_PLANE:
+                stats.plane_conflict_precharges += 1
+            elif cause is _CAUSE_POLICY:
                 stats.policy_precharges += 1
-            elif cause is PrechargeCause.REFRESH:
+            elif cause is _CAUSE_REFRESH:
                 stats.refresh_precharges += 1
         # Queue-occupancy bookkeeping for the next gap.
-        if queue_empty_after:
-            self._empty_since = time
-            self._nonempty_at = None
-        else:
-            self._empty_since = None
-            self._nonempty_at = None
+        self._empty_since = time if queue_empty_after else None
+        self._nonempty_at = None
         return bucket, wait
 
     def finish(self, horizon_ps: int) -> None:
@@ -563,11 +577,11 @@ class CommandObserver:
     def floors_for(self, candidate) -> Optional[List[Tuple[str, int]]]:
         """Pre-issue floor decomposition of a scheduler candidate."""
         kind = candidate.kind
-        if kind is CommandKind.ACT:
+        if kind is _RD or kind is _WR:
+            return self.channel.explain_column(candidate.txn.coords,
+                                               kind is _WR)
+        if kind is _ACT:
             return self.channel.explain_act(candidate.txn.coords)
-        if kind in (CommandKind.RD, CommandKind.WR):
-            return self.channel.explain_column(
-                candidate.txn.coords, kind is CommandKind.WR)
         # Precharges are attributed by cause, REF/REFpb wholesale to
         # the refresh bucket -- neither needs a floor decomposition.
         return None
@@ -575,39 +589,45 @@ class CommandObserver:
     def on_command(self, candidate, floors, ewlr_hit: bool,
                    partial: bool, queue_empty_after: bool) -> None:
         """Account (and optionally trace) one committed command."""
-        kind = candidate.kind
-        if kind is CommandKind.PRE:
-            bank, slot = candidate.victim
-            subbank, group = slot
-            row, core = -1, -1
-            if partial:
-                kind = CommandKind.PRE_PARTIAL
-        elif kind is CommandKind.REF or kind is CommandKind.REFPB:
-            # Refresh candidates serve no transaction; the victim slot
-            # encodes the scope: (-1, (-1, -1)) all-bank, (b, (-1, -1))
-            # per-bank, (b, (s, -1)) per-sub-bank.
-            bank, slot = candidate.victim
-            subbank, group = slot[0], -1
-            row, core = -1, -1
+        victim = candidate.victim
+        if victim is None:
+            txn = candidate.txn
+            bank, subbank = txn.bank_index, txn.coords.subbank
         else:
-            c = candidate.txn.coords
-            bank = self.channel.bank_index(c)
-            subbank, group = c.subbank, self.channel.banks[
-                bank].geometry.group_of(c.row)
-            row = c.row if kind is CommandKind.ACT else -1
-            core = candidate.txn.core
+            # Precharges and refreshes name their target slot; a refresh
+            # scope is (-1, (-1, -1)) all-bank, (b, (-1, -1)) per-bank
+            # and (b, (s, -1)) per-sub-bank.
+            bank, (subbank, _) = victim
         bucket, wait = self.accounting.on_command(
-            candidate.issue_time, candidate.kind, candidate.cause,
-            bank, subbank, floors, ewlr_hit, partial, queue_empty_after)
+            candidate.issue_time, candidate.kind, candidate.cause, bank,
+            subbank, floors, ewlr_hit, partial, queue_empty_after)
         if self.sink is not None:
-            self.sink.record(TraceEvent(
-                time_ps=candidate.issue_time,
-                channel=self.accounting.channel_index,
-                bank=bank, subbank=subbank, group=group,
-                kind=kind.name,
-                cause=candidate.cause.value if candidate.cause else "",
-                row=row, core=core,
-                stall=bucket.value, wait_ps=wait))
+            self.sink.record(self._event(candidate, bank, subbank,
+                                         partial, bucket, wait))
+
+    def _event(self, candidate, bank: int, subbank: int, partial: bool,
+               bucket: StallBucket, wait: int) -> TraceEvent:
+        """The trace record of one committed command."""
+        kind = candidate.kind
+        victim = candidate.victim
+        if victim is None:
+            txn = candidate.txn
+            row = txn.coords.row
+            group = self.channel.banks[bank].geometry.group_of(row)
+            core = txn.core
+            if kind is not _ACT:
+                row = -1
+        else:
+            # No precharge or refresh is attributed to a core.
+            group = victim[1][1]
+            row = core = -1
+            if partial:
+                kind = _PRE_PARTIAL
+        cause = candidate.cause
+        return TraceEvent(
+            candidate.issue_time, self.accounting.channel_index, bank,
+            subbank, group, kind.name, cause.value if cause else "", row,
+            core, bucket.value, wait)
 
 
 def collect_report(config_name: str,
