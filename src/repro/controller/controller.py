@@ -111,18 +111,26 @@ class ChannelController:
     def enqueue(self, txn: Transaction, time: int) -> None:
         obs = self.observer
         if not self.queues.pending():
+            if obs is not None:
+                obs.note_nonempty(time)
             refresh = self.scheduler.refresh
             if refresh is not None:
                 # Settle refreshes owed across the idle span before this
                 # arrival (the scheduler proposes no refresh candidates
                 # while the queues are empty, so runs terminate).
-                closes, refreshes = refresh.catch_up(
-                    time, self.scheduler.note_bank_change)
-                self.stats.commands_issued += closes + refreshes
-                self.stats.precharges += closes
-                self.stats.refreshes += refreshes
-            if obs is not None:
-                obs.note_nonempty(time)
+                for command, partial in refresh.catch_up(
+                        time, self.scheduler.note_bank_change):
+                    self.stats.commands_issued += 1
+                    if command.kind is _PRE:
+                        self.stats.precharges += 1
+                    else:
+                        self.stats.refreshes += 1
+                    if obs is not None:
+                        # Issued into the idle span: the span up to the
+                        # arrival stays queue-empty, and any wait past
+                        # it is charged to refresh.
+                        obs.on_command(command, None, False, partial, True)
+                        obs.note_nonempty(time)
         self.queues.enqueue(txn, time)
         self.scheduler.note_enqueue(txn)
 

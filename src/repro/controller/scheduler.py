@@ -443,7 +443,8 @@ class RefreshScheduler:
         if not self.rotation:
             self.rotation = list(self.scopes)
 
-    def catch_up(self, time: int, note_bank_change) -> Tuple[int, int]:
+    def catch_up(self, time: int, note_bank_change
+                 ) -> List[Tuple[Candidate, bool]]:
         """Settle refreshes owed across an idle span, at admission time.
 
         While the queues are empty the scheduler proposes no refresh
@@ -455,22 +456,25 @@ class RefreshScheduler:
         the deadline passes ``time``.  Each all-bank REF covers a whole
         rotation round, so it retires ``len(scopes)`` owed periods.
 
-        Returns ``(closes, refreshes)`` issued so the controller can
-        count them; the commands enter the device log (the validator
-        sees them) but bypass the accounting observer -- the span they
-        occupy is queue-empty time by construction.
+        Returns the issued commands in issue order, each with whether
+        it was a partial precharge, so the controller can count them
+        and report them to its observer.  They enter the device log
+        too, so the validator sees them.
         """
         resources = self.channel.resources
         if resources.ref_due > time:
-            return 0, 0
+            return []
         channel = self.channel
-        closes = refreshes = 0
+        issued: List[Tuple[Candidate, bool]] = []
         for bi, key in channel.refresh_scope_open():
-            channel.issue_precharge(bi, key,
-                                    channel.earliest_precharge(bi, key),
-                                    PrechargeCause.REFRESH)
+            t = channel.earliest_precharge(bi, key)
+            partial = channel.issue_precharge(bi, key, t,
+                                              PrechargeCause.REFRESH)
             note_bank_change(bi)
-            closes += 1
+            issued.append((Candidate(t, PRIO_REFRESH, None, CommandKind.PRE,
+                                     victim=(bi, key),
+                                     cause=PrechargeCause.REFRESH,
+                                     seq=_policy_seq(bi, key)), partial))
         banks = range(len(channel.banks))
         while resources.ref_due <= time:
             t = channel.earliest_refresh()
@@ -478,11 +482,12 @@ class RefreshScheduler:
                 t = resources.ref_due
             channel.issue_refresh(t)
             resources.ref_due += resources.ref_period * len(self.scopes)
-            refreshes += 1
+            issued.append((Candidate(t, PRIO_REFRESH, None, CommandKind.REF,
+                                     victim=(-1, (-1, -1))), False))
             for bi in banks:
                 note_bank_change(bi)
         self.rotation = list(self.scopes)
-        return closes, refreshes
+        return issued
 
 
 class Scheduler:

@@ -68,10 +68,20 @@ def test_buckets_sum_to_wall_time_on_every_preset(config):
         assert channel.horizon_ps >= 0
 
 
-@pytest.mark.parametrize("config", PRESETS[:4],
-                         ids=[c.name for c in PRESETS[:4]])
+#: One refresh-on preset per policy.  On mix0 at 600 accesses/core each
+#: one settles owed refreshes at an admission after an idle span, so the
+#: idle catch-up's closes and REFs must reach the observer too.
+REFRESH_PRESETS = [
+    replace(cfgs.vsb(), refresh_density="16Gb", refresh_policy=policy,
+            name=f"{cfgs.vsb().name}+ref-{policy}-16Gb")
+    for policy in ("baseline", "darp", "sarp")]
+
+
+@pytest.mark.parametrize("config", PRESETS[:4] + REFRESH_PRESETS,
+                         ids=[c.name for c in PRESETS[:4]
+                              + REFRESH_PRESETS])
 def test_bank_counters_match_controller_stats(config):
-    traces = mix_traces("mix0", 300)
+    traces = mix_traces("mix0", 600)
     result, _ = observed_run(config, traces)
     merged = result.accounting.merged_bank_stats()
     assert merged.acts == result.stats.acts
@@ -84,8 +94,12 @@ def test_bank_counters_match_controller_stats(config):
             == by_cause.get("plane_conflict", 0))
     assert (merged.row_conflict_precharges
             == by_cause.get("row_conflict", 0))
+    assert merged.refresh_precharges == by_cause.get("refresh", 0)
+    assert merged.refreshes == result.stats.refreshes
     assert (result.accounting.commands()
             == result.stats.commands_issued)
+    if config.refresh_density is not None:
+        assert result.stats.refreshes > 0
 
 
 def test_fig12_mix_attribution_sums():
