@@ -24,7 +24,7 @@ results:
   drops an existing entry's accounting sidecar.
 * **Counters** -- hits / misses / puts / evictions -- are kept per
   store (:attr:`ResultStore.counters`); ``repro gc`` prunes stale
-  versions and old entries.
+  versions, old entries and temp files orphaned by a killed writer.
 
 Set ``REPRO_CACHE_DIR`` to relocate the store (tests run against a
 throwaway directory); delete the directory to invalidate everything.
@@ -40,7 +40,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.controller.controller import ControllerStats
 from repro.cpu.core import CoreConfig
@@ -64,6 +64,12 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 CACHE_VERSION = 4
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
+
+#: Age (seconds) past which :meth:`ResultStore.gc` removes a
+#: ``<key>.json.tmp.<pid>`` file: its writer died between the write and
+#: the rename.  A live write takes milliseconds, so an hour never races
+#: one.
+ORPHAN_TMP_AGE_S = 3600.0
 
 
 def cache_directory(directory: Optional[str] = None) -> str:
@@ -332,8 +338,8 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_paths())
 
-    def iter_paths(self) -> Iterator[str]:
-        """Every entry file currently on disk."""
+    def _shard_files(self) -> Iterator[Tuple[str, str]]:
+        """``(name, path)`` of every file in the shard directories."""
         if not os.path.isdir(self.directory):
             return
         for prefix in sorted(os.listdir(self.directory)):
@@ -341,8 +347,13 @@ class ResultStore:
             if not os.path.isdir(sub):
                 continue
             for name in sorted(os.listdir(sub)):
-                if name.endswith(".json"):
-                    yield os.path.join(sub, name)
+                yield name, os.path.join(sub, name)
+
+    def iter_paths(self) -> Iterator[str]:
+        """Every entry file currently on disk."""
+        for name, path in self._shard_files():
+            if name.endswith(".json"):
+                yield path
 
     # -- writes --------------------------------------------------------
 
@@ -394,10 +405,12 @@ class ResultStore:
            max_entries: Optional[int] = None) -> GcReport:
         """Prune the store; returns what was scanned/removed/kept.
 
-        Always removes unreadable entries and entries from other cache
-        versions.  ``max_age_days`` drops entries older than that
-        (by ``written_at``, falling back to file mtime);
-        ``max_entries`` keeps only the newest N survivors.
+        Always removes unreadable entries, entries from other cache
+        versions, and temp files orphaned by a killed writer once they
+        are older than :data:`ORPHAN_TMP_AGE_S` (counted in ``removed``
+        and ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
+        entries older than that (by ``written_at``, falling back to
+        file mtime); ``max_entries`` keeps only the newest N survivors.
         """
         report = GcReport()
         survivors: List[tuple] = []
@@ -425,6 +438,15 @@ class ResultStore:
                 self._remove(path, report)
             survivors = survivors[:max_entries]
         report.kept = len(survivors)
+        for name, path in list(self._shard_files()):
+            if ".json.tmp." not in name:
+                continue
+            try:
+                orphaned = now - os.path.getmtime(path) > ORPHAN_TMP_AGE_S
+            except OSError:  # pragma: no cover - renamed meanwhile
+                continue
+            if orphaned:
+                self._remove(path, report)
         return report
 
     def _remove(self, path: str, report: GcReport) -> None:

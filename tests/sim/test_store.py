@@ -186,6 +186,30 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     assert store.counters.evictions == 4
 
 
+def test_gc_removes_stale_orphaned_temp_files_only(tmp_path):
+    """A writer killed between its temp write and the rename leaves
+    ``<key>.json.tmp.<pid>`` behind; gc sweeps it once it is older than
+    ORPHAN_TMP_AGE_S, and never touches a fresh one (a live writer)."""
+    import time
+    from repro.sim.store import ORPHAN_TMP_AGE_S
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result())
+    entry = store.path_for(_key())
+    stale, fresh = entry + ".tmp.101", entry + ".tmp.202"
+    for path in (stale, fresh):
+        with open(path, "w") as fh:
+            fh.write('{"partial')
+    backdated = time.time() - ORPHAN_TMP_AGE_S - 60
+    os.utime(stale, (backdated, backdated))
+    size = os.path.getsize(stale)
+    report = store.gc()
+    assert (report.scanned, report.removed, report.kept) == (1, 1, 1)
+    assert report.freed_bytes == size
+    assert not os.path.exists(stale)
+    assert os.path.exists(fresh)
+    assert store.get(_key()) is not None
+
+
 def test_counters_tally_hits_misses_puts(tmp_path):
     store = ResultStore(str(tmp_path))
     assert store.get(_key()) is None
