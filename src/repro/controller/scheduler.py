@@ -473,8 +473,8 @@ class RefreshScheduler:
             note_bank_change(bi)
             issued.append((Candidate(t, PRIO_REFRESH, None, CommandKind.PRE,
                                      victim=(bi, key),
-                                     cause=PrechargeCause.REFRESH,
-                                     seq=_policy_seq(bi, key)), partial))
+                                     cause=PrechargeCause.REFRESH),
+                           partial))
         banks = range(len(channel.banks))
         while resources.ref_due <= time:
             t = channel.earliest_refresh()

@@ -2,10 +2,10 @@
 
 Every committed DRAM command can be captured as a :class:`TraceEvent`:
 *when* it issued, *where* (channel / bank / sub-bank / sub-array group),
-*what* it was (ACT / RD / WR / PRE and, for precharges, the cause from
-:class:`~repro.dram.commands.PrechargeCause`), and *why it waited* -- the
-stall bucket :mod:`repro.sim.accounting` attributed to the gap since the
-channel's previous command.
+*what* it was (ACT / RD / WR / PRE / PRE_PARTIAL / REF / REFPB and, for
+precharges, the cause from :class:`~repro.dram.commands.PrechargeCause`),
+and *why it waited* -- the stall bucket :mod:`repro.sim.accounting`
+attributed to the gap since the channel's previous command.
 
 The trace is collected by a :class:`TraceSink` shared by all channels of
 one run and is exported as JSON-lines or CSV (``repro trace`` on the
@@ -54,20 +54,26 @@ class TraceEvent:
     time_ps: int
     #: Channel index within the memory system.
     channel: int
-    #: Flattened bank index within the channel.
+    #: Flattened bank index within the channel; for ``REF``/``REFPB``
+    #: the refresh scope (-1 = the whole rank).
     bank: int
-    #: Sub-bank (0 for full-bank organisations, 0/1 for VSB-style).
+    #: Sub-bank (0 for full-bank organisations, 0/1 for VSB-style); -1
+    #: on a refresh of a whole bank or rank.
     subbank: int
-    #: MASA sub-array group (0 unless the organisation has groups).
+    #: MASA sub-array group (0 unless the organisation has groups; for
+    #: a precharge, the closed slot's group); -1 for refreshes.
     group: int
-    #: Command opcode name: ``ACT`` / ``RD`` / ``WR`` / ``PRE``.
+    #: Command opcode name: ``ACT`` / ``RD`` / ``WR`` / ``PRE`` /
+    #: ``PRE_PARTIAL`` (ERUCA partial precharge) / ``REF`` (all-bank
+    #: refresh) / ``REFPB`` (per-bank or per-sub-bank refresh).
     kind: str
     #: Precharge cause (``row_conflict`` / ``plane_conflict`` /
-    #: ``page_policy``), empty for non-precharge commands.
+    #: ``page_policy`` / ``refresh``), empty for other commands.
     cause: str
     #: Row address for ACTs (-1 for commands that carry no row).
     row: int
-    #: Issuing core (index into the mix), -1 for policy precharges.
+    #: Issuing core (index into the mix) of an ACT/RD/WR; -1 for every
+    #: precharge and refresh.
     core: int
     #: Stall bucket charged for the wait preceding this command.
     stall: str
