@@ -140,15 +140,6 @@ _REQUEST_GAP = StallBucket.REQUEST_GAP
 _REFRESH = StallBucket.REFRESH
 _DDB_WINDOW = StallBucket.DDB_WINDOW
 
-#: Precharge cause -> the bucket its gap is charged to (a plane
-#: conflict files as ``ewlr_miss`` on EWLR organisations instead).
-_CAUSE_BUCKETS = {
-    PrechargeCause.ROW_CONFLICT: StallBucket.ROW_CONFLICT,
-    PrechargeCause.PLANE_CONFLICT: StallBucket.PLANE_CONFLICT,
-    PrechargeCause.POLICY: StallBucket.POLICY_CLOSE,
-    PrechargeCause.REFRESH: StallBucket.REFRESH,
-}
-
 
 def binding_floor(floors: List[Tuple[str, int]]
                   ) -> Tuple[StallBucket, int]:
@@ -159,11 +150,10 @@ def binding_floor(floors: List[Tuple[str, int]]
     """
     best_bucket, best_time, best_rank = StallBucket.BUS, None, 0
     for tag, time in floors:
-        if best_time is None or time >= best_time:
-            rank, bucket = _FLOOR_RANK[tag]
-            if (best_time is None or time > best_time
-                    or rank < best_rank):
-                best_bucket, best_time, best_rank = bucket, time, rank
+        rank, bucket = _FLOOR_RANK[tag]
+        if (best_time is None or time > best_time
+                or (time == best_time and rank < best_rank)):
+            best_bucket, best_time, best_rank = bucket, time, rank
     return best_bucket, best_time if best_time is not None else 0
 
 
@@ -267,9 +257,14 @@ class ChannelAccounting:
         self.tCK = tCK
         #: Plane conflicts file under EWLR_MISS on EWLR organisations.
         self.ewlr = ewlr
-        self._cause_buckets = dict(_CAUSE_BUCKETS)
-        if ewlr:
-            self._cause_buckets[_CAUSE_PLANE] = StallBucket.EWLR_MISS
+        #: Precharge cause -> the bucket its gap is charged to.
+        self._cause_buckets = {
+            _CAUSE_ROW: StallBucket.ROW_CONFLICT,
+            _CAUSE_PLANE: (StallBucket.EWLR_MISS if ewlr
+                           else StallBucket.PLANE_CONFLICT),
+            _CAUSE_POLICY: StallBucket.POLICY_CLOSE,
+            _CAUSE_REFRESH: StallBucket.REFRESH,
+        }
         self.buckets: Dict[StallBucket, int] = {
             b: 0 for b in StallBucket}
         #: Per (bank index, sub-bank) counters.
