@@ -88,14 +88,6 @@ def test_darp_trace_matches_its_pin():
     assert trace_digests() == _pins()["trace"]
 
 
-def test_pins_cover_refresh_on_and_refresh_off_cells():
-    labels = list(_pins()["accounting"])
-    assert len(labels) == len(_mix_cells())
-    assert any("+ref-" not in label for label in labels)
-    for policy in ("baseline", "darp", "sarp"):
-        assert any(f"+ref-{policy}-" in label for label in labels)
-
-
 if __name__ == "__main__":
     table = {"accounting": accounting_digests(), "trace": trace_digests()}
     with open(_DATA, "w") as fh:
