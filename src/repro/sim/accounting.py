@@ -150,9 +150,10 @@ def binding_floor(floors: List[Tuple[str, int]]
     """
     best_bucket, best_time, best_rank = StallBucket.BUS, None, 0
     for tag, time in floors:
+        if best_time is not None and time < best_time:
+            continue  # released earlier: cannot bind
         rank, bucket = _FLOOR_RANK[tag]
-        if (best_time is None or time > best_time
-                or (time == best_time and rank < best_rank)):
+        if best_time is None or time > best_time or rank < best_rank:
             best_bucket, best_time, best_rank = bucket, time, rank
     return best_bucket, best_time if best_time is not None else 0
 
