@@ -229,9 +229,19 @@ class SystemConfig:
 
     def digest(self) -> str:
         """SHA-256 over :meth:`digest_payload` -- a stable identity for
-        caching: equal digests imply equal simulated behaviour."""
-        payload = json.dumps(self.digest_payload(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        caching: equal digests imply equal simulated behaviour.
+
+        Computed once per object and kept on it: the config and every
+        nested field are frozen, so the payload cannot change.  The memo
+        is not a field, so equality, hashing and
+        :func:`dataclasses.replace` never see it.
+        """
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            payload = json.dumps(self.digest_payload(), sort_keys=True)
+            memo = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_digest", memo)
+        return memo
 
     def bank_geometry(self) -> BankGeometry:
         groups = self.masa_groups if self.organization in (

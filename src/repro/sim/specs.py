@@ -262,6 +262,9 @@ class ExperimentSpec:
         alone_config = self.alone.to_config()
         cells: List[CellKey] = []
         seen = set()
+        # Every config repeats the same alone cells; look up the fields
+        # they vary in before building a CellKey for one.
+        alone_seen = set()
 
         def emit(cell: CellKey) -> None:
             if cell not in seen:
@@ -277,6 +280,10 @@ class ExperimentSpec:
                     for mix in self.mixes:
                         if self.include_alone:
                             for benchmark in MIXES[mix][0]:
+                                alone = (seed, frag, core, benchmark)
+                                if alone in alone_seen:
+                                    continue
+                                alone_seen.add(alone)
                                 emit(CellKey(
                                     kind="alone", config=alone_config,
                                     workload=benchmark,

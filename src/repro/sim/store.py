@@ -17,7 +17,11 @@ results:
   ``<cache dir>/store/<key[:2]>/<key>.json`` holding the serialized
   result summary (everything :meth:`SimulationResult.digest` hashes,
   plus the counters the reducers read) and, for observed runs, the
-  stall-attribution sidecar payload.
+  stall-attribution sidecar payload.  The read-latency histogram is
+  two parallel arrays, ``{"values": [...], "counts": [...]}``, with
+  the distinct latencies ascending.  Each entry records its own 64-hex
+  entry id, and a read checks it: an entry copied or renamed onto
+  another key's path is a miss, never that key's result.
 * **Writes** are atomic (temp file + ``os.replace``) and merge
   freshest-last: concurrent writers of the same key race to an
   identical deterministic payload, and a new unobserved write never
@@ -54,14 +58,18 @@ from repro.sim.simulator import SimulationResult
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
-#: Bump to invalidate every persisted entry after a modelling change.
+#: Bump to invalidate every persisted entry after a modelling change or
+#: an entry-format change.
 #: v2: the tFAW four-activate window changed simulated IPCs.
 #: v3: keys gained the full alone-config digest.
 #: v4: the alone-IPC table became the content-addressed result store --
 #: entries are full result summaries keyed by (version, config digest,
 #: trace key, seed, core config); v3 ``alone_ipc.json`` files are
 #: ignored entirely (never parsed as store entries).
-CACHE_VERSION = 4
+#: v5: the read-latency histogram is stored as ascending ``values`` and
+#: their ``counts`` (was a ``{str(latency): count}`` map), and each
+#: entry records its entry ``id``, checked on every read.
+CACHE_VERSION = 5
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
@@ -118,6 +126,9 @@ def serialize_result(result: SimulationResult) -> dict:
     dropped."""
     s = result.stats
     e = result.energy
+    latencies = s.read_latencies.counts
+    values = sorted(latencies)
+    counts = [latencies[v] for v in values]
     return {
         "config_name": result.config_name,
         "ipcs": list(result.ipcs),
@@ -132,8 +143,7 @@ def serialize_result(result: SimulationResult) -> dict:
             "precharges": s.precharges,
             "refreshes": s.refreshes,
             "write_cancels": s.write_cancels,
-            "read_latencies": {str(v): n for v, n in
-                               sorted(s.read_latencies.counts.items())},
+            "read_latencies": {"values": values, "counts": counts},
         },
         "energy": {
             "params": {f.name: getattr(e.params, f.name)
@@ -178,12 +188,15 @@ def restore_result(payload: dict) -> SimulationResult:
 
     The restored result digests identically to the live one (asserted
     in ``tests/sim/test_store.py``); perf counters come back zero.
+    Histogram arrays of unequal length raise :class:`ValueError`, which
+    the store reads as a miss.
     """
     stats_p = payload["stats"]
+    latencies = stats_p["read_latencies"]
     hist = LatencyHistogram()
-    hist.counts = Counter({int(v): n for v, n
-                           in stats_p["read_latencies"].items()})
-    hist.total = sum(hist.counts.values())
+    hist.counts = Counter(dict(zip(latencies["values"],
+                                   latencies["counts"], strict=True)))
+    hist.total = sum(latencies["counts"])
     stats = ControllerStats(
         commands_issued=stats_p["commands_issued"],
         acts=stats_p["acts"],
@@ -285,15 +298,19 @@ class ResultStore:
         Entries from other cache versions are ignored, not misread:
         the version is checked inside the payload as well as being part
         of the key digest, so even a hand-placed file from an older
-        scheme cannot surface.
+        scheme cannot surface.  So are entries written for another key
+        (a file copied or renamed onto this key's path): the entry's
+        recorded ``id`` must be this key's :meth:`entry_id`.
         """
+        eid = self.entry_id(key)
         try:
-            with open(self.path_for(key)) as fh:
+            with open(self.path_for(eid)) as fh:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
         if not isinstance(entry, dict) \
-                or entry.get("version") != CACHE_VERSION:
+                or entry.get("version") != CACHE_VERSION \
+                or entry.get("id") != eid:
             return None
         return entry
 
@@ -363,7 +380,9 @@ class ResultStore:
 
         The new summary overlays any existing entry; an existing
         accounting sidecar survives an unobserved overwrite, and an
-        observed result contributes its sidecar.  ``key_info`` is
+        observed result contributes its sidecar.  The existing entry is
+        read through :meth:`load_entry`, so a file written for another
+        key contributes nothing.  ``key_info`` is
         stored for ``repro cells`` / debugging only -- it never feeds
         the key.
         """
@@ -374,6 +393,7 @@ class ResultStore:
             accounting = report.to_dict()
         entry = {
             "version": CACHE_VERSION,
+            "id": self.entry_id(key),
             "key": key_info or {},
             "result": serialize_result(result),
             "accounting": accounting,

@@ -55,9 +55,23 @@ class TestStoreIdentity:
         arm = replace(base, eru=replace(base.eru, **{field: value}))
         assert arm.digest() != base.digest()
 
+    def test_memoised_digest_keeps_equality_and_follows_replace(self):
+        """The digest memo is not a field: a digested config equals and
+        hashes like a fresh one, and ``replace`` digests its result
+        afresh."""
+        from dataclasses import replace
+        memoised = vsb()
+        digest = memoised.digest()
+        fresh = vsb()
+        assert memoised == fresh and hash(memoised) == hash(fresh)
+        changed = replace(memoised, channels=4)
+        assert changed.digest() != digest
+        assert changed.digest() == replace(fresh, channels=4).digest()
+        assert fresh.digest() == digest
+
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
-        assert CACHE_VERSION == 4
+        assert CACHE_VERSION == 5
 
 
 class TestBaseline:

@@ -8,6 +8,7 @@ proof -- the same counters the CI resume-smoke step asserts on.
 
 import json
 import os
+import shutil
 
 from repro.sim import parallel
 from repro.sim.experiments import run_figure
@@ -128,6 +129,7 @@ def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
     os.makedirs(os.path.dirname(path))
     with open(path, "w") as fh:
         json.dump({"version": CACHE_VERSION,
+                   "id": store.entry_id(alone.store_key()),
                    "result": {"ipcs": [1.0]}}, fh)
     assert not store.contains(alone.store_key())
     submitted = []
@@ -139,6 +141,31 @@ def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
     assert report.submitted == report.cells
     repaired = ResultStore(str(tmp_path)).get(alone.store_key())
     assert repaired.digest() == rs.results[alone].digest()
+
+
+def test_foreign_entry_is_a_miss_and_only_its_cell_reruns(tmp_path):
+    """An entry copied onto another cell's path is never served as that
+    cell's result: the read misses, the runner re-simulates exactly that
+    cell, and its unobserved put keeps none of the copied entry's
+    accounting sidecar."""
+    observed = fig16_spec(SETTINGS, observe=True)
+    store = ResultStore(str(tmp_path))
+    rs, _ = run_spec(observed, store=store)
+    source, victim = observed.expand()[:2]
+    assert store.load_entry(source.store_key())["accounting"]
+    shutil.copyfile(store.path_for(source.store_key()),
+                    store.path_for(victim.store_key()))
+    assert store.get(victim.store_key()) is None
+    rerun = []
+    _, report = run_spec(
+        fig16_spec(SETTINGS), store=store,
+        progress=lambda cell, status: rerun.append(cell)
+        if status == "run" else None)
+    assert rerun == [victim]
+    assert report.submitted == 1
+    assert store.load_entry(victim.store_key())["accounting"] is None
+    restored = store.get(victim.store_key())
+    assert restored.digest() == rs.results[victim].digest()
 
 
 def test_run_report_summary_is_greppable():

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.cpu.core import CoreConfig
+from repro.cpu.trace import Trace, TraceEntry
 from repro.sim import config as cfgs
 from repro.sim.accounting import ObserveOptions
 from repro.sim.simulator import run_traces
@@ -49,6 +50,40 @@ def test_round_trip_is_digest_identical(tmp_path):
         live.energy.access_energy_nj()
     assert restored.stats.read_latencies.quartiles() == \
         live.stats.read_latencies.quartiles()
+
+
+def test_run_without_reads_round_trips(tmp_path):
+    """A write-only run stores its empty histogram as two empty arrays
+    and restores to the same digest."""
+    trace = Trace.from_entries(
+        [TraceEntry(10, True, i * 64) for i in range(100)])
+    live = run_traces(cfgs.ddr4_baseline(), [trace])
+    assert not live.stats.read_latencies
+    key = _key(cfgs.ddr4_baseline())
+    store = ResultStore(str(tmp_path))
+    store.put(key, live)
+    stats = store.load_entry(key)["result"]["stats"]
+    assert stats["read_latencies"] == {"values": [], "counts": []}
+    assert store.get(key).digest() == live.digest()
+
+
+@pytest.mark.parametrize("histogram", [
+    {"values": [100, 200], "counts": [3]},
+    {"values": [100], "counts": [3, 1]},
+    {"100": 3, "200": 1},
+], ids=["fewer_counts", "fewer_values", "v4_string_keyed"])
+def test_malformed_histogram_is_a_miss(tmp_path, histogram):
+    """Histogram arrays of unequal length, or the v4 ``{str: count}``
+    map under a v5 version stamp, read as misses -- never as a
+    truncated or re-keyed histogram."""
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result())
+    entry = store.load_entry(_key())
+    entry["result"]["stats"]["read_latencies"] = histogram
+    with open(store.path_for(_key()), "w") as fh:
+        json.dump(entry, fh)
+    assert not store.contains(_key())
+    assert store.get(_key()) is None
 
 
 def test_store_key_demands_exactly_one_workload():
@@ -151,6 +186,7 @@ def test_scalar_and_full_entries_share_one_read_path(tmp_path):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"version": CACHE_VERSION,
+                   "id": store.entry_id(_key(seed=5)),
                    "result": {"config_name": "", "ipcs": [2.75]}}, fh)
     assert not store.contains(_key(seed=5))
     assert store.get(_key(seed=5)) is None
