@@ -13,6 +13,9 @@ Fig. 12 grid, one phase per layer --
   with ``REPRO_BENCH_JOBS`` worker processes (at least 4 for this
   bench).
 
+Each phase picks its scheduler path with an ``("incremental", ...)``
+override on every config of the grid, alone baseline included.
+
 Every phase starts from a cold result store and must produce the
 exact same speedup table *and* per-cell behaviour digests; wall times
 and the scheduler's effort counters (peeks, candidates built,
@@ -36,6 +39,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -44,10 +48,9 @@ except ImportError:  # pragma: no cover - standalone invocation
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "src"))
 
-import repro.controller.scheduler as scheduler_mod
 from repro.sim.experiments import FIGURE_REDUCERS
 from repro.sim.runner import run_spec
-from repro.sim.specs import ExperimentSettings, fig12_spec
+from repro.sim.specs import ConfigSpec, ExperimentSettings, fig12_spec
 from repro.sim.store import ResultStore
 
 #: Effort ceilings asserted by the CI perf smoke.  Generous versus the
@@ -68,46 +71,50 @@ def _bench_mixes():
     return bench_mixes()
 
 
+def _on_path(cs: ConfigSpec, incremental: bool) -> ConfigSpec:
+    """``cs`` with its scheduler path set by config override."""
+    return replace(cs, overrides=cs.overrides
+                   + (("incremental", incremental),))
+
+
 def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
                     accesses: int, mixes):
     """One timed fig12 grid run under one scheduler path."""
-    old_mode = scheduler_mod.INCREMENTAL_DEFAULT
-    scheduler_mod.INCREMENTAL_DEFAULT = incremental
-    try:
-        spec = fig12_spec(ExperimentSettings(accesses_per_core=accesses,
-                                             mixes=mixes))
-        store = ResultStore(cache_dir)
-        start = time.perf_counter()
-        rs, _ = run_spec(spec, jobs=jobs, store=store)
-        table = FIGURE_REDUCERS["fig12"](rs, spec.mixes)
-        elapsed = time.perf_counter() - start
-        counters = {"commands": 0, "peeks": 0, "candidates_built": 0,
-                    "candidates_examined": 0, "transactions": 0}
-        digests = {}
-        # Mix cells only: the pinned quick digest predates alone cells
-        # carrying full results.
-        for cell, result in rs.results.items():
-            if cell.kind != "mix":
-                continue
-            counters["commands"] += result.stats.commands_issued
-            counters["peeks"] += result.stats.peeks
-            counters["candidates_built"] += result.stats.candidates_built
-            counters["candidates_examined"] += \
-                result.stats.candidates_examined
-            counters["transactions"] += result.transactions
-            digests[f"{cell.config.name}|{cell.workload}"] = \
-                result.digest()
-        # Result-store discipline: each phase ran against a cold cache
-        # directory, so the store must have missed once and put once
-        # per grid cell, and served nothing.
-        sc = store.counters
-        counters["store_hits"] = sc.hits
-        counters["store_misses"] = sc.misses
-        counters["store_puts"] = sc.puts
-        counters["store_cells"] = len(rs.results)
-        return elapsed, table, counters, digests
-    finally:
-        scheduler_mod.INCREMENTAL_DEFAULT = old_mode
+    spec = fig12_spec(ExperimentSettings(accesses_per_core=accesses,
+                                         mixes=mixes))
+    spec = replace(spec, configs=tuple(_on_path(cs, incremental)
+                                       for cs in spec.configs),
+                   alone=_on_path(spec.alone, incremental))
+    store = ResultStore(cache_dir)
+    start = time.perf_counter()
+    rs, _ = run_spec(spec, jobs=jobs, store=store)
+    table = FIGURE_REDUCERS["fig12"](rs, spec.mixes)
+    elapsed = time.perf_counter() - start
+    counters = {"commands": 0, "peeks": 0, "candidates_built": 0,
+                "candidates_examined": 0, "transactions": 0}
+    digests = {}
+    # Mix cells only: the pinned quick digest predates alone cells
+    # carrying full results.
+    for cell, result in rs.results.items():
+        if cell.kind != "mix":
+            continue
+        counters["commands"] += result.stats.commands_issued
+        counters["peeks"] += result.stats.peeks
+        counters["candidates_built"] += result.stats.candidates_built
+        counters["candidates_examined"] += \
+            result.stats.candidates_examined
+        counters["transactions"] += result.transactions
+        digests[f"{cell.config.name}|{cell.workload}"] = \
+            result.digest()
+    # Result-store discipline: each phase ran against a cold cache
+    # directory, so the store must have missed once and put once per
+    # grid cell, and served nothing.
+    sc = store.counters
+    counters["store_hits"] = sc.hits
+    counters["store_misses"] = sc.misses
+    counters["store_puts"] = sc.puts
+    counters["store_cells"] = len(rs.results)
+    return elapsed, table, counters, digests
 
 
 def _grid_digest(digests: dict) -> str:

@@ -154,16 +154,6 @@ def analyze_plane_conflicts(
     return results
 
 
-def overlap_fraction(results: Dict[int, ConflictCounts],
-                     total_transactions: int) -> float:
-    """Fraction of transactions overlapping an opposite-sub-bank access
-    (the paper reports 67% on average)."""
-    any_counts = next(iter(results.values()))
-    if not total_transactions:
-        return 0.0
-    return any_counts.overlapping / total_transactions
-
-
 def fig4_plane_conflicts(accesses: int, fragmentation: float = 0.1,
                          seed: int = 0
                          ) -> Tuple[Dict[int, ConflictCounts], int]:

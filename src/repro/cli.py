@@ -17,7 +17,7 @@
     python -m repro gc --max-age-days 30         # prune the result store
     python -m repro stats --config vsb --mix mix0 --per-bank
     python -m repro trace --config vsb --mix mix0 --limit 50
-    python -m repro profile --config vsb --mix mix0 --sort tottime
+    python -m cProfile -s tottime -m repro run --config vsb --mix mix0
 
 Each figure sub-command prints the same rows as the corresponding
 benchmark in ``benchmarks/`` (the benches add assertions and timing on
@@ -29,7 +29,10 @@ result store, simulating only cells the store does not already hold;
 and ``trace`` expose the cycle-accounting layer
 (:mod:`repro.sim.accounting`): ``stats`` attributes every channel cycle
 to one stall bucket, ``trace`` streams the per-command event log; both
-are documented in ``docs/OBSERVABILITY.md``.
+are documented in ``docs/OBSERVABILITY.md``.  Single-cell ``run`` also
+prints the scheduler's effort counters and the result digest; the
+standard library's ``cProfile`` names its hottest functions.  A flag the
+chosen form of ``run`` would ignore is a one-line error.
 """
 
 from __future__ import annotations
@@ -70,6 +73,24 @@ def _settings(args) -> ExperimentSettings:
     return ExperimentSettings(accesses_per_core=args.accesses,
                               fragmentation=args.fragmentation,
                               seed=args.seed, mixes=mixes)
+
+
+class _Given(argparse.Action):
+    """Store the value and note the flag in ``args.given``, so a command
+    can reject a flag it would otherwise ignore."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()),
+                           self.option_strings[0])
+
+
+def _reject_given(args, flags, form: str) -> None:
+    """One-line error exit if any of ``flags`` was given."""
+    for flag in getattr(args, "given", ()):
+        if flag in flags:
+            raise SystemExit(f"repro {args.command}: error: {flag} "
+                             f"does not apply to {form}")
 
 
 def _jobs(args) -> int:
@@ -129,8 +150,8 @@ def cmd_list(args) -> None:
     print("experiments: fig4 fig11 fig12 fig13 fig14 fig15 fig16 "
           "figref")
     print("named specs (run/cells):", " ".join(sorted(NAMED_SPECS)))
-    print("observability: stats trace profile "
-          "(and --emit-stats on figures)")
+    print("observability: stats trace (and --emit-stats on figures); "
+          "profile with python -m cProfile -m repro run")
 
 
 def _progress_printer():
@@ -189,8 +210,11 @@ def cmd_gc(args) -> None:
 
 
 def cmd_run(args) -> None:
-    if getattr(args, "spec", None):
+    if args.spec:
+        _reject_given(args, ("--config", "--mix", "--refresh",
+                             "--refresh-policy"), "a SPEC run")
         return _run_spec_cmd(args)
+    _reject_given(args, ("--mixes", "--jobs"), "a single-cell run")
     from repro.sim.simulator import run_traces
     from repro.workloads.mixes import mix_traces
     config = _cell_config(args)
@@ -207,6 +231,13 @@ def cmd_run(args) -> None:
     print(f"plane-conflict precharges: "
           f"{result.plane_conflict_precharge_fraction:.1%}")
     print(f"elapsed: {result.elapsed_ps / 1e6:.1f} us simulated")
+    s = result.stats
+    print(f"effort: {s.peeks / max(1, s.commands_issued):.3f} "
+          f"peeks/command, "
+          f"{s.candidates_built / max(1, s.commands_issued):.3f} "
+          f"candidates built/command, "
+          f"{s.candidates_examined / max(1, s.peeks):.3f} examined/peek; "
+          f"loop {result.wall_time_s:.3f} s; digest {result.digest()}")
 
 
 def cmd_stats(args) -> None:
@@ -246,21 +277,6 @@ def cmd_trace(args) -> None:
     if not args.output and sink.dropped:
         print(f"# {sink.dropped} events dropped past --limit",
               file=sys.stderr)
-
-
-def cmd_profile(args) -> None:
-    """``repro profile``: cProfile one (config, mix) cell."""
-    from repro.sim.profiling import profile_run
-    incremental = {"incremental": True, "reference": False,
-                   "config": None}[args.path]
-    report = profile_run(_cell_config(args), args.mix,
-                         accesses=args.accesses,
-                         fragmentation=args.fragmentation,
-                         seed=args.seed, incremental=incremental)
-    print(report.format_table(limit=args.limit, sort=args.sort), end="")
-    if args.output:
-        report.dump(args.output)
-        print(f"wrote {args.output}")
 
 
 def cmd_fig4(args) -> None:
@@ -365,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fragmentation", type=float, default=0.1,
                        help="FMFI level in [0,1] (default 0.1)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
+        return p
+
+    def jobs(p):
+        """--jobs, for the commands that run a grid."""
+        p.add_argument("--jobs", type=int, default=1, action=_Given,
                        help="worker processes for the experiment grid "
                             "(default 1 = serial; 0 = all cores)")
         return p
@@ -377,21 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
         """--config/--mix selectors shared by run/stats/trace."""
         from repro.controller.scheduler import REFRESH_POLICIES
         from repro.dram.timing import REFRESH_DENSITY_GRADES_NS
-        p.add_argument("--config", default="vsb",
+        p.add_argument("--config", default="vsb", action=_Given,
                        choices=sorted(CONFIG_FACTORIES))
-        p.add_argument("--mix", default="mix0", choices=MIX_NAMES)
+        p.add_argument("--mix", default="mix0", action=_Given,
+                       choices=MIX_NAMES)
         p.add_argument("--refresh", metavar="DENSITY", default=None,
+                       action=_Given,
                        choices=sorted(REFRESH_DENSITY_GRADES_NS),
                        help="enable DRAM refresh at this density grade "
                             "(e.g. 8Gb; default: refresh off, matching "
                             "the presets)")
         p.add_argument("--refresh-policy", default="baseline",
-                       choices=REFRESH_POLICIES,
+                       action=_Given, choices=REFRESH_POLICIES,
                        help="refresh scheduling policy when --refresh "
                             "is given (see docs/REFRESH.md)")
         return p
 
-    run = cell(common(sub.add_parser(
+    run = jobs(cell(common(sub.add_parser(
         "run", help="one config on one mix, or a full experiment spec",
         description="With no positional argument: simulate one "
                     "(--config, --mix) cell and print its headline "
@@ -400,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "spec, serve every cell already in the result "
                     "store, and simulate only the missing ones -- a "
                     "killed sweep resubmitted re-runs only what is "
-                    "absent.  See docs/EXPERIMENTS_SERVICE.md.")))
+                    "absent.  See docs/EXPERIMENTS_SERVICE.md."))))
     run.add_argument("spec", nargs="?", default=None,
                      help="named spec (see 'list') or spec JSON path; "
                           "omit for the single-cell --config/--mix "
                           "form")
-    run.add_argument("--mixes", default=None,
+    run.add_argument("--mixes", default=None, action=_Given,
                      help="comma-separated mix subset for named specs")
     run.set_defaults(func=cmd_run)
 
@@ -462,26 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write to FILE instead of stdout")
     trace.set_defaults(func=cmd_trace)
 
-    profile = cell(common(sub.add_parser(
-        "profile", help="cProfile one config on one mix",
-        description="Run one (config, mix) cell under cProfile and "
-                    "print scheduler-effort counters (peeks/command, "
-                    "candidates examined/peek), the behaviour digest, "
-                    "and the hottest functions.  --output dumps the "
-                    "binary pstats file for snakeviz/gprof2dot.")))
-    profile.add_argument("--path",
-                         choices=("config", "incremental", "reference"),
-                         default="config",
-                         help="scheduler selection path to profile "
-                              "(default: whatever the config says)")
-    profile.add_argument("--sort", default="cumulative",
-                         help="pstats sort key (default cumulative)")
-    profile.add_argument("--limit", type=int, default=25,
-                         help="pstats rows to print (default 25)")
-    profile.add_argument("--output", metavar="FILE",
-                         help="dump binary pstats to FILE")
-    profile.set_defaults(func=cmd_profile)
-
     for name, func in (("fig4", cmd_fig4), ("fig11", cmd_fig11)):
         p = sub.add_parser(name, help=f"regenerate {name}")
         if name != "fig11":
@@ -491,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                           ("fig14", _print_fig14), ("fig15", _print_fig15),
                           ("fig16", _print_fig16),
                           ("figref", _print_figref)):
-        p = common(sub.add_parser(name, help=f"regenerate {name}"))
+        p = jobs(common(sub.add_parser(name, help=f"regenerate {name}")))
         p.add_argument("--mixes", default="mix0,mix3,mix6",
                        help="comma-separated mix subset")
         p.add_argument("--emit-stats", metavar="DIR", default=None,

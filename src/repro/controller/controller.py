@@ -94,7 +94,7 @@ class ChannelController:
     def __init__(self, channel: Channel,
                  queue_config: QueueConfig = QueueConfig(),
                  idle_close_ps=None, observer=None,
-                 incremental=None, refresh_policy=None) -> None:
+                 incremental=True, refresh_policy=None) -> None:
         self.channel = channel
         self.queues = TransactionQueues(queue_config)
         self.scheduler = Scheduler(channel, self.queues, idle_close_ps,

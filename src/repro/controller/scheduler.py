@@ -82,10 +82,6 @@ PRIO_REFRESH = 4
 #: Arrival stamp for candidates that serve no transaction (policy closes).
 _NO_ARRIVAL = 1 << 62
 
-#: Default selection path for newly built schedulers; the golden-digest
-#: equivalence tests flip this to compare against the reference path.
-INCREMENTAL_DEFAULT = True
-
 # Enum members the incremental path reads on every rebuild and peek,
 # bound as module globals: loading a member off an Enum class costs
 # several global loads.
@@ -508,13 +504,12 @@ class Scheduler:
 
     def __init__(self, channel: Channel, queues: TransactionQueues,
                  idle_close_ps: Optional[int] = None,
-                 incremental: Optional[bool] = None,
+                 incremental: bool = True,
                  refresh_policy: Optional[str] = None) -> None:
         self.channel = channel
         self.queues = queues
         self.idle_close_ps = idle_close_ps
-        self.incremental = INCREMENTAL_DEFAULT if incremental is None \
-            else incremental
+        self.incremental = incremental
         #: The refresh machine, or ``None`` when the timing preset has
         #: refresh disabled (the historical machine: zero overhead, and
         #: schedules stay bit-identical to pre-refresh builds).

@@ -2,10 +2,10 @@
 
 A :class:`MemoryTechBackend` declares everything that distinguishes one
 memory technology from another **as data** (in the spirit of hazard /
-collision tables in classic controller RTL): the command vocabulary, a
-timing-rule table resolving each :class:`~repro.dram.timing.TimingParams`
-field from frequency-aware terms, the refresh semantics (density grades
-and cadence, or none at all), and the rank power model.  The rest of the
+collision tables in classic controller RTL): a timing-rule table
+resolving each :class:`~repro.dram.timing.TimingParams` field from
+frequency-aware terms, the refresh semantics (density grades and
+cadence, or none at all), and the rank power model.  The rest of the
 machine -- device FSMs, channel resources, scheduler, validator,
 accounting -- is technology-agnostic and consumes the resolved
 :class:`~repro.dram.timing.TimingParams`.
@@ -54,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
-from repro.dram.commands import command_set
 from repro.dram.power import EnergyParams
 from repro.dram.timing import (
     DRAM_CORE_PERIOD_PS,
@@ -122,9 +121,6 @@ class MemoryTechBackend:
     #: Registry key (``SystemConfig.backend``) and display name.
     name: str
     description: str
-    #: Command vocabulary as :class:`CommandKind` member names; command
-    #: logs from this backend may contain nothing else.
-    commands: Tuple[str, ...]
     #: Timing-rule table: one rule per ``TimingParams`` field (``tCK``
     #: and ``burst_length`` are handled separately).
     rules: Mapping[str, TimingRule]
@@ -193,11 +189,6 @@ class MemoryTechBackend:
         trfc, trfcpb = self.refresh_grades_ns[anchor]
         return {"tRFC": ns(refresh_ns), "tREFI": ns(self.trefi_ns),
                 "tRFCpb": ns(refresh_ns * trfcpb / trfc)}
-
-    def command_kinds(self) -> frozenset:
-        """The command vocabulary as a :class:`CommandKind` set."""
-        return command_set(self.commands)
-
 
 #: Populated by the technology modules at import time (see __init__).
 _REGISTRY: Dict[str, MemoryTechBackend] = {}

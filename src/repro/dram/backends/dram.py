@@ -34,7 +34,6 @@ DRAM_BACKEND = register_backend(MemoryTechBackend(
     name="dram",
     description="DDR4 (Tab. III): 18-18-18 at a 1.333 GHz channel, "
                 "200 MHz core, opt-in JEDEC refresh",
-    commands=("ACT", "RD", "WR", "PRE", "PRE_PARTIAL", "REF", "REFPB"),
     rules={
         "tRCD": rule((18, "ref_clk")),
         "tRP": rule((18, "ref_clk")),

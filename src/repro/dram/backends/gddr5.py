@@ -20,7 +20,6 @@ GDDR5_BACKEND = register_backend(MemoryTechBackend(
     name="gddr5",
     description="GDDR5 graphics DRAM: 2.5 GHz channel, tighter core "
                 "timings, short-tRFC refresh",
-    commands=("ACT", "RD", "WR", "PRE", "PRE_PARTIAL", "REF", "REFPB"),
     rules={
         "tRCD": rule((14, "ns")),
         "tRP": rule((14, "ns")),

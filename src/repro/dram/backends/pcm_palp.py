@@ -14,8 +14,8 @@ phase-change memory, whose device physics invert DRAM's assumptions:
   once ``tWCT`` has elapsed since the burst, so a pending read is not
   held hostage for the full pulse; the cancelled write replays after the
   next ACT (modelled as a ``tWRP`` column-readiness gate).
-* **No refresh**: PCM cells are non-volatile, so the command vocabulary
-  has no ``REF``/``REFPB`` and the backend rejects refresh knobs.
+* **No refresh**: PCM cells are non-volatile, so the backend has no
+  refresh grades and rejects refresh knobs.
 
 Reads are non-destructive (no row restore), hence the short ``tRP`` and
 the read-heavy energy asymmetry in :meth:`EnergyParams.pcm`.
@@ -34,7 +34,6 @@ PCM_PALP_BACKEND = register_backend(MemoryTechBackend(
     name="pcm_palp",
     description="PCM with PALP partition-level parallelism: asymmetric "
                 "tRCD, 150 ns write pulses with cancellation, no refresh",
-    commands=("ACT", "RD", "WR", "PRE", "PRE_PARTIAL"),
     rules={
         "tRCD": rule((48, "ns")),
         "tRCD_WR": rule((12, "ns")),

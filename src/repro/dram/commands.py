@@ -38,22 +38,6 @@ class CommandKind(enum.Enum):
         """Both full and ERUCA partial precharges close a row slot."""
         return self in (CommandKind.PRE, CommandKind.PRE_PARTIAL)
 
-    @property
-    def is_refresh(self) -> bool:
-        """Refresh commands (all-bank or per-bank)."""
-        return self in (CommandKind.REF, CommandKind.REFPB)
-
-
-def command_set(names) -> frozenset:
-    """Resolve an iterable of opcode names into a ``CommandKind`` set.
-
-    Memory-technology backends (:mod:`repro.dram.backends`) declare
-    their command vocabulary as plain name strings; this turns that
-    data into the set :func:`repro.dram.validation.validate_log` checks
-    command logs against.
-    """
-    return frozenset(CommandKind[name] for name in names)
-
 
 class PrechargeCause(enum.Enum):
     """Why the controller closed a row -- drives Fig. 13b.

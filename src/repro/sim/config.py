@@ -99,12 +99,11 @@ class SystemConfig:
     #: Record every issued command for post-hoc timing validation
     #: (:mod:`repro.dram.validation`).
     record_commands: bool = False
-    #: Scheduler selection path: True/False forces the incremental or
-    #: reference implementation; None keeps the module default
-    #: (:data:`repro.controller.scheduler.INCREMENTAL_DEFAULT`).  The
-    #: two are bit-identical; the override exists so differential
-    #: harnesses can run both without mutating the global.
-    incremental: Optional[bool] = None
+    #: Scheduler selection path, and the only switch that picks one:
+    #: True runs the incremental scheduler, False the rebuild-everything
+    #: reference path kept as its equivalence oracle.  The two are
+    #: bit-identical, so the field stays out of the config digest.
+    incremental: bool = True
     #: Four-activate window override in nanoseconds: None keeps the
     #: preset's value, 0 disables the window (the pre-tFAW model).
     tfaw_ns: Optional[float] = None
@@ -125,10 +124,9 @@ class SystemConfig:
     #: ``"sarp"`` sub-bank refresh overlapped with the partner
     #: sub-bank's accesses (per-bank on flat-bank organisations).
     refresh_policy: str = "baseline"
-    #: Memory-technology backend supplying the command set, timing-rule
-    #: table, refresh grades, and power model
-    #: (:mod:`repro.dram.backends`): ``"dram"`` (DDR4), ``"pcm_palp"``,
-    #: or ``"gddr5"``.
+    #: Memory-technology backend supplying the timing-rule table,
+    #: refresh grades, and power model (:mod:`repro.dram.backends`):
+    #: ``"dram"`` (DDR4), ``"pcm_palp"``, or ``"gddr5"``.
     backend: str = "dram"
 
     def __post_init__(self) -> None:

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cpu.core import CoreConfig
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import SimulationResult, run_traces
-from repro.sim.store import CACHE_DIR_ENV
 
 #: Environment variable overriding :data:`DEFAULT_GRID_MIN_COST`: set it
 #: to ``0`` to force the pool path, or very high to force serial.
@@ -124,25 +123,19 @@ def grid_min_cost() -> int:
     return DEFAULT_GRID_MIN_COST
 
 
-#: Warm executor reused across run_grid calls, keyed by the module
-#: state the fork snapshots: consecutive figure runners used to pay a
-#: full pool fork each, which is where the parallel-overhead cliff came
-#: from on small grids.
+#: Warm executor reused across run_grid calls, keyed by its worker
+#: count: consecutive figure runners used to pay a full pool fork each,
+#: which is where the parallel-overhead cliff came from on small grids.
+#: A job carries its whole config (scheduler path included) and workers
+#: never open the result store, so no other parent state can go stale
+#: in a forked worker.
 _warm_pool: Optional[ProcessPoolExecutor] = None
-_warm_pool_key: Optional[tuple] = None
-
-
-def _pool_fingerprint(workers: int) -> tuple:
-    # fork snapshots module globals, so a pool is only reusable while
-    # the defaults its workers inherited still match the parent's.
-    from repro.controller.scheduler import INCREMENTAL_DEFAULT
-    return (workers, INCREMENTAL_DEFAULT, os.environ.get(CACHE_DIR_ENV))
+_warm_pool_workers = 0
 
 
 def _warm_executor(workers: int) -> ProcessPoolExecutor:
-    global _warm_pool, _warm_pool_key
-    key = _pool_fingerprint(workers)
-    if _warm_pool is not None and _warm_pool_key != key:
+    global _warm_pool, _warm_pool_workers
+    if _warm_pool is not None and _warm_pool_workers != workers:
         _warm_pool.shutdown(wait=False)
         _warm_pool = None
     if _warm_pool is None:
@@ -154,7 +147,7 @@ def _warm_executor(workers: int) -> ProcessPoolExecutor:
             "fork" if "fork" in methods else None)
         _warm_pool = ProcessPoolExecutor(max_workers=workers,
                                          mp_context=ctx)
-        _warm_pool_key = key
+        _warm_pool_workers = workers
     return _warm_pool
 
 

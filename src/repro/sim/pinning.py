@@ -217,9 +217,3 @@ def figure_payload(name: str, settings: ExperimentSettings,
                    jobs: int = 1):
     """The reduced output of one figure runner as a JSON-able payload."""
     return FIGURE_BUILDERS[name](settings, jobs)
-
-
-def load_pinned_digests(path: str = PINNED_DIGESTS_PATH) -> dict:
-    """The pinned digest table written by ``tools/pin_figure_digests.py``."""
-    with open(path) as fh:
-        return json.load(fh)

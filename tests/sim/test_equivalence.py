@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.controller.scheduler as scheduler_mod
 from repro.core.mechanisms import EruConfig
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.dram.validation import validate_log
@@ -51,12 +50,9 @@ def command_stream_hash(system: MemorySystem) -> str:
 
 
 def run_with_mode(config, traces, incremental: bool):
-    """One full simulation under the given scheduler path.
-
-    Uses the config-level override (``SystemConfig.incremental``), the
-    same plumbing the differential fuzzer relies on, instead of
-    flipping the module default.
-    """
+    """One full simulation under the given scheduler path, selected by
+    ``SystemConfig.incremental`` -- the one switch, which the
+    differential fuzzer flips too."""
     system = MemorySystem(replace(config, record_commands=True,
                                   incremental=incremental))
     cores = [TraceCore(t, CoreConfig(), core_id=i)
@@ -92,8 +88,12 @@ def test_ablation_arm_matches_reference_and_validates(config):
 
 
 def test_incremental_is_the_default():
-    """The optimisation must actually be on in normal runs."""
-    assert scheduler_mod.INCREMENTAL_DEFAULT is True
+    """The optimisation must actually be on in normal runs: every
+    preset builds its schedulers on the incremental path."""
+    for config in PRESETS:
+        system = MemorySystem(config)
+        assert all(c.scheduler.incremental is True
+                   for c in system.controllers), config.name
 
 
 def test_perf_counters_show_cache_reuse():

@@ -93,14 +93,6 @@ class TestWarmPool:
         b = parallel._warm_executor(2)
         assert a is b
 
-    def test_pool_refreshed_when_defaults_change(self, monkeypatch):
-        import repro.controller.scheduler as scheduler_mod
-        a = parallel._warm_executor(2)
-        monkeypatch.setattr(scheduler_mod, "INCREMENTAL_DEFAULT",
-                            not scheduler_mod.INCREMENTAL_DEFAULT)
-        b = parallel._warm_executor(2)
-        assert a is not b
-
     def test_pool_refreshed_when_width_changes(self):
         a = parallel._warm_executor(2)
         b = parallel._warm_executor(3)

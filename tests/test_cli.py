@@ -27,6 +27,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--config", "zzz"])
 
+    @pytest.mark.parametrize("argv", [["stats"], ["trace"], ["fig4"],
+                                      ["cells", "fig12"]],
+                             ids=lambda argv: argv[0])
+    def test_jobs_only_on_grid_commands(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--jobs", "2"])
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -56,6 +63,42 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "row-hit rate" in out
         assert "IPC per core" in out
+
+    def test_run_prints_effort_and_digest(self, capsys):
+        from repro.sim.simulator import run_traces
+        from repro.workloads.mixes import mix_traces
+        main(["run", "--config", "ddr4", "--mix", "mix6",
+              "--accesses", "120"])
+        lines = capsys.readouterr().out.splitlines()
+        effort = [line for line in lines if line.startswith("effort:")]
+        assert len(effort) == 1
+        for field in ("peeks/command", "candidates built/command",
+                      "examined/peek", "loop "):
+            assert field in effort[0]
+        expected = run_traces(CONFIG_FACTORIES["ddr4"](),
+                              mix_traces("mix6", 120)).digest()
+        assert effort[0].endswith(f"digest {expected}")
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "ddr4"], ["--mix", "mix5"], ["--refresh", "16Gb"],
+        ["--refresh-policy", "darp"]], ids=lambda flags: flags[0])
+    def test_spec_run_rejects_cell_flags(self, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "fig16", *flags, "--mixes", "mix0",
+                  "--accesses", "100"])
+        message = str(err.value.code)
+        assert message == (f"repro run: error: {flags[0]} does not "
+                           f"apply to a SPEC run")
+
+    @pytest.mark.parametrize("flags", [["--mixes", "mix0"],
+                                       ["--jobs", "1"]],
+                             ids=lambda flags: flags[0])
+    def test_cell_run_rejects_grid_flags(self, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", "ddr4", *flags, "--accesses", "100"])
+        message = str(err.value.code)
+        assert message == (f"repro run: error: {flags[0]} does not "
+                           f"apply to a single-cell run")
 
     def test_fig4_small(self, capsys):
         main(["fig4", "--accesses", "300"])
