@@ -45,6 +45,7 @@ from repro.core.mechanisms import EruConfig
 from repro.sim import config as cfgs
 from repro.sim.experiments import emit_stats_sidecars, run_figure
 from repro.sim.specs import ExperimentSettings
+from repro.sim.store import StoreUnwritable
 from repro.workloads.mixes import MIX_NAMES
 
 #: Shell-friendly names for the evaluated configurations.
@@ -506,7 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> None:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except StoreUnwritable as exc:
+        raise SystemExit(f"repro {args.command}: error: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -241,6 +241,15 @@ class SystemConfig:
             object.__setattr__(self, "_digest", memo)
         return memo
 
+    def __hash__(self) -> int:
+        """The hash of :meth:`digest`: equal configs have equal digests,
+        and the memoised digest makes re-hashing a config (every
+        ``CellKey`` lookup) one cached string hash.  Configs differing
+        only in fields the digest leaves out hash alike and are told
+        apart by equality.  No hash value is stored, so nothing
+        process-specific crosses a pickle."""
+        return hash(self.digest())
+
     def bank_geometry(self) -> BankGeometry:
         groups = self.masa_groups if self.organization in (
             Organization.MASA, Organization.MASA_ERUCA) else 1

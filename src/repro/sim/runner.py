@@ -85,7 +85,9 @@ def execute_cells(cells: Sequence[CellKey], *,
     *missing* cost falls below the grid's gate).  Newly simulated
     results are persisted to the store as they arrive.  With
     ``observe``, mix cells whose cached result lacks an accounting
-    sidecar are treated as missing and re-run observed.
+    sidecar are treated as missing and re-run observed.  A store whose
+    directory cannot be written raises
+    :class:`~repro.sim.store.StoreUnwritable` before any cell runs.
     """
     report = RunReport(cells=len(cells))
     missing: List[CellKey] = []
@@ -110,6 +112,9 @@ def execute_cells(cells: Sequence[CellKey], *,
         missing.append(cell)
     if not missing:
         return report
+    if store is not None:
+        # Fail before simulating anything if no result could be kept.
+        store.ensure_writable()
     # Group cells sharing a workload next to each other: chunked
     # dispatch then lands them on one worker, whose per-process trace
     # memo regenerates the traces once per group.

@@ -100,7 +100,23 @@ class ConfigSpec:
     core_scale: float = 1.0
 
     def to_config(self) -> SystemConfig:
-        """Materialize the described :class:`SystemConfig`."""
+        """Materialize the described :class:`SystemConfig`.
+
+        Built once per spec object and kept on it, as
+        :meth:`SystemConfig.digest` keeps its digest: the spec is
+        frozen, so every call returns the same config object, and the
+        cell lookups of :meth:`ExperimentSpec.expand`, the runner and
+        the reducers find their configs equal by identity.  The memo is
+        not a field, so equality, hashing and :func:`dataclasses.replace`
+        never see it.
+        """
+        config = self.__dict__.get("_config")
+        if config is None:
+            config = self._build_config()
+            object.__setattr__(self, "_config", config)
+        return config
+
+    def _build_config(self) -> SystemConfig:
         factory = PRESETS.get(self.preset)
         if factory is None:
             raise ValueError(f"unknown preset {self.preset!r}; "

@@ -18,10 +18,14 @@ results:
   result summary (everything :meth:`SimulationResult.digest` hashes,
   plus the counters the reducers read) and, for observed runs, the
   stall-attribution sidecar payload.  The read-latency histogram is
-  two parallel arrays, ``{"values": [...], "counts": [...]}``, with
-  the distinct latencies ascending.  Each entry records its own 64-hex
-  entry id, and a read checks it: an entry copied or renamed onto
-  another key's path is a miss, never that key's result.
+  one compact JSON string, ``"[[values...],[counts...]]"`` with the
+  distinct latencies ascending, next to its CRC-32
+  (:meth:`LatencyHistogram.pack`).  Every read checks the CRC; the
+  string is decoded only when something reads the latencies, so a
+  figure that reduces IPCs alone (Fig. 12) never decodes it.  Each
+  entry records its own 64-hex entry id, and a read checks it: an
+  entry copied or renamed onto another key's path is a miss, never
+  that key's result.
 * **Writes** are atomic (temp file + ``os.replace``) and merge
   freshest-last: concurrent writers of the same key race to an
   identical deterministic payload, and a new unobserved write never
@@ -42,7 +46,6 @@ import json
 import os
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -69,7 +72,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: v5: the read-latency histogram is stored as ascending ``values`` and
 #: their ``counts`` (was a ``{str(latency): count}`` map), and each
 #: entry records its entry ``id``, checked on every read.
-CACHE_VERSION = 5
+#: v6: the histogram is one packed JSON string ``[values, counts]``
+#: with its CRC-32 beside it (``read_latencies_crc32``), checked on
+#: every read and decoded on first use; v5 entries read as misses.
+CACHE_VERSION = 6
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
@@ -126,9 +132,7 @@ def serialize_result(result: SimulationResult) -> dict:
     dropped."""
     s = result.stats
     e = result.energy
-    latencies = s.read_latencies.counts
-    values = sorted(latencies)
-    counts = [latencies[v] for v in values]
+    latencies, crc32 = s.read_latencies.pack()
     return {
         "config_name": result.config_name,
         "ipcs": list(result.ipcs),
@@ -143,7 +147,8 @@ def serialize_result(result: SimulationResult) -> dict:
             "precharges": s.precharges,
             "refreshes": s.refreshes,
             "write_cancels": s.write_cancels,
-            "read_latencies": {"values": values, "counts": counts},
+            "read_latencies": latencies,
+            "read_latencies_crc32": crc32,
         },
         "energy": {
             "params": {f.name: getattr(e.params, f.name)
@@ -187,16 +192,13 @@ def restore_result(payload: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`serialize_result`.
 
     The restored result digests identically to the live one (asserted
-    in ``tests/sim/test_store.py``); perf counters come back zero.
-    Histogram arrays of unequal length raise :class:`ValueError`, which
-    the store reads as a miss.
+    in ``tests/sim/test_store.py``); perf counters come back zero.  A
+    histogram that fails its CRC-32 raises :class:`ValueError`, and a
+    missing or mistyped one :class:`KeyError` or :class:`TypeError`;
+    the store reads each as a miss.  The histogram's counts are built
+    on first read (:class:`~repro.sim.metrics.LatencyHistogram`).
     """
     stats_p = payload["stats"]
-    latencies = stats_p["read_latencies"]
-    hist = LatencyHistogram()
-    hist.counts = Counter(dict(zip(latencies["values"],
-                                   latencies["counts"], strict=True)))
-    hist.total = sum(latencies["counts"])
     stats = ControllerStats(
         commands_issued=stats_p["commands_issued"],
         acts=stats_p["acts"],
@@ -205,7 +207,8 @@ def restore_result(payload: dict) -> SimulationResult:
         precharges=stats_p["precharges"],
         refreshes=stats_p["refreshes"],
         write_cancels=stats_p["write_cancels"],
-        read_latencies=hist,
+        read_latencies=LatencyHistogram.unpack(
+            stats_p["read_latencies"], stats_p["read_latencies_crc32"]),
     )
     energy_p = payload["energy"]
     energy = EnergyMeter(
@@ -231,6 +234,10 @@ def restore_result(payload: dict) -> SimulationResult:
         transactions=payload["transactions"],
         accounting=StoredAccounting(accounting) if accounting else None,
     )
+
+
+class StoreUnwritable(OSError):
+    """The store directory cannot be created or written."""
 
 
 # -- counters ----------------------------------------------------------------
@@ -373,6 +380,26 @@ class ResultStore:
                 yield path
 
     # -- writes --------------------------------------------------------
+
+    def ensure_writable(self) -> None:
+        """Create the store directory, or raise :class:`StoreUnwritable`
+        naming it.
+
+        The runner calls this before it simulates anything, so a cache
+        that cannot hold results (placed under a regular file, or on a
+        read-only file system) fails at once, not after the first cell.
+        """
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+        else:
+            if os.access(self.directory, os.W_OK):
+                return
+            reason = "permission denied"
+        raise StoreUnwritable(
+            f"result store directory {self.directory} is not writable "
+            f"({reason}); set {CACHE_DIR_ENV} to move it")
 
     def put(self, key: str, result: SimulationResult,
             key_info: Optional[dict] = None) -> None:

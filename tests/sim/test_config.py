@@ -69,9 +69,41 @@ class TestStoreIdentity:
         assert changed.digest() == replace(fresh, channels=4).digest()
         assert fresh.digest() == digest
 
+    def test_hash_is_the_digest_hash_across_replace_and_spawn(self):
+        """Equal configs hash equal however they were made: rebuilt by
+        ``replace``, or unpickled (digest memo and all) in a fresh
+        ``spawn`` interpreter, whose string hashes differ from this
+        one's.  No hash value is stored, so none crosses the pickle."""
+        import multiprocessing
+        from dataclasses import replace
+        config = vsb()
+        config.digest()
+        rebuilt = replace(config, channels=config.channels)
+        assert rebuilt == config and hash(rebuilt) == hash(config)
+        assert hash(config) == hash(config.digest())
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(1) as pool:
+            checks = pool.apply_async(_rebuilt_here, (config,)).get(
+                timeout=120)
+        assert checks == (True, True, True)
+
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
-        assert CACHE_VERSION == 5
+        assert CACHE_VERSION == 6
+
+
+def _rebuilt_here(config):
+    """(equal, equal hash, equal cell-key hash) against a config built
+    in this process."""
+    from repro.cpu.core import CoreConfig
+    from repro.sim.specs import CellKey
+    fresh = vsb()
+
+    def cell(c):
+        return CellKey("mix", c, "mix0", 100, 0.1, 0, CoreConfig())
+
+    return (config == fresh, hash(config) == hash(fresh),
+            {cell(fresh): 1}.get(cell(config)) == 1)
 
 
 class TestBaseline:

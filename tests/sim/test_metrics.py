@@ -153,3 +153,22 @@ class TestLatencyHistogram:
         # sorts and indexes.  Both must agree for every input.
         assert (quartiles(LatencyHistogram(samples))
                 == quartiles(sorted(samples)))
+
+    @given(st.lists(st.integers(0, 10**6), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_unpack_round_trip(self, samples):
+        live = LatencyHistogram(samples)
+        restored = LatencyHistogram.unpack(*live.pack())
+        assert not restored.decoded
+        assert restored == live and list(restored) == sorted(samples)
+        assert restored.decoded and len(restored) == len(samples)
+        assert restored.pack() == live.pack()
+
+    def test_module_examples_execute(self):
+        """The docstring examples, the pack/unpack round trip among
+        them, run as written."""
+        import doctest
+
+        from repro.sim import metrics
+        results = doctest.testmod(metrics)
+        assert results.failed == 0 and results.attempted >= 11

@@ -42,6 +42,20 @@ def test_digest_stable_across_dict_key_ordering():
         spec.digest()
 
 
+def test_to_config_builds_one_config_per_spec():
+    """A spec keeps the config it built: every call, and so every cell
+    of every expansion, holds the same object, while an equal spec
+    builds its own equal one."""
+    cs = ConfigSpec("vsb", mechanism=EruConfig.full(4))
+    assert cs.to_config() is cs.to_config()
+    twin = ConfigSpec("vsb", mechanism=EruConfig.full(4))
+    assert twin == cs and twin.to_config() == cs.to_config()
+    spec = fig12_spec(SETTINGS)
+    configs = {id(cell.config) for cell in spec.expand() + spec.expand()}
+    assert configs == {id(c.to_config())
+                       for c in spec.configs + (spec.alone,)}
+
+
 def test_json_round_trip_preserves_factors_and_cells():
     spec = fig14_spec(SETTINGS, frequencies=(1.333e9, 2.0e9))
     again = ExperimentSpec.from_json(spec.to_json())

@@ -10,6 +10,7 @@ never misread -- including the pre-v4 ``alone_ipc.json`` table.
 import json
 import multiprocessing
 import os
+import zlib
 
 import pytest
 
@@ -18,7 +19,12 @@ from repro.cpu.trace import Trace, TraceEntry
 from repro.sim import config as cfgs
 from repro.sim.accounting import ObserveOptions
 from repro.sim.simulator import run_traces
-from repro.sim.store import CACHE_VERSION, ResultStore, store_key
+from repro.sim.store import (
+    CACHE_VERSION,
+    ResultStore,
+    StoreUnwritable,
+    store_key,
+)
 from repro.workloads.mixes import mix_traces
 
 
@@ -53,8 +59,8 @@ def test_round_trip_is_digest_identical(tmp_path):
 
 
 def test_run_without_reads_round_trips(tmp_path):
-    """A write-only run stores its empty histogram as two empty arrays
-    and restores to the same digest."""
+    """A write-only run stores its empty histogram as a packed pair of
+    empty arrays and restores to the same digest."""
     trace = Trace.from_entries(
         [TraceEntry(10, True, i * 64) for i in range(100)])
     live = run_traces(cfgs.ddr4_baseline(), [trace])
@@ -63,7 +69,8 @@ def test_run_without_reads_round_trips(tmp_path):
     store = ResultStore(str(tmp_path))
     store.put(key, live)
     stats = store.load_entry(key)["result"]["stats"]
-    assert stats["read_latencies"] == {"values": [], "counts": []}
+    assert stats["read_latencies"] == "[[],[]]"
+    assert stats["read_latencies_crc32"] == zlib.crc32(b"[[],[]]")
     assert store.get(key).digest() == live.digest()
 
 
@@ -84,6 +91,144 @@ def test_malformed_histogram_is_a_miss(tmp_path, histogram):
         json.dump(entry, fh)
     assert not store.contains(_key())
     assert store.get(_key()) is None
+
+
+def _change_one_digit(stats):
+    packed = stats["read_latencies"]
+    i = next(i for i, ch in enumerate(packed) if ch.isdigit())
+    stats["read_latencies"] = (packed[:i] + str((int(packed[i]) + 1) % 10)
+                               + packed[i + 1:])
+
+
+def _truncate(stats):
+    stats["read_latencies"] = stats["read_latencies"][:-3]
+
+
+def _drop_crc(stats):
+    del stats["read_latencies_crc32"]
+
+
+def _crc_as_string(stats):
+    stats["read_latencies_crc32"] = str(stats["read_latencies_crc32"])
+
+
+def _v5_arrays(stats):
+    values, counts = json.loads(stats["read_latencies"])
+    stats["read_latencies"] = {"values": values, "counts": counts}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _change_one_digit, _truncate, _drop_crc, _crc_as_string, _v5_arrays,
+], ids=["digit_changed", "truncated", "crc_missing", "crc_string",
+        "v5_arrays"])
+def test_corrupt_packed_histogram_is_a_miss(tmp_path, corrupt):
+    """v6 checks the packed histogram's CRC-32 on every read: a changed
+    or truncated string, a missing or mistyped CRC and v5's two arrays
+    under a v6 stamp are all misses at ``get`` -- never an entry whose
+    histogram fails later, on first read."""
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result())
+    entry = store.load_entry(_key())
+    corrupt(entry["result"]["stats"])
+    with open(store.path_for(_key()), "w") as fh:
+        json.dump(entry, fh)
+    assert not store.contains(_key())
+    assert store.get(_key()) is None
+    live = _small_result()
+    store.put(_key(), live)
+    assert store.get(_key()).digest() == live.digest()
+
+
+def test_every_preset_round_trips(tmp_path):
+    """Each preset's result comes back with its digest and its latency
+    quartiles, the two things the packed histogram feeds."""
+    store = ResultStore(str(tmp_path))
+    traces = mix_traces("mix0", 100, fragmentation=0.1, seed=0)
+    for config in cfgs.all_presets():
+        live = run_traces(config, traces)
+        key = _key(config)
+        store.put(key, live)
+        restored = ResultStore(str(tmp_path)).get(key)
+        assert not restored.stats.read_latencies.decoded
+        assert restored.stats.read_latencies.quartiles() == \
+            live.stats.read_latencies.quartiles(), config.name
+        assert restored.digest() == live.digest(), config.name
+
+
+def test_fig12_reducer_never_decodes_a_histogram(tmp_path):
+    """Fig. 12 reduces per-core IPCs only, so a warm pass leaves every
+    restored histogram packed; the result digest decodes it and still
+    matches the simulated result's."""
+    from dataclasses import replace
+
+    from repro.sim.experiments import reduce_fig12
+    from repro.sim.runner import run_spec
+    from repro.sim.specs import ExperimentSettings, fig12_spec
+
+    settings = ExperimentSettings(accesses_per_core=100, mixes=("mix0",))
+    spec = fig12_spec(settings)
+    spec = replace(spec, configs=spec.configs[:2])
+    cold, _ = run_spec(spec, store=ResultStore(str(tmp_path)))
+    warm, report = run_spec(spec, store=ResultStore(str(tmp_path)))
+    assert report.store_hits == report.cells
+    assert reduce_fig12(warm, spec.mixes) == reduce_fig12(cold, spec.mixes)
+    histograms = [r.stats.read_latencies for r in warm.results.values()]
+    assert histograms and not any(h.decoded for h in histograms)
+    for cell, result in warm.results.items():
+        assert result.digest() == cold.results[cell].digest()
+        assert result.stats.read_latencies.decoded
+
+
+def test_sidecar_race_costs_one_rerun(tmp_path):
+    """``put`` reads, merges and writes without a lock, so a concurrent
+    unobserved writer can drop another writer's accounting sidecar.
+    Held here with one deterministic interleaving:
+
+    1. the unobserved writer loads the entry;
+    2. an observed writer puts its sidecar;
+    3. the unobserved writer writes, without the sidecar.
+
+    The documented cost: the next ``need_accounting`` read misses, and
+    the observed re-run puts an identical result back."""
+    observed = _small_result(observe=True)
+    observed_writer = ResultStore(str(tmp_path))
+    plain_writer = ResultStore(str(tmp_path))
+    load_entry = plain_writer.load_entry
+
+    def load_then_interleave(key):
+        entry = load_entry(key)
+        observed_writer.put(key, observed)
+        return entry
+
+    plain_writer.load_entry = load_then_interleave
+    plain_writer.put(_key(), _small_result())
+    reader = ResultStore(str(tmp_path))
+    assert reader.load_entry(_key())["accounting"] is None
+    assert reader.get(_key(), need_accounting=True) is None
+    rerun = _small_result(observe=True)
+    assert rerun.digest() == observed.digest()
+    reader.put(_key(), rerun)
+    restored = reader.get(_key(), need_accounting=True)
+    assert restored.digest() == observed.digest()
+    assert restored.accounting.to_dict() == observed.accounting.to_dict()
+
+
+def test_unwritable_directory_is_refused(tmp_path, monkeypatch):
+    """``ensure_writable`` names the store directory when it cannot be
+    made (a regular file in the way) or written (a read-only mount or
+    mode bits, faked here because root ignores mode bits)."""
+    import re
+    blocker = tmp_path / "regular"
+    blocker.write_text("")
+    blocked = ResultStore(str(blocker / "cache"))
+    with pytest.raises(StoreUnwritable, match=re.escape(blocked.directory)):
+        blocked.ensure_writable()
+    store = ResultStore(str(tmp_path / "cache"))
+    store.ensure_writable()
+    assert os.path.isdir(store.directory)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    with pytest.raises(StoreUnwritable, match="permission denied"):
+        store.ensure_writable()
 
 
 def test_store_key_demands_exactly_one_workload():

@@ -137,6 +137,27 @@ class TestExecution:
             message = str(err.value.code)
             assert "\n" not in message and typo in message
 
+    def test_unwritable_store_fails_before_simulating(
+            self, tmp_path, monkeypatch):
+        """A cache under a regular file cannot hold results: ``run``
+        stops with one line naming the directory before any cell runs
+        (a regular file blocks a directory even for root, where a
+        ``chmod`` would not)."""
+        import repro.sim.runner as runner
+        blocker = tmp_path / "regular"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        grids = []
+        monkeypatch.setattr(runner, "run_grid",
+                            lambda *args, **kwargs: grids.append(args))
+        with pytest.raises(SystemExit) as err:
+            main(["run", "fig16", "--mixes", "mix0", "--accesses", "100"])
+        message = str(err.value.code)
+        assert "\n" not in message
+        assert message.startswith("repro run: error:")
+        assert str(blocker / "cache" / "store") in message
+        assert grids == []
+
 
 class TestObservability:
     def test_stats_table_sums(self, capsys):
