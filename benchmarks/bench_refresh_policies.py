@@ -60,11 +60,10 @@ def test_refresh_policy_sweep(benchmark, sweep_settings):
 
     # Sub-bank overlap must beat pure deferral: darp still blacks out
     # the whole bank per REFpb, sarp only one sub-bank.  (darp vs the
-    # all-bank baseline is NOT asserted: at this bench's horizon --
-    # tens of us -- the baseline's first REF lands only at tREFI =
-    # 7.8 us and so amortises over a short run, while the per-bank
-    # cadence pays from ~tREFI/banks on; the steady-state ordering
-    # needs much longer runs than CI affords.)
+    # all-bank baseline is NOT asserted: darp trails it at every run
+    # length measured, and the gap grows with length -- a divergence
+    # from Chang et al. whose leads, idle catch-up REFs and the pull-in
+    # rule, docs/REFRESH.md records.)
     darp = by_key[("darp", dense)].normalized_ws
     assert sarp > darp, \
         "sub-bank refresh must beat whole-bank deferred refresh"

@@ -7,7 +7,7 @@
     python -m repro fig12 --emit-stats out/          # + JSON sidecars
     python -m repro fig14 --accesses 1000
     python -m repro fig11
-    python -m repro fig4 --accesses 3000
+    python -m repro fig4 --accesses 2000
     python -m repro figref --mixes mix0,mix3     # refresh policy sweep
     python -m repro run --config vsb --mix mix0
     python -m repro run fig12 --jobs 0           # spec-driven, resumable

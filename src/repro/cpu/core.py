@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Deque, Optional
 
 from repro.cpu.trace import Trace, TraceEntry
@@ -48,6 +48,24 @@ class CoreConfig:
         """CPU clock scaled by ``factor`` (Fig. 14 scales CPU with bus)."""
         return CoreConfig(self.clock_hz * factor, self.issue_width,
                           self.rob_size)
+
+    def key_payload(self) -> dict:
+        """``{field name: value}`` for every field: the core part of a
+        result-store key.
+
+        Built once per object and kept on it, as
+        :meth:`~repro.sim.config.SystemConfig.digest` keeps its digest:
+        the config is frozen, so the payload cannot change.  The memo is
+        not a field, so equality, hashing and
+        :func:`dataclasses.replace` never see it.  Callers must not
+        mutate the returned dict.
+        """
+        payload = self.__dict__.get("_key_payload")
+        if payload is None:
+            payload = {f.name: getattr(self, f.name)
+                       for f in fields(self)}
+            object.__setattr__(self, "_key_payload", payload)
+        return payload
 
 
 class TraceCore:

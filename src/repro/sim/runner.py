@@ -18,8 +18,8 @@ back to serial instead of paying pool warm-up.
 
 :class:`ResultSet` wraps the executed cells for the pure figure
 reducers in :mod:`repro.sim.experiments` -- lookups by (config, mix,
-fragmentation, seed, core) plus the weighted-speedup helper every
-speedup figure shares.
+fragmentation, seed, core) from one index built with the set, plus the
+weighted-speedup helper every speedup figure shares.
 """
 
 from __future__ import annotations
@@ -164,7 +164,10 @@ class ResultSet:
     Lookups default to the spec's first fragmentation/seed level, so
     single-level reducers (most figures) just say
     ``rs.mix(config, "mix0")``; sweep reducers pass the axis values
-    explicitly.
+    explicitly.  ``results`` stays the public {cell: result} dict;
+    lookups answer from one index over it, built at construction with
+    plain tuple keys, so they build no :class:`CellKey`.  Each alone
+    IPC is resolved once per (benchmark, axes).
     """
 
     def __init__(self, spec: ExperimentSpec,
@@ -173,32 +176,42 @@ class ResultSet:
         self.spec = spec
         self.results = results
         self.core_config = core_config
+        self._fragmentation = spec.fragmentations[0]
+        self._seed = spec.expanded_seeds()[0]
         self._alone_config = spec.alone.to_config()
+        accesses = spec.accesses_per_core
+        self._index = {
+            (cell.kind, cell.config, cell.workload, cell.fragmentation,
+             cell.seed, cell.core_config): result
+            for cell, result in results.items()
+            if cell.accesses == accesses}
+        self._alone_ipcs: Dict[tuple, float] = {}
 
-    def _key(self, kind, config, workload, fragmentation, seed, core):
-        spec = self.spec
-        return CellKey(
-            kind=kind, config=config, workload=workload,
-            accesses=spec.accesses_per_core,
-            fragmentation=(spec.fragmentations[0]
-                           if fragmentation is None else fragmentation),
-            seed=spec.expanded_seeds()[0] if seed is None else seed,
-            core_config=core or self.core_config)
+    def _cell(self, kind, config, workload, fragmentation, seed, core):
+        return self._index[(
+            kind, config, workload,
+            self._fragmentation if fragmentation is None else fragmentation,
+            self._seed if seed is None else seed,
+            core or self.core_config)]
 
     def mix(self, config, mix: str, fragmentation: float = None,
             seed: int = None,
             core_config: CoreConfig = None) -> SimulationResult:
         """The mix cell's result (KeyError if not in the spec)."""
-        return self.results[self._key("mix", config, mix,
-                                      fragmentation, seed, core_config)]
+        return self._cell("mix", config, mix, fragmentation, seed,
+                          core_config)
 
     def alone_ipc(self, benchmark: str, fragmentation: float = None,
                   seed: int = None,
                   core_config: CoreConfig = None) -> float:
         """The benchmark's alone IPC on the spec's alone baseline."""
-        cell = self._key("alone", self._alone_config, benchmark,
-                         fragmentation, seed, core_config)
-        return self.results[cell].ipcs[0]
+        axes = (benchmark, fragmentation, seed, core_config)
+        ipc = self._alone_ipcs.get(axes)
+        if ipc is None:
+            ipc = self._cell("alone", self._alone_config, benchmark,
+                             fragmentation, seed, core_config).ipcs[0]
+            self._alone_ipcs[axes] = ipc
+        return ipc
 
     def ws(self, config, mix: str, fragmentation: float = None,
            seed: int = None, core_config: CoreConfig = None

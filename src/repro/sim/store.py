@@ -115,11 +115,21 @@ def store_key(config: SystemConfig, *, accesses: int,
         "workload": {"mix": mix, "benchmark": benchmark,
                      "accesses": accesses,
                      "fragmentation": fragmentation, "seed": seed},
-        "core": {f.name: getattr(cc, f.name)
-                 for f in dataclasses.fields(cc)},
+        "core": cc.key_payload(),
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _read_json(path: str):
+    """The JSON document in ``path``, parsed from its bytes.
+
+    Raises :class:`OSError` if the file cannot be read and
+    :class:`ValueError` if it is not JSON (bytes that are not UTF-8
+    raise :class:`UnicodeDecodeError`, a :class:`ValueError`).
+    """
+    with open(path, "rb") as fh:
+        return json.loads(fh.read())
 
 
 # -- result (de)serialization ------------------------------------------------
@@ -294,7 +304,9 @@ class ResultStore:
         return hashlib.sha256(key.encode()).hexdigest()
 
     def path_for(self, key: str) -> str:
-        eid = self.entry_id(key)
+        return self._entry_path(self.entry_id(key))
+
+    def _entry_path(self, eid: str) -> str:
         return os.path.join(self.directory, eid[:2], eid + ".json")
 
     # -- reads ---------------------------------------------------------
@@ -311,8 +323,7 @@ class ResultStore:
         """
         eid = self.entry_id(key)
         try:
-            with open(self.path_for(eid)) as fh:
-                entry = json.load(fh)
+            entry = _read_json(self._entry_path(eid))
         except (OSError, ValueError):
             return None
         if not isinstance(entry, dict) \
@@ -442,8 +453,8 @@ class ResultStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
-            fh.write("\n")
+            # json.dumps encodes in C; json.dump to a file never does.
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
         os.replace(tmp, path)
 
     # -- maintenance ---------------------------------------------------
@@ -452,10 +463,11 @@ class ResultStore:
            max_entries: Optional[int] = None) -> GcReport:
         """Prune the store; returns what was scanned/removed/kept.
 
-        Always removes unreadable entries, entries from other cache
-        versions, and temp files orphaned by a killed writer once they
-        are older than :data:`ORPHAN_TMP_AGE_S` (counted in ``removed``
-        and ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
+        Always removes unreadable entries (not JSON, or JSON that is
+        not an object), entries from other cache versions, and temp
+        files orphaned by a killed writer once they are older than
+        :data:`ORPHAN_TMP_AGE_S` (counted in ``removed`` and
+        ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
         entries older than that (by ``written_at``, falling back to
         file mtime); ``max_entries`` keeps only the newest N survivors.
         """
@@ -465,14 +477,15 @@ class ResultStore:
         for path in list(self.iter_paths()):
             report.scanned += 1
             try:
-                with open(path) as fh:
-                    entry = json.load(fh)
+                entry = _read_json(path)
+                if not isinstance(entry, dict):
+                    raise TypeError("entry is not a JSON object")
                 raw_stamp = entry.get("written_at")
                 stamp = (float(raw_stamp) if raw_stamp is not None
                          else os.path.getmtime(path))
                 stale = entry.get("version") != CACHE_VERSION
             except (OSError, ValueError, TypeError):
-                entry, stamp, stale = None, 0.0, True
+                stamp, stale = 0.0, True
             if not stale and max_age_days is not None:
                 stale = now - stamp > max_age_days * 86400.0
             if stale:

@@ -91,6 +91,42 @@ class TestStoreIdentity:
         from repro.sim.store import CACHE_VERSION
         assert CACHE_VERSION == 6
 
+    @pytest.mark.parametrize("factory,workload,frag,seed,scale,key", [
+        (vsb, dict(mix="mix0"), 0.1, 3, 1.0,
+         "bbb17ac541203f270f1829ee11e0c3b31651391777354ad7665c7fb1fa71571f"),
+        (ddr4_baseline, dict(benchmark="mcf"), 0.5, 1, 1.8,
+         "3dff36fc88bdfebf2223feaef4fdea81ec6fc3e19c315755ef632408acef251d"),
+    ], ids=["vsb_mix", "baseline_alone_scaled_core"])
+    def test_store_key_is_pinned(self, factory, workload, frag, seed,
+                                 scale, key):
+        """A moved key orphans every stored entry, so the key
+        derivation is pinned byte for byte: a fresh core config, and
+        one whose key payload was already built, give the literal."""
+        from repro.cpu.core import CoreConfig
+        from repro.sim.store import store_key
+        core = CoreConfig().scaled(scale)
+        for _ in range(2):
+            assert store_key(factory(), accesses=400, fragmentation=frag,
+                             seed=seed, core_config=core,
+                             **workload) == key
+
+    def test_core_key_payload_memo_is_not_a_field(self):
+        """The memoised core key payload leaves equality, hashing,
+        ``replace`` and pickling as they were."""
+        import pickle
+        from dataclasses import replace
+        from repro.cpu.core import CoreConfig
+        memoised = CoreConfig()
+        payload = memoised.key_payload()
+        assert payload == {"clock_hz": 4e9, "issue_width": 8,
+                           "rob_size": 192}
+        assert memoised.key_payload() is payload
+        fresh = CoreConfig()
+        assert memoised == fresh and hash(memoised) == hash(fresh)
+        assert replace(memoised, rob_size=64).key_payload()["rob_size"] \
+            == 64
+        assert pickle.loads(pickle.dumps(memoised)) == fresh
+
 
 def _rebuilt_here(config):
     """(equal, equal hash, equal cell-key hash) against a config built

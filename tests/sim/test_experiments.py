@@ -91,6 +91,68 @@ class TestContext:
         assert result.transactions == 4 * SMALL.accesses_per_core
 
 
+class TestResultSetAxes:
+    """Every lookup of a 2-seed x 2-fragmentation grid, defaults and
+    explicit axes alike, answers what the matching :class:`CellKey`
+    holds in ``rs.results``."""
+
+    SPEC = ExperimentSpec(
+        name="axes", configs=(ConfigSpec(), ConfigSpec("vsb")),
+        mixes=("mix0",), accesses_per_core=100,
+        fragmentations=(0.5, 0.1), seeds=(4, 2))
+
+    def test_lookups_match_direct_cells(self, store):
+        from repro.sim.metrics import weighted_speedup
+        from repro.sim.specs import CellKey
+        from repro.workloads.mixes import MIXES
+        rs, report = run_spec(self.SPEC, store=store)
+        assert report.cells == len(rs.results) == 2 * 2 * (2 + 4)
+        alone_config = self.SPEC.alone.to_config()
+        names = MIXES["mix0"][0]
+
+        def cell(kind, config, workload, frag, seed):
+            return rs.results[CellKey(
+                kind=kind, config=config, workload=workload,
+                accesses=100, fragmentation=frag, seed=seed,
+                core_config=CoreConfig())]
+
+        for frag in (0.5, 0.1):
+            for seed in (4, 2):
+                for cs in self.SPEC.configs:
+                    config = cs.to_config()
+                    mix = cell("mix", config, "mix0", frag, seed)
+                    alone = [cell("alone", alone_config, n, frag,
+                                  seed).ipcs[0] for n in names]
+                    # An equal core config that is not the spec's own.
+                    axes = dict(fragmentation=frag, seed=seed,
+                                core_config=CoreConfig())
+                    assert rs.mix(config, "mix0", frag, seed) is mix
+                    assert rs.mix(cs.to_config(), "mix0", **axes) is mix
+                    for name, ipc in zip(names, alone):
+                        assert rs.alone_ipc(name, frag, seed) == ipc
+                        assert rs.alone_ipc(name, **axes) == ipc
+                    ws = (weighted_speedup(mix.ipcs, alone), mix)
+                    assert rs.ws(config, "mix0", frag, seed) == ws
+                    assert rs.ws(config, "mix0", **axes) == ws
+                    if (frag, seed) == (0.5, 4):
+                        # The spec's first levels are the defaults.
+                        assert rs.mix(config, "mix0") is mix
+                        assert rs.ws(config, "mix0") == ws
+                        assert [rs.alone_ipc(n) for n in names] == alone
+
+    def test_axes_outside_the_spec_raise_key_error(self, store):
+        rs, _ = run_spec(self.SPEC, store=store)
+        config = self.SPEC.configs[1].to_config()
+        for lookup in (lambda: rs.mix(config, "mix0", seed=3),
+                       lambda: rs.alone_ipc("mcf", seed=0),
+                       lambda: rs.ws(config, "mix0", seed=0),
+                       lambda: rs.ws(config, "mix0", fragmentation=0.9),
+                       lambda: rs.mix(config, "mix0", core_config=(
+                           CoreConfig().scaled(2.0)))):
+            with pytest.raises(KeyError):
+                lookup()
+
+
 class TestFig12:
     def test_table_covers_all_configs(self, store):
         table = _fig12(("ddr4_baseline", "ideal32"), store)

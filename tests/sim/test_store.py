@@ -338,6 +338,39 @@ def test_scalar_and_full_entries_share_one_read_path(tmp_path):
     assert store.counters.misses == 1
 
 
+@pytest.mark.parametrize("raw", [
+    b"", b'{"version": 6, "id"', b'{"version": 6, "id": "\xe9"}', b"[]",
+    b"null",
+    b'"entry"',
+], ids=["empty", "truncated", "not_utf8", "array", "null", "string"])
+def test_unreadable_entry_bytes_are_a_miss(tmp_path, raw):
+    """Entries are parsed from their bytes: an empty, truncated or
+    non-UTF-8 file, and JSON that is not an object, all read as misses
+    that the next put overwrites."""
+    store = ResultStore(str(tmp_path))
+    path = store.path_for(_key())
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    assert store.load_entry(_key()) is None
+    assert not store.contains(_key())
+    assert store.get(_key()) is None
+    live = _small_result()
+    store.put(_key(), live)
+    assert store.get(_key()).digest() == live.digest()
+
+
+def test_entry_file_is_sorted_json_and_a_newline(tmp_path):
+    """A put writes the entry as ``json.dumps(entry, sort_keys=True)``
+    plus a newline, byte for byte."""
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result(observe=True))
+    with open(store.path_for(_key()), "rb") as fh:
+        raw = fh.read()
+    entry = json.loads(raw)
+    assert raw == (json.dumps(entry, sort_keys=True) + "\n").encode()
+
+
 def test_gc_prunes_versions_age_and_excess(tmp_path):
     store = ResultStore(str(tmp_path))
     live = _small_result()
@@ -365,6 +398,22 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     report = store.gc(max_entries=1)
     assert (report.removed, report.kept) == (1, 1)
     assert store.counters.evictions == 4
+
+
+def test_gc_removes_entries_that_are_not_objects(tmp_path):
+    """An entry file holding valid JSON that is not an object (``[]``,
+    ``null``) is unreadable: gc removes it instead of dying on it."""
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result())
+    for seed, text in ((1, "[]"), (2, "null")):
+        path = store.path_for(_key(seed=seed))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    report = store.gc()
+    assert (report.scanned, report.removed, report.kept) == (3, 2, 1)
+    assert report.freed_bytes == len("[]") + len("null")
+    assert store.get(_key()) is not None
 
 
 def test_gc_removes_stale_orphaned_temp_files_only(tmp_path):
