@@ -162,8 +162,8 @@ class ChannelController:
         time = candidate.issue_time
         kind = candidate.kind
         obs = self.observer
-        # Floors must be read before the issue mutates channel state.
-        floors = obs.floors_for(candidate) if obs is not None else None
+        # The floor must be read before the issue mutates channel state.
+        floor = obs.floors_for(candidate) if obs is not None else None
         self.stats.commands_issued += 1
         if kind is _PRE:
             bank_index, slot = candidate.victim
@@ -172,7 +172,7 @@ class ChannelController:
             self.scheduler.note_bank_change(bank_index)
             self.stats.precharges += 1
             if obs is not None:
-                obs.on_command(candidate, floors, False, partial,
+                obs.on_command(candidate, floor, False, partial,
                                not self.queues.pending())
             return []
         if kind is _REF or kind is _REFPB:
@@ -186,7 +186,7 @@ class ChannelController:
             self.scheduler.refresh.note_refresh(candidate)
             self.stats.refreshes += 1
             if obs is not None:
-                obs.on_command(candidate, floors, False, False,
+                obs.on_command(candidate, floor, False, False,
                                not self.queues.pending())
             return []
         c = txn.coords
@@ -197,7 +197,7 @@ class ChannelController:
             if ewlr_hit:
                 self.stats.ewlr_hits += 1
             if obs is not None:
-                obs.on_command(candidate, floors, ewlr_hit, False,
+                obs.on_command(candidate, floor, ewlr_hit, False,
                                not self.queues.pending())
             return []
         is_write = kind is _WR
@@ -209,6 +209,6 @@ class ChannelController:
         if txn.is_read:
             self.stats.read_latencies.add(txn.queueing_latency)
         if obs is not None:
-            obs.on_command(candidate, floors, False, False,
+            obs.on_command(candidate, floor, False, False,
                            not self.queues.pending())
         return [txn]

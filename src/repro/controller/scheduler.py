@@ -46,13 +46,19 @@ array with prefix-min ``(arrival, seq)``) and answers a peek with one
 binary search, making selection O(banks x classes x log candidates)
 instead of O(total candidates).
 
-Observability (:mod:`repro.sim.accounting`) is orthogonal to both
-paths: the controller reads the winning candidate's floor decomposition
-(``Channel.explain_*``) *after* selection and *before* commit, so the
-observer sees exactly the pre-issue device state the scheduler
-consulted, and neither selection path ever branches on whether an
-observer is attached -- the digest-equality tests in
-``tests/sim/test_accounting.py`` hold for both.
+Every ACT and RD/WR floor rule has one implementation, which returns
+``(tag, time)``: :meth:`ChannelResources.act_floor
+<repro.dram.resources.ChannelResources.act_floor>` and ``column_floor``
+for the channel side, folded with the slot's floors by
+``Channel.act_floor``/``column_floor``.  Both paths read only the time:
+the reference path that of the ``Channel`` fold, the incremental path
+that of the channel-side floor (it caches the slot side per bank).
+Observability (:mod:`repro.sim.accounting`) reads the tag of the
+``Channel`` fold: the controller asks for the winning candidate's pair
+*after* selection and *before* commit, so the observer sees exactly the
+pre-issue device state the scheduler consulted, and neither selection
+path ever branches on whether an observer is attached -- the
+digest-equality tests in ``tests/sim/test_accounting.py`` hold for both.
 """
 
 from __future__ import annotations
@@ -230,7 +236,7 @@ class SelectionTable:
 #: bank_index)``.  The last three are the arguments of the bank's
 #: column floor, shared by every column candidate of the bank (the
 #: drain mode fixes the direction, the bank fixes group and index), so
-#: one :meth:`~repro.dram.resources.ChannelResources.earliest_column`
+#: one :meth:`~repro.dram.resources.ChannelResources.column_floor`
 #: call floors the whole table.  A plain tuple, not a dataclass: one is
 #: built per bank rebuild, ~1.6x per command.
 ColTable = Tuple[SelectionTable, bool, int, int]
@@ -553,8 +559,8 @@ class Scheduler:
         self._banks = channel.banks
         self._banks_per_group = channel.banks_per_group
         self._ref_until = resources.ref_until
-        self._res_earliest_column = resources.earliest_column
-        self._res_earliest_act = resources.earliest_act
+        self._res_column_floor = resources.column_floor
+        self._res_act_floor = resources.act_floor
         self._res_earliest_precharge = resources.earliest_precharge
         #: Reusable return vehicle for :meth:`_best_incremental`: one
         #: peek's winner is always consumed (committed or discarded)
@@ -919,12 +925,13 @@ class Scheduler:
         aux_tables = self._aux_tables
         if not col_tables and not aux_tables:
             return None
-        earliest_column = self._res_earliest_column
+        column_floor = self._res_column_floor
         select = SelectionTable.select
         # Class floors, already clamped to ``now``.  The ACT and PRE
         # floors are channel-wide, computed lazily once per peek and
         # shared by every bank; column floors are per bank (one
-        # earliest_column call floors the bank's whole column table).
+        # column_floor call floors the bank's whole column table).  The
+        # scheduler reads only the time of each ``(tag, time)`` floor.
         #
         # Pruning: a table's effective winner time is >= max(t0, now)
         # whatever its floor turns out to be (floors only lift times),
@@ -945,7 +952,7 @@ class Scheduler:
             lb = t0 if t0 > now else now
             if lb > best_t:
                 continue
-            floor = earliest_column(is_write, bank_group, bank_index)
+            floor = column_floor(is_write, bank_group, bank_index)[1]
             if floor < now:
                 floor = now
             # SelectionTable.select, inlined (the hottest few lines of
@@ -974,7 +981,7 @@ class Scheduler:
                 if lb < best_t or (lb == best_t
                                    and PRIO_ACT <= best_prio):
                     if res_act is None:
-                        res_act = self._res_earliest_act()
+                        res_act = self._res_act_floor()[1]
                         if res_act < now:
                             res_act = now
                     t, arrival, seq, entry = select(act_table, res_act)

@@ -83,35 +83,55 @@ class Channel:
 
     # -- earliest legal issue times ---------------------------------------
 
-    def earliest_act(self, coords: DramCoordinates) -> int:
-        """Earliest legal ACT: command bus, ``tRRD``, the slot FSM, and
-        any refresh blackout covering the slot's sub-bank."""
-        bank = self.bank(coords)
-        best = max(self.resources.earliest_act(),
-                   bank.earliest_act(coords.subbank, coords.row))
+    def _slot_floor(self, floor: Tuple[str, int], bank_floor: int,
+                    bank_index: int, subbank: int) -> Tuple[str, int]:
+        """Fold the slot-side floors into a channel-side ``(tag, time)``.
+
+        The bank FSM floor beats only the bus on a tie; a refresh
+        blackout over (bank, sub-bank) wins every tie -- the bank was
+        busy *because* of the refresh.
+        """
+        tag, best = floor
+        if bank_floor > best or (bank_floor == best and tag == FLOOR_BUS):
+            tag, best = FLOOR_BANK, bank_floor
         ru = self.resources.ref_until
         if ru is not None:
-            v = ru[self.bank_index(coords)][coords.subbank]
-            if v > best:
-                best = v
-        return best
+            v = ru[bank_index][subbank]
+            if v >= best:
+                tag, best = FLOOR_REFRESH, v
+        return tag, best
+
+    def act_floor(self, coords: DramCoordinates) -> Tuple[str, int]:
+        """Earliest legal ACT as ``(tag, time)``: command bus, ``tRRD``,
+        ``tFAW``, the slot FSM, and any refresh blackout covering the
+        slot's sub-bank.  Reads pre-issue state: the accounting asks
+        before the command commits."""
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        return self._slot_floor(
+            self.resources.act_floor(),
+            self.banks[bank_index].earliest_act(coords.subbank, coords.row),
+            bank_index, coords.subbank)
+
+    def column_floor(self, coords: DramCoordinates,
+                     is_write: bool) -> Tuple[str, int]:
+        """Earliest legal RD/WR as ``(tag, time)``: shared CAS/bus
+        windows, ``tRCD`` and the slot FSM, and any refresh blackout."""
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        return self._slot_floor(
+            self.resources.column_floor(is_write, coords.bank_group,
+                                        bank_index),
+            self.banks[bank_index].earliest_column(
+                coords.subbank, coords.row, is_write),
+            bank_index, coords.subbank)
+
+    def earliest_act(self, coords: DramCoordinates) -> int:
+        """The time of :meth:`act_floor`."""
+        return self.act_floor(coords)[1]
 
     def earliest_column(self, coords: DramCoordinates,
                         is_write: bool) -> int:
-        """Earliest legal RD/WR: shared CAS/bus windows + ``tRCD``."""
-        bank = self.bank(coords)
-        bank_index = self.bank_index(coords)
-        best = max(
-            self.resources.earliest_column(
-                is_write, coords.bank_group, bank_index),
-            bank.earliest_column(coords.subbank, coords.row, is_write),
-        )
-        ru = self.resources.ref_until
-        if ru is not None:
-            v = ru[bank_index][coords.subbank]
-            if v > best:
-                best = v
-        return best
+        """The time of :meth:`column_floor`."""
+        return self.column_floor(coords, is_write)[1]
 
     def earliest_precharge(self, bank_index: int, slot: SlotKey,
                            cancel: bool = False) -> int:
@@ -184,56 +204,6 @@ class Channel:
                 if v > best:
                     best = v
         return best
-
-    def explain_refresh(self, bank_index: int = -1,
-                        subbank: int = -1) -> list:
-        """Tagged floors of :meth:`earliest_refresh`."""
-        return [(FLOOR_BUS, self.resources.cmd_bus_free),
-                (FLOOR_REFRESH, self.earliest_refresh(bank_index, subbank))]
-
-    # -- explain API (cycle accounting) -----------------------------------
-    #
-    # The ``explain_*`` methods mirror their ``earliest_*`` twins as
-    # tagged (tag, time) floors: the max floor time equals the earliest
-    # legal issue time exactly.  They must be called *before* the
-    # command is issued (they read pre-issue state) and exist only for
-    # observability -- the scheduler never calls them.
-
-    def _with_bank_floors(self, floors: list, bank_index: int,
-                          subbank: int, bank_floor: int) -> list:
-        """Append the bank FSM floor and, with refresh on, the refresh
-        blackout over (bank, sub-bank) to a channel-side decomposition."""
-        floors.append((FLOOR_BANK, bank_floor))
-        ru = self.resources.ref_until
-        if ru is not None:
-            floors.append((FLOOR_REFRESH, ru[bank_index][subbank]))
-        return floors
-
-    def explain_act(self, coords: DramCoordinates) -> list:
-        """Tagged floors of :meth:`earliest_act` for these coordinates."""
-        bank_index = coords.bank_group * self.banks_per_group + coords.bank
-        return self._with_bank_floors(
-            self.resources.act_floors(), bank_index, coords.subbank,
-            self.banks[bank_index].earliest_act(coords.subbank,
-                                                coords.row))
-
-    def explain_column(self, coords: DramCoordinates,
-                       is_write: bool) -> list:
-        """Tagged floors of :meth:`earliest_column`."""
-        bank_index = coords.bank_group * self.banks_per_group + coords.bank
-        return self._with_bank_floors(
-            self.resources.column_floors(is_write, coords.bank_group,
-                                         bank_index),
-            bank_index, coords.subbank,
-            self.banks[bank_index].earliest_column(
-                coords.subbank, coords.row, is_write))
-
-    def explain_precharge(self, bank_index: int, slot: SlotKey,
-                          cancel: bool = False) -> list:
-        """Tagged floors of :meth:`earliest_precharge`."""
-        return self._with_bank_floors(
-            self.resources.precharge_floors(), bank_index, slot[0],
-            self.banks[bank_index].earliest_precharge(slot, cancel))
 
     # -- committed issues --------------------------------------------------
 

@@ -24,7 +24,7 @@ Three bus policies cover every organisation in the paper's evaluation
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.dram.bank import NEVER
 from repro.dram.timing import TimingParams
@@ -42,8 +42,10 @@ class BusPolicy(enum.Enum):
 #: Idle bubble inserted on the data bus when it changes direction.
 TURNAROUND_CLOCKS = 2
 
-#: Floor tags for the explain API (:meth:`ChannelResources.act_floors`
-#: and friends).  :mod:`repro.sim.accounting` maps them onto its
+#: Floor tags: the constraint that released last in a ``(tag, time)``
+#: floor of :meth:`ChannelResources.act_floor` / ``column_floor`` and of
+#: the :class:`~repro.dram.device.Channel` folds over them.
+#: :mod:`repro.sim.accounting` maps them onto its
 #: :class:`~repro.sim.accounting.StallBucket` vocabulary.
 FLOOR_BUS = "bus"
 FLOOR_CCD_WTR_LONG = "ccd_wtr_long"
@@ -118,19 +120,25 @@ class ChannelResources:
         """Whether the DDB two-command windows bind at this frequency."""
         return self._windows_active
 
-    def earliest_act(self) -> int:
-        """Channel-side ACT floor: command bus, rank-wide ``tRRD``, and
-        the rolling four-activate ``tFAW`` window."""
+    def act_floor(self) -> Tuple[str, int]:
+        """Channel-side ACT floor as ``(tag, time)``: the command bus,
+        rank-wide ``tRRD`` and the rolling four-activate ``tFAW``
+        window.
+
+        ``time`` is the earliest issue time these constraints allow;
+        ``tag`` names the one that releases last, a tie going to the
+        more specific (``tfaw`` over ``trrd`` over ``bus``).
+        """
         t = self.timing
-        best = self.cmd_bus_free
+        tag, best = FLOOR_BUS, self.cmd_bus_free
         v = self._last_act + t.tRRD
-        if v > best:
-            best = v
+        if v >= best:
+            tag, best = FLOOR_TRRD, v
         if self._tfaw_active:
             v = self._act_window[0] + t.tFAW
-            if v > best:
-                best = v
-        return best
+            if v >= best:
+                tag, best = FLOOR_TFAW, v
+        return tag, best
 
     def earliest_precharge(self) -> int:
         """Channel-side PRE floor: the command bus only."""
@@ -140,55 +148,36 @@ class ChannelResources:
         """End of the refresh blackout covering (bank, sub-bank).
 
         ``NEVER`` when refresh is off or no refresh is in flight there;
-        the device folds this into every per-slot ``earliest_*`` query.
+        the device folds this into every per-slot floor.
         """
         ru = self.ref_until
         if ru is None:
             return NEVER
         return ru[bank][subbank]
 
-    def earliest_column(self, is_write: bool, bank_group: int,
-                        bank: int) -> int:
-        """Earliest legal issue time for a column command to (bg, bank).
+    def column_floor(self, is_write: bool, bank_group: int,
+                     bank: int) -> Tuple[str, int]:
+        """Channel-side floor of a column command to (bg, bank), as
+        ``(tag, time)`` like :meth:`act_floor`.
 
-        Hot path (one call per cached column candidate per peek), so the
-        floors are folded with running comparisons instead of building a
-        throwaway list.
+        The command bus, the short spacings (``tCCD_S``/``tWTR_S``) and
+        the data bus file under the ``bus`` tag; the long CAS windows
+        (``tCCD_L``/``tWTR_L`` -- what DDB relaxes) under
+        ``ccd_wtr_long``; the DDB guard windows (``tTCW``/``tTWTRW``)
+        under ``ddb_window``.  The groups are folded in that order, so
+        a tie goes to the more specific tag.  Hot path (one call per
+        cached column table per peek): running comparisons, no lists.
         """
         t = self.timing
         best = self.cmd_bus_free
         v = self._last_cas_any + t.tCCD_S
         if v > best:
             best = v
-        if self._groups:
-            v = self._last_cas_bg[bank_group] + t.tCCD_L
-            if v > best:
-                best = v
-        elif self._ddb:
-            v = self._last_cas_bank[bank] + t.tCCD_L
-            if v > best:
-                best = v
-            if self._windows_active:
-                v = self._cas_window[bank_group][0] + t.tTCW
-                if v > best:
-                    best = v
-        # Write-to-read turnaround (command-level).
         if not is_write:
+            # Write-to-read turnaround (command-level).
             v = self._wr_end_any + t.tWTR_S
             if v > best:
                 best = v
-            if self._groups:
-                v = self._wr_end_bg[bank_group] + t.tWTR_L
-                if v > best:
-                    best = v
-            elif self._ddb:
-                v = self._wr_end_bank[bank] + t.tWTR_L
-                if v > best:
-                    best = v
-                if self._windows_active:
-                    v = self._wr_window[bank_group][0] + t.tTWTRW
-                    if v > best:
-                        best = v
         # External data-bus occupancy: the new burst must start after the
         # previous one ends, plus a turnaround bubble on direction change.
         last_write = self._last_data_write
@@ -199,77 +188,32 @@ class ChannelResources:
             v = self._last_data_end - (t.tCWL if is_write else t.tCL)
         if v > best:
             best = v
-        return best
-
-    # -- explain API (cycle accounting) ----------------------------------
-    #
-    # Each ``*_floors`` method decomposes the matching ``earliest_*``
-    # query into tagged (tag, time) constraints such that
-    # ``max(time for _, time in floors) == earliest_*(...)`` exactly --
-    # property-tested in tests/sim/test_accounting.py.  They run only
-    # when a run is observed, so they may build lists the hot path
-    # avoids.
-
-    def act_floors(self) -> list:
-        """Tagged decomposition of :meth:`earliest_act`."""
-        floors = [
-            (FLOOR_BUS, self.cmd_bus_free),
-            (FLOOR_TRRD, self._last_act + self.timing.tRRD),
-        ]
-        if self._tfaw_active:
-            floors.append(
-                (FLOOR_TFAW, self._act_window[0] + self.timing.tFAW))
-        return floors
-
-    def precharge_floors(self) -> list:
-        """Tagged decomposition of :meth:`earliest_precharge`."""
-        return [(FLOOR_BUS, self.cmd_bus_free)]
-
-    def column_floors(self, is_write: bool, bank_group: int,
-                      bank: int) -> list:
-        """Tagged decomposition of :meth:`earliest_column`.
-
-        The long CAS windows (``tCCD_L``/``tWTR_L`` -- what DDB
-        relaxes) and the DDB guard windows (``tTCW``/``tTWTRW``) get
-        their own tags; the command bus, short CAS spacing, and
-        data-bus occupancy/turnaround all file under the generic bus
-        tag.
-        """
-        t = self.timing
-        floors = [
-            (FLOOR_BUS, self.cmd_bus_free),
-            (FLOOR_BUS, self._last_cas_any + t.tCCD_S),
-        ]
-        policy = self.policy
-        if policy is BusPolicy.BANK_GROUPS:
-            floors.append((FLOOR_CCD_WTR_LONG,
-                           self._last_cas_bg[bank_group] + t.tCCD_L))
-        elif policy is BusPolicy.DDB:
-            floors.append((FLOOR_CCD_WTR_LONG,
-                           self._last_cas_bank[bank] + t.tCCD_L))
+        tag = FLOOR_BUS
+        if self._groups:
+            v = self._last_cas_bg[bank_group] + t.tCCD_L
+            if v >= best:
+                tag, best = FLOOR_CCD_WTR_LONG, v
+            if not is_write:
+                v = self._wr_end_bg[bank_group] + t.tWTR_L
+                if v >= best:
+                    tag, best = FLOOR_CCD_WTR_LONG, v
+        elif self._ddb:
+            v = self._last_cas_bank[bank] + t.tCCD_L
+            if v >= best:
+                tag, best = FLOOR_CCD_WTR_LONG, v
+            if not is_write:
+                v = self._wr_end_bank[bank] + t.tWTR_L
+                if v >= best:
+                    tag, best = FLOOR_CCD_WTR_LONG, v
             if self._windows_active:
-                floors.append((FLOOR_DDB_WINDOW,
-                               self._cas_window[bank_group][0] + t.tTCW))
-        if not is_write:
-            floors.append((FLOOR_BUS, self._wr_end_any + t.tWTR_S))
-            if policy is BusPolicy.BANK_GROUPS:
-                floors.append((FLOOR_CCD_WTR_LONG,
-                               self._wr_end_bg[bank_group] + t.tWTR_L))
-            elif policy is BusPolicy.DDB:
-                floors.append((FLOOR_CCD_WTR_LONG,
-                               self._wr_end_bank[bank] + t.tWTR_L))
-                if self._windows_active:
-                    floors.append(
-                        (FLOOR_DDB_WINDOW,
-                         self._wr_window[bank_group][0] + t.tTWTRW))
-        last_write = self._last_data_write
-        if last_write is not None and last_write != is_write:
-            v = (self._last_data_end + TURNAROUND_CLOCKS * t.tCK
-                 - (t.tCWL if is_write else t.tCL))
-        else:
-            v = self._last_data_end - (t.tCWL if is_write else t.tCL)
-        floors.append((FLOOR_BUS, v))
-        return floors
+                v = self._cas_window[bank_group][0] + t.tTCW
+                if v >= best:
+                    tag, best = FLOOR_DDB_WINDOW, v
+                if not is_write:
+                    v = self._wr_window[bank_group][0] + t.tTWTRW
+                    if v >= best:
+                        tag, best = FLOOR_DDB_WINDOW, v
+        return tag, best
 
     # -- recorders -------------------------------------------------------
 

@@ -59,11 +59,13 @@ Gap attribution (:class:`StallBucket`):
     work was queued.
 
 For ACT/RD/WR the gap is charged to the **binding** device floor -- the
-constraint that released last, computed from the same state the
-scheduler consulted (``Channel.explain_*`` mirrors ``earliest_*``
-exactly; a property test keeps them from diverging).  For precharges the
-gap is charged to the conflict that forced the close: that is the
-quantity Fig. 13b cares about.
+constraint that released last.  Each floor rule is written once and
+returns ``(tag, time)`` (``Channel.act_floor``/``column_floor``): the
+scheduler reads the time, this module reads the tag, both from the same
+pre-issue state.  On a tie the most specific tag wins: refresh, DDB
+window, ``tCCD_L``/``tWTR_L``, ``tFAW``, ``tRRD``, bank FSM, bus.  For
+precharges the gap is charged to the conflict that forced the close:
+that is the quantity Fig. 13b cares about.
 
 Everything here is a pure observer: with accounting enabled the command
 stream is bit-identical to a plain run (digest-equality tests), and with
@@ -108,23 +110,17 @@ class StallBucket(enum.Enum):
     __hash__ = object.__hash__
 
 
-#: Floor tags (from :mod:`repro.dram.resources` / ``Channel.explain_*``)
-#: in tie-break order: among floors releasing at the same time, prefer
-#: the mechanism-specific explanation over the generic bus.  A refresh
-#: blackout is the most specific of all -- when it ties with a bank
-#: floor the bank was busy *because* of the refresh.
-_FLOOR_ORDER = (
-    (res.FLOOR_REFRESH, StallBucket.REFRESH),
-    (res.FLOOR_DDB_WINDOW, StallBucket.DDB_WINDOW),
-    (res.FLOOR_CCD_WTR_LONG, StallBucket.CCD_WTR_LONG),
-    (res.FLOOR_TFAW, StallBucket.TFAW),
-    (res.FLOOR_TRRD, StallBucket.TRRD),
-    (res.FLOOR_BANK, StallBucket.BANK_BUSY),
-    (res.FLOOR_BUS, StallBucket.BUS),
-)
-#: Floor tag -> (tie-break rank, bucket); ranked once, lower rank wins.
-_FLOOR_RANK = {tag: (rank, bucket)
-               for rank, (tag, bucket) in enumerate(_FLOOR_ORDER)}
+#: Floor tag (:mod:`repro.dram.resources`) -> the bucket a wait it
+#: bound is charged to.
+_FLOOR_BUCKETS = {
+    res.FLOOR_REFRESH: StallBucket.REFRESH,
+    res.FLOOR_DDB_WINDOW: StallBucket.DDB_WINDOW,
+    res.FLOOR_CCD_WTR_LONG: StallBucket.CCD_WTR_LONG,
+    res.FLOOR_TFAW: StallBucket.TFAW,
+    res.FLOOR_TRRD: StallBucket.TRRD,
+    res.FLOOR_BANK: StallBucket.BANK_BUSY,
+    res.FLOOR_BUS: StallBucket.BUS,
+}
 
 # Enum members the per-command path reads, bound as module globals:
 # loading a member off an Enum class costs several global loads.
@@ -139,23 +135,6 @@ _ISSUE = StallBucket.ISSUE
 _REQUEST_GAP = StallBucket.REQUEST_GAP
 _REFRESH = StallBucket.REFRESH
 _DDB_WINDOW = StallBucket.DDB_WINDOW
-
-
-def binding_floor(floors: List[Tuple[str, int]]
-                  ) -> Tuple[StallBucket, int]:
-    """The constraint that released last (ties: most specific wins).
-
-    ``floors`` is the ``Channel.explain_*`` decomposition: (tag, time)
-    pairs whose max equals the command's earliest legal issue time.
-    """
-    best_bucket, best_time, best_rank = StallBucket.BUS, None, 0
-    for tag, time in floors:
-        if best_time is not None and time < best_time:
-            continue  # released earlier: cannot bind
-        rank, bucket = _FLOOR_RANK[tag]
-        if best_time is None or time > best_time or rank < best_rank:
-            best_bucket, best_time, best_rank = bucket, time, rank
-    return best_bucket, best_time if best_time is not None else 0
 
 
 @dataclass
@@ -298,15 +277,16 @@ class ChannelAccounting:
     def on_command(self, time: int, kind: CommandKind,
                    cause: Optional[PrechargeCause],
                    bank: int, subbank: int,
-                   floors: Optional[List[Tuple[str, int]]],
+                   floor: Optional[Tuple[str, int]],
                    ewlr_hit: bool, partial: bool,
                    queue_empty_after: bool
                    ) -> Tuple[StallBucket, int]:
         """Account one committed command; returns (bucket, wait_ps).
 
-        ``floors`` is the ``Channel.explain_*`` decomposition for
-        ACT/RD/WR (``None`` for precharges, whose gap is charged to
-        their cause).  ``queue_empty_after`` reports whether the
+        ``floor`` is the command's pre-issue ``(tag, time)`` device
+        floor for ACT/RD/WR (``Channel.act_floor``/``column_floor``);
+        ``None`` for precharges, whose gap is charged to their cause,
+        and for REF/REFpb.  ``queue_empty_after`` reports whether the
         channel queue drained as a result of this command.
         """
         cursor = self.cursor
@@ -329,7 +309,8 @@ class ChannelAccounting:
                     bucket = _REFRESH
                     buckets[bucket] += wait
                 else:
-                    bucket, released = binding_floor(floors or [])
+                    tag, released = floor
+                    bucket = _FLOOR_BUCKETS[tag]
                     device_end = min(max(released, stall_start), time)
                     buckets[bucket] += device_end - stall_start
                     buckets[_REQUEST_GAP] += time - device_end
@@ -533,17 +514,15 @@ class AccountingReport:
 class ObserveOptions:
     """What to observe during a run (``None`` observer = observe nothing).
 
-    ``accounting`` costs one floor decomposition and a few counter
-    updates per command.  Measured as Python bytecodes executed on the
-    ten ``figref`` configurations on mix0 (400 accesses/core, seed 5),
-    an observed run executes 18.8 % (15.9 M) more than an unobserved
-    one; it was 19.2 % (20.6 M) while the counters hashed their Enum
-    keys in Python and the trace-only fields were always computed.
-    ``trace`` stores one event per command, so cap it with
-    ``trace_limit`` on long runs.
+    An observed run always keeps cycle accounting, which costs one
+    tagged device floor and a few counter updates per command.
+    Measured as Python bytecodes executed on the ten ``figref``
+    configurations on mix0 (400 accesses/core, seed 5), an observed run
+    executes 15.3 % (13.1 M) more than an unobserved one.  ``trace``
+    also stores one event per command, so cap it with ``trace_limit``
+    on long runs.
     """
 
-    accounting: bool = True
     trace: bool = False
     trace_limit: Optional[int] = None
 
@@ -556,7 +535,7 @@ class CommandObserver:
     """Per-channel observer the controller drives from its hot path.
 
     The controller calls :meth:`floors_for` *before* applying a command
-    (the explain API reads pre-issue state) and :meth:`on_command`
+    (the device floor reads pre-issue state) and :meth:`on_command`
     after, plus :meth:`note_nonempty` when a transaction is admitted
     into an empty queue.  All cost lives behind the controller's single
     ``observer is not None`` check, keeping the unobserved path within
@@ -574,19 +553,20 @@ class CommandObserver:
     def note_nonempty(self, time: int) -> None:
         self.accounting.note_nonempty(time)
 
-    def floors_for(self, candidate) -> Optional[List[Tuple[str, int]]]:
-        """Pre-issue floor decomposition of a scheduler candidate."""
+    def floors_for(self, candidate) -> Optional[Tuple[str, int]]:
+        """Pre-issue ``(tag, time)`` device floor of a scheduler
+        candidate (``Channel.act_floor``/``column_floor``)."""
         kind = candidate.kind
         if kind is _RD or kind is _WR:
-            return self.channel.explain_column(candidate.txn.coords,
-                                               kind is _WR)
+            return self.channel.column_floor(candidate.txn.coords,
+                                             kind is _WR)
         if kind is _ACT:
-            return self.channel.explain_act(candidate.txn.coords)
+            return self.channel.act_floor(candidate.txn.coords)
         # Precharges are attributed by cause, REF/REFpb wholesale to
-        # the refresh bucket -- neither needs a floor decomposition.
+        # the refresh bucket -- neither needs a device floor.
         return None
 
-    def on_command(self, candidate, floors, ewlr_hit: bool,
+    def on_command(self, candidate, floor, ewlr_hit: bool,
                    partial: bool, queue_empty_after: bool) -> None:
         """Account (and optionally trace) one committed command."""
         victim = candidate.victim
@@ -600,7 +580,7 @@ class CommandObserver:
             bank, (subbank, _) = victim
         bucket, wait = self.accounting.on_command(
             candidate.issue_time, candidate.kind, candidate.cause, bank,
-            subbank, floors, ewlr_hit, partial, queue_empty_after)
+            subbank, floor, ewlr_hit, partial, queue_empty_after)
         if self.sink is not None:
             self.sink.record(self._event(candidate, bank, subbank,
                                          partial, bucket, wait))

@@ -36,7 +36,6 @@ from repro.dram.bank import NEVER, BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.resources import (
-    FLOOR_BUS,
     FLOOR_REFRESH,
     BusPolicy,
     ChannelResources,
@@ -151,9 +150,10 @@ class TestChannelRefresh:
         ch = vsb_channel()
         end = ch.issue_refresh(0)  # all-bank
         c = coords()
-        assert ch.earliest_act(c) >= end
-        floors = dict(ch.explain_act(c))
-        assert floors[FLOOR_REFRESH] == end
+        assert ch.act_floor(c) == (FLOOR_REFRESH, end)
+        assert ch.column_floor(c, False) == (FLOOR_REFRESH, end)
+        assert ch.earliest_act(c) == ch.earliest_column(c, True) == end
+        assert ch.earliest_precharge(0, (0, 0)) == end
 
     def test_refresh_refused_with_open_rows_in_scope(self):
         ch = vsb_channel()
@@ -171,13 +171,6 @@ class TestChannelRefresh:
         assert ch.refresh_duration(2, 1) == (RT.trfc_pb + 1) // 2
         assert ch.refresh_duration(2, 1) < ch.refresh_duration(2) \
             < ch.refresh_duration()
-
-    def test_explain_refresh_matches_earliest(self):
-        ch = vsb_channel()
-        ch.issue_refresh(0, 0)  # bank 0 in flight
-        floors = ch.explain_refresh()  # rank-wide scope overlaps it
-        assert max(t for _, t in floors) == ch.earliest_refresh()
-        assert FLOOR_BUS in dict(floors)
 
     def test_refresh_lands_in_the_command_log(self):
         ch = vsb_channel()
@@ -275,6 +268,33 @@ class TestSystemRefresh:
             saw_refresh += sum(1 for rec in log
                                if rec.kind in ("REF", "REFPB"))
         assert saw_refresh > 0
+
+    def test_pinned_refresh_grid_satisfies_the_rule_checker(self):
+        """Every mix cell of the pinned figref grid, both channels'
+        command logs: the checker shares no floor code with the
+        scheduler and the accounting, which read one implementation."""
+        spec = figref_spec(pinned_settings(), PINNED_FIGREF_DENSITIES)
+        cells = [c for c in spec.expand() if c.kind == "mix"]
+        assert len(cells) == 14
+        checked = refreshes = 0
+        for cell in cells:
+            config = replace(cell.config, record_commands=True)
+            system = MemorySystem(config)
+            traces = mix_traces(cell.workload, cell.accesses,
+                                fragmentation=cell.fragmentation,
+                                seed=cell.seed)
+            cores = [TraceCore(t, cell.core_config, core_id=i)
+                     for i, t in enumerate(traces)]
+            Simulator(system, cores).run()
+            timing = config.timing()
+            assert len(system.controllers) == 2
+            for controller in system.controllers:
+                log = controller.channel.command_log
+                checked += validate_log(log, timing, config.bus_policy)
+                refreshes += sum(1 for rec in log
+                                 if rec.kind in ("REF", "REFPB"))
+        assert checked > 40_000
+        assert refreshes > 0
 
     @pytest.mark.parametrize("policy", REFRESH_POLICIES)
     def test_backends_agree_with_refresh_on(self, policy):

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.resources import (
+    FLOOR_BUS,
+    FLOOR_CCD_WTR_LONG,
+    FLOOR_DDB_WINDOW,
     TURNAROUND_CLOCKS,
     BusPolicy,
     ChannelResources,
@@ -23,7 +26,7 @@ def make(policy, timing=T):
 class TestCommandBus:
     def test_starts_free(self):
         r = make(BusPolicy.BANK_GROUPS)
-        assert r.earliest_act() == 0
+        assert r.act_floor()[1] == 0
 
     def test_one_command_per_clock(self):
         r = make(BusPolicy.BANK_GROUPS)
@@ -35,19 +38,22 @@ class TestActSpacing:
     def test_trrd_between_acts(self):
         r = make(BusPolicy.BANK_GROUPS)
         r.record_act(0)
-        assert r.earliest_act() == T.tRRD
+        assert r.act_floor()[1] == T.tRRD
 
 
 class TestCasSpacingBankGroups:
     def test_same_group_uses_tccd_l(self):
         r = make(BusPolicy.BANK_GROUPS)
         r.record_column(0, is_write=False, bank_group=1, bank=4)
-        assert r.earliest_column(False, bank_group=1, bank=5) >= T.tCCD_L
+        tag, t = r.column_floor(False, bank_group=1, bank=5)
+        assert tag == FLOOR_CCD_WTR_LONG
+        assert t >= T.tCCD_L
 
     def test_cross_group_uses_tccd_s(self):
         r = make(BusPolicy.BANK_GROUPS)
         r.record_column(0, is_write=False, bank_group=1, bank=4)
-        t = r.earliest_column(False, bank_group=2, bank=8)
+        tag, t = r.column_floor(False, bank_group=2, bank=8)
+        assert tag == FLOOR_BUS
         assert t == T.tCCD_S
         assert t < T.tCCD_L
 
@@ -56,7 +62,7 @@ class TestCasSpacingNoGroups:
     def test_tccd_s_everywhere(self):
         r = make(BusPolicy.NO_GROUPS)
         r.record_column(0, is_write=False, bank_group=1, bank=4)
-        assert r.earliest_column(False, bank_group=1, bank=5) == T.tCCD_S
+        assert r.column_floor(False, bank_group=1, bank=5)[1] == T.tCCD_S
 
 
 class TestCasSpacingDdb:
@@ -64,12 +70,12 @@ class TestCasSpacingDdb:
         """DDB's headline effect: intra-group bank interleave at tCCD_S."""
         r = make(BusPolicy.DDB)
         r.record_column(0, is_write=False, bank_group=1, bank=4)
-        assert r.earliest_column(False, bank_group=1, bank=5) == T.tCCD_S
+        assert r.column_floor(False, bank_group=1, bank=5)[1] == T.tCCD_S
 
     def test_same_bank_still_tccd_l(self):
         r = make(BusPolicy.DDB)
         r.record_column(0, is_write=False, bank_group=1, bank=4)
-        assert r.earliest_column(False, bank_group=1, bank=4) >= T.tCCD_L
+        assert r.column_floor(False, bank_group=1, bank=4)[1] >= T.tCCD_L
 
     def test_windows_inactive_at_baseline_frequency(self):
         r = make(BusPolicy.DDB)
@@ -81,19 +87,20 @@ class TestCasSpacingDdb:
         assert r.windows_active
         t = fast.with_ddb_windows()
         r.record_column(0, is_write=False, bank_group=0, bank=0)
-        second = r.earliest_column(False, bank_group=0, bank=1)
+        second = r.column_floor(False, bank_group=0, bank=1)[1]
         r.record_column(second, is_write=False, bank_group=0, bank=1)
-        third = r.earliest_column(False, bank_group=0, bank=2)
+        tag, third = r.column_floor(False, bank_group=0, bank=2)
         # The third command waits for the tTCW window anchored at cmd #1.
+        assert tag == FLOOR_DDB_WINDOW
         assert third >= t.tTCW
 
     def test_ttcw_does_not_constrain_other_group(self):
         fast = ddr4_timings(2.4e9)
         r = make(BusPolicy.DDB, fast)
         r.record_column(0, is_write=False, bank_group=0, bank=0)
-        second = r.earliest_column(False, bank_group=0, bank=1)
+        second = r.column_floor(False, bank_group=0, bank=1)[1]
         r.record_column(second, is_write=False, bank_group=0, bank=1)
-        other = r.earliest_column(False, bank_group=1, bank=4)
+        other = r.column_floor(False, bank_group=1, bank=4)[1]
         assert other < fast.with_ddb_windows().tTCW
 
     def test_ttwtrw_after_two_writes(self):
@@ -101,9 +108,10 @@ class TestCasSpacingDdb:
         r = make(BusPolicy.DDB, fast)
         t = fast.with_ddb_windows()
         r.record_column(0, is_write=True, bank_group=0, bank=0)
-        w2 = r.earliest_column(True, bank_group=0, bank=1)
+        w2 = r.column_floor(True, bank_group=0, bank=1)[1]
         r.record_column(w2, is_write=True, bank_group=0, bank=1)
-        rd = r.earliest_column(False, bank_group=0, bank=2)
+        tag, rd = r.column_floor(False, bank_group=0, bank=2)
+        assert tag == FLOOR_DDB_WINDOW
         assert rd >= t.tTWTRW  # anchored at the first write (time 0)
 
 
@@ -111,21 +119,24 @@ class TestWriteToRead:
     def test_wtr_long_same_group(self):
         r = make(BusPolicy.BANK_GROUPS)
         end = r.record_column(0, is_write=True, bank_group=1, bank=4)
-        rd = r.earliest_column(False, bank_group=1, bank=5)
+        tag, rd = r.column_floor(False, bank_group=1, bank=5)
+        assert tag == FLOOR_CCD_WTR_LONG
         assert rd >= end + T.tWTR_L
 
     def test_wtr_short_cross_group(self):
         r = make(BusPolicy.BANK_GROUPS)
         end = r.record_column(0, is_write=True, bank_group=1, bank=4)
-        rd = r.earliest_column(False, bank_group=2, bank=8)
+        rd = r.column_floor(False, bank_group=2, bank=8)[1]
         assert rd >= end + T.tWTR_S
         assert rd < end + T.tWTR_L
 
     def test_ddb_wtr_long_only_same_bank(self):
         r = make(BusPolicy.DDB)
         end = r.record_column(0, is_write=True, bank_group=1, bank=4)
-        same_bank = r.earliest_column(False, bank_group=1, bank=4)
-        other_bank = r.earliest_column(False, bank_group=1, bank=5)
+        tag, same_bank = r.column_floor(False, bank_group=1, bank=4)
+        assert tag == FLOOR_CCD_WTR_LONG
+        tag, other_bank = r.column_floor(False, bank_group=1, bank=5)
+        assert tag == FLOOR_BUS
         assert same_bank >= end + T.tWTR_L
         assert other_bank < same_bank
 
@@ -134,20 +145,20 @@ class TestDataBus:
     def test_bursts_do_not_overlap(self):
         r = make(BusPolicy.NO_GROUPS)
         end = r.record_column(0, is_write=False, bank_group=0, bank=0)
-        nxt = r.earliest_column(False, bank_group=1, bank=4)
+        nxt = r.column_floor(False, bank_group=1, bank=4)[1]
         assert nxt + T.tCL >= end or nxt >= T.tCCD_S
 
     def test_read_to_write_turnaround(self):
         r = make(BusPolicy.NO_GROUPS)
         end = r.record_column(0, is_write=False, bank_group=0, bank=0)
-        wr = r.earliest_column(True, bank_group=1, bank=4)
+        wr = r.column_floor(True, bank_group=1, bank=4)[1]
         # Write data must start after read burst end + turnaround bubble.
         assert wr + T.tCWL >= end + TURNAROUND_CLOCKS * T.tCK
 
     def test_same_direction_no_turnaround(self):
         r = make(BusPolicy.NO_GROUPS)
         end = r.record_column(0, is_write=False, bank_group=0, bank=0)
-        rd = r.earliest_column(False, bank_group=1, bank=4)
+        rd = r.column_floor(False, bank_group=1, bank=4)[1]
         assert rd + T.tCL >= end - T.burst_time  # back-to-back bursts fine
 
 
@@ -168,10 +179,10 @@ def test_earliest_column_is_monotone_and_legal(policy, ops):
     prev = 0
     for is_write, bg, bank_in_group in ops:
         bank = bg * 4 + bank_in_group
-        t = r.earliest_column(is_write, bg, bank)
+        t = r.column_floor(is_write, bg, bank)[1]
         assert t >= 0
         issue = max(t, prev)
         r.record_column(issue, is_write, bg, bank)
-        after = r.earliest_column(is_write, bg, bank)
+        after = r.column_floor(is_write, bg, bank)[1]
         assert after > issue  # at least tCCD separates same-target CAS
         prev = issue

@@ -48,7 +48,7 @@ class TestWindowTracker:
     def test_four_acts_are_unconstrained_by_tfaw(self):
         r = make()
         for i in range(4):
-            assert r.earliest_act() == i * T.tRRD
+            assert r.act_floor()[1] == i * T.tRRD
             r.record_act(i * T.tRRD)
 
     def test_fifth_act_waits_for_the_window(self):
@@ -57,7 +57,7 @@ class TestWindowTracker:
             r.record_act(i * T.tRRD)
         # tRRD alone would allow 4 * tRRD; the window pushes further.
         assert 4 * T.tRRD < T.tFAW
-        assert r.earliest_act() == T.tFAW
+        assert r.act_floor()[1] == T.tFAW
 
     def test_window_rolls_forward(self):
         r = make()
@@ -65,37 +65,52 @@ class TestWindowTracker:
             r.record_act(i * T.tRRD)
         r.record_act(T.tFAW)  # the fifth, at the earliest legal time
         # The sixth waits on the *second* ACT leaving the window.
-        assert r.earliest_act() == T.tRRD + T.tFAW
+        assert r.act_floor()[1] == T.tRRD + T.tFAW
 
     def test_zero_tfaw_disables_the_floor(self):
         r = make(T.replace(tFAW=0))
         for i in range(8):
-            assert r.earliest_act() == i * T.tRRD
+            assert r.act_floor() == (FLOOR_TRRD if i else FLOOR_BUS,
+                                     i * T.tRRD)
             r.record_act(i * T.tRRD)
 
     def test_act_floors_carry_the_tfaw_tag(self):
         r = make()
         for i in range(4):
             r.record_act(i * T.tRRD)
-        floors = dict(r.act_floors())
-        assert set(floors) == {FLOOR_BUS, FLOOR_TRRD, FLOOR_TFAW}
-        assert floors[FLOOR_TFAW] == T.tFAW
-        assert max(t for _, t in r.act_floors()) == r.earliest_act()
+        assert r.act_floor() == (FLOOR_TFAW, T.tFAW)
 
     def test_no_tfaw_tag_when_disabled(self):
+        # The same four ACTs: with the window off, tRRD binds.
         r = make(T.replace(tFAW=0))
-        r.record_act(0)
-        assert FLOOR_TFAW not in dict(r.act_floors())
+        for i in range(4):
+            r.record_act(i * T.tRRD)
+        assert r.act_floor() == (FLOOR_TRRD, 4 * T.tRRD)
 
     def test_floors_match_earliest_under_random_acts(self):
+        """The floor is the max of the bus, tRRD and tFAW rules, named
+        by the most specific rule releasing then."""
         rng = random.Random(3)
-        r = make()
-        now = 0
-        for _ in range(200):
-            earliest = r.earliest_act()
-            assert max(t for _, t in r.act_floors()) == earliest
-            now = max(now, earliest) + rng.randrange(0, 3 * T.tRRD)
-            r.record_act(now)
+        for timing in (T, T.replace(tFAW=0)):
+            r = make(timing)
+            acts = []
+            now = 0
+            tags = set()
+            for _ in range(200):
+                parts = [(FLOOR_BUS, r.cmd_bus_free)]
+                if acts:
+                    parts.append((FLOOR_TRRD, acts[-1] + timing.tRRD))
+                if timing.tFAW and len(acts) >= 4:
+                    parts.append((FLOOR_TFAW, acts[-4] + timing.tFAW))
+                time = max(t for _, t in parts)
+                tag, floor = r.act_floor()
+                assert floor == time
+                assert tag == [g for g, t in parts if t == time][-1]
+                tags.add(tag)
+                now = max(now, floor) + rng.randrange(0, 3 * timing.tRRD)
+                r.record_act(now)
+                acts.append(now)
+            assert (FLOOR_TFAW in tags) == bool(timing.tFAW)
 
 
 class TestSchedulerRespectsTfaw:
@@ -128,17 +143,13 @@ class TestSchedulerRespectsTfaw:
         traces = act_heavy_traffic(cores=2, n=150)
         current = run_traces(config, traces).digest()
 
-        def legacy_earliest_act(self):
-            return max(self.cmd_bus_free,
-                       self._last_act + self.timing.tRRD)
+        def legacy_act_floor(self):
+            trrd = self._last_act + self.timing.tRRD
+            if trrd >= self.cmd_bus_free:
+                return FLOOR_TRRD, trrd
+            return FLOOR_BUS, self.cmd_bus_free
 
-        def legacy_act_floors(self):
-            return [(FLOOR_BUS, self.cmd_bus_free),
-                    (FLOOR_TRRD, self._last_act + self.timing.tRRD)]
-
-        monkeypatch.setattr(ChannelResources, "earliest_act",
-                            legacy_earliest_act)
-        monkeypatch.setattr(ChannelResources, "act_floors",
-                            legacy_act_floors)
+        monkeypatch.setattr(ChannelResources, "act_floor",
+                            legacy_act_floor)
         legacy = run_traces(config, traces).digest()
         assert current == legacy

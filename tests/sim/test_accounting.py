@@ -8,10 +8,10 @@ Three families of guarantees:
 2. **Observer neutrality** -- observation never changes behaviour: the
    command stream and result digest are bit-identical with the
    observer on or off.
-3. **Explain/earliest agreement** -- the tagged floor decompositions
-   (``Channel.explain_*`` / ``ChannelResources.*_floors``) reproduce
-   the matching ``earliest_*`` legality query exactly, on live
-   pre-issue state throughout real runs.
+3. **Floor folds** -- each ``(tag, time)`` device floor
+   (``Channel.act_floor``/``column_floor``) is the max of its parts on
+   live pre-issue state throughout real runs, and on a tie it names the
+   most specific constraint.
 """
 
 import io
@@ -22,14 +22,25 @@ import pytest
 
 from repro.core.mechanisms import EruConfig
 from repro.cpu.core import CoreConfig, TraceCore
-from repro.dram.commands import CommandKind
+from repro.controller.transaction import DramCoordinates
+from repro.dram.commands import CommandKind, PrechargeCause
+from repro.dram.resources import (
+    FLOOR_BANK,
+    FLOOR_BUS,
+    FLOOR_DDB_WINDOW,
+    FLOOR_REFRESH,
+    FLOOR_TFAW,
+    FLOOR_TRRD,
+    BusPolicy,
+    ChannelResources,
+)
+from repro.dram.timing import ddr4_timings
 from repro.sim import config as cfgs
 from repro.sim.accounting import (
     AccountingReport,
     ChannelAccounting,
     ObserveOptions,
     StallBucket,
-    binding_floor,
 )
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
 from repro.workloads.mixes import mix_traces
@@ -145,17 +156,20 @@ def test_digest_excludes_observability():
     assert observed.digest() == plain.digest()
 
 
-# -- 3. explain floors == earliest queries -------------------------------
+# -- 3. one tagged floor per rule ----------------------------------------
 
 
 @pytest.mark.parametrize("config", PRESETS,
                          ids=[c.name for c in PRESETS])
 def test_explain_floors_match_earliest_throughout_a_run(config):
-    """On live pre-issue state, max(floors) == the legality query.
+    """On live pre-issue state, the folded floor is the max of its parts.
 
-    Patches the controller commit path to cross-check every command the
+    Patches the controller commit path to check every ACT and RD/WR the
     scheduler actually issues, covering every policy/organisation arm
-    of the floor decompositions with real traffic.
+    of the folds with real traffic: the time is the max of the
+    channel-side floor, the bank FSM floor and the refresh blackout,
+    the tag names a part that releases at that time, and the scheduler
+    never issues before it.
     """
     system = MemorySystem(config)
     checked = 0
@@ -166,18 +180,28 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
         def commit(candidate, channel=channel, original=original):
             nonlocal checked
             txn = candidate.txn
-            if candidate.kind is CommandKind.PRE:
-                bank_index, slot = candidate.victim
-                floors = channel.explain_precharge(bank_index, slot)
-                expected = channel.earliest_precharge(bank_index, slot)
-            elif candidate.kind is CommandKind.ACT:
-                floors = channel.explain_act(txn.coords)
-                expected = channel.earliest_act(txn.coords)
-            else:
+            if candidate.kind is CommandKind.ACT:
+                c = txn.coords
+                tag, time = channel.act_floor(c)
+                channel_tag, channel_time = channel.resources.act_floor()
+                bank_time = channel.bank(c).earliest_act(c.subbank, c.row)
+            elif candidate.kind in (CommandKind.RD, CommandKind.WR):
+                c = txn.coords
                 is_write = candidate.kind is CommandKind.WR
-                floors = channel.explain_column(txn.coords, is_write)
-                expected = channel.earliest_column(txn.coords, is_write)
-            assert max(t for _, t in floors) == expected
+                tag, time = channel.column_floor(c, is_write)
+                channel_tag, channel_time = channel.resources.column_floor(
+                    is_write, c.bank_group, channel.bank_index(c))
+                bank_time = channel.bank(c).earliest_column(
+                    c.subbank, c.row, is_write)
+            else:
+                return original(candidate)
+            ref_time = channel.resources.refresh_floor(
+                channel.bank_index(c), c.subbank)
+            assert time == max(channel_time, bank_time, ref_time)
+            parts = {channel_tag: channel_time, FLOOR_BANK: bank_time,
+                     FLOOR_REFRESH: ref_time}
+            assert parts[tag] == time
+            assert candidate.issue_time >= time
             checked += 1
             return original(candidate)
 
@@ -188,14 +212,58 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
     assert checked > 100
 
 
+def coords(bank=0, row=5):
+    return DramCoordinates(channel=0, rank=0, bank_group=0, bank=bank,
+                           subbank=0, row=row, column=0)
+
+
 def test_binding_floor_prefers_specific_tags_on_ties():
-    floors = [("bus", 100), ("ccd_wtr_long", 100), ("bank_busy", 90)]
-    bucket, released = binding_floor(floors)
-    assert bucket is StallBucket.CCD_WTR_LONG
-    assert released == 100
-    bucket, _ = binding_floor([("bus", 50), ("bank_busy", 50),
-                               ("ddb_window", 50)])
-    assert bucket is StallBucket.DDB_WINDOW
+    """Constructed ties go to the most specific tag."""
+    # bus = bank FSM: a fresh channel's ACT floor is 0 on both.
+    channel = cfgs.vsb().build_channel()
+    assert channel.act_floor(coords()) == (FLOOR_BANK, 0)
+    # ... but tRRD = bank FSM stays tRRD: bank 0 reopens exactly one
+    # tRRD after an ACT to bank 1.
+    channel.issue_act(coords(), 0)
+    slot = channel.bank(coords()).slot_key(0, 5)
+    channel.issue_precharge(0, slot, 40_000, PrechargeCause.POLICY)
+    reopen = channel.bank(coords()).earliest_act(0, 5)
+    channel.issue_act(coords(bank=1), reopen - channel.timing.tRRD)
+    assert channel.act_floor(coords()) == (FLOOR_TRRD, reopen)
+    # tRRD = tFAW: the fifth ACT, one tRRD after the fourth, exactly
+    # when the first leaves the window.
+    t = ddr4_timings()
+    r = ChannelResources(t, BusPolicy.BANK_GROUPS, bank_groups=4,
+                         banks=16)
+    for time in (0, t.tRRD, 2 * t.tRRD, t.tFAW - t.tRRD):
+        r.record_act(time)
+    assert r.act_floor() == (FLOOR_TFAW, t.tFAW)
+    # tCCD_L = tTCW (both 5 ns at 2.4 GHz): a column back to bank 0
+    # after bank 0 then bank 1 of its group.
+    t = ddr4_timings(2.4e9).with_ddb_windows()
+    assert t.tCCD_L == t.tTCW
+    r = ChannelResources(t, BusPolicy.DDB, bank_groups=4, banks=16)
+    r.record_column(0, False, 0, 0)
+    r.record_column(t.tCCD_S, False, 0, 1)
+    assert r.column_floor(False, 0, 0) == (FLOOR_DDB_WINDOW, t.tTCW)
+    # A refresh blackout ending with the floor wins whatever it ties:
+    # the bank FSM (fresh), tRRD (after an ACT), the bus (after a PRE).
+    channel = replace(cfgs.vsb(), refresh_density="16Gb").build_channel()
+    ru = channel.resources.ref_until
+    tied = []
+    for step in ("fresh", "act", "pre"):
+        if step == "act":
+            channel.issue_act(coords(bank=1), 0)
+        elif step == "pre":
+            slot = channel.bank(coords(bank=1)).slot_key(0, 5)
+            channel.issue_precharge(1, slot, 40_000, PrechargeCause.POLICY)
+        floor = channel.act_floor(coords())
+        tied.append(floor[0])
+        ru[0][0] = floor[1]
+        assert channel.act_floor(coords()) == (FLOOR_REFRESH, floor[1])
+        ru[0][0] = floor[1] - 1
+        assert channel.act_floor(coords()) == floor
+    assert tied == [FLOOR_BANK, FLOOR_TRRD, FLOOR_BUS]
 
 
 # -- unit-level accounting behaviour -------------------------------------
@@ -208,7 +276,7 @@ def test_channel_accounting_queue_empty_vs_request_gap():
     acc.note_nonempty(1000)
     bucket, wait = acc.on_command(
         4000, CommandKind.ACT, None, bank=0, subbank=0,
-        floors=[("bus", 0), ("bank_busy", 4000)], ewlr_hit=False,
+        floor=("bank_busy", 4000), ewlr_hit=False,
         partial=False, queue_empty_after=False)
     assert bucket is StallBucket.BANK_BUSY
     assert wait == 3000  # past the queue-empty prefix
@@ -226,7 +294,7 @@ def test_channel_accounting_idle_tail_is_queue_empty():
     acc = ChannelAccounting(0, tCK=750, ewlr=False)
     acc.note_nonempty(0)
     acc.on_command(0, CommandKind.ACT, None, 0, 0,
-                   floors=[("bus", 0)], ewlr_hit=False, partial=False,
+                   floor=("bus", 0), ewlr_hit=False, partial=False,
                    queue_empty_after=True)
     acc.finish(5750)
     acc.verify()
@@ -236,15 +304,14 @@ def test_channel_accounting_idle_tail_is_queue_empty():
 
 def test_channel_accounting_rejects_overlapping_commands():
     acc = ChannelAccounting(0, tCK=750, ewlr=False)
-    acc.on_command(1000, CommandKind.ACT, None, 0, 0, [("bus", 0)],
+    acc.on_command(1000, CommandKind.ACT, None, 0, 0, ("bus", 0),
                    False, False, False)
     with pytest.raises(ValueError):
-        acc.on_command(1200, CommandKind.ACT, None, 0, 0, [("bus", 0)],
+        acc.on_command(1200, CommandKind.ACT, None, 0, 0, ("bus", 0),
                        False, False, False)
 
 
 def test_plane_conflict_files_as_ewlr_miss_only_with_ewlr():
-    from repro.dram.commands import PrechargeCause
     for ewlr, expected in ((True, StallBucket.EWLR_MISS),
                            (False, StallBucket.PLANE_CONFLICT)):
         acc = ChannelAccounting(0, tCK=750, ewlr=ewlr)
