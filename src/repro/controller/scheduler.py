@@ -278,16 +278,21 @@ class RefreshScheduler:
       refreshes (half a ``tRFCpb`` -- half the rows) while its partner
       keeps serving hits through ERUCA's partial-precharge machinery.
 
+    The machine owns the deadline: :attr:`due` is when the next owed
+    refresh falls due, and each retired refresh pushes it one
+    ``period`` out.  The channel owns each scope's row slots
+    (``Channel.refresh_scopes``) and the blackout, which
+    ``Channel.issue_refresh`` writes into their FSM.
+
     Path safety: refresh candidates exist only while the demand queues
     are non-empty, and the demand-vs-refresh decision compares
     ``demand.issue_time`` (already ``max(now, ...)``-clamped the same
-    way by both scheduler paths) against channel-state constants
-    (``ref_due`` and offsets of it) -- never raw ``now`` -- so the
-    reference and incremental paths pick identical winners.  While the
-    queues are empty the controller settles owed refreshes in one idle
-    catch-up at the next admission (:meth:`catch_up`), which keeps run
-    termination trivially intact: a drained simulation proposes no
-    further events.
+    way by both scheduler paths) against the deadline and offsets of
+    it -- never raw ``now`` -- so the reference and incremental paths
+    pick identical winners.  While the queues are empty the controller
+    settles owed refreshes in one idle catch-up at the next admission
+    (:meth:`catch_up`), which keeps run termination trivially intact:
+    a drained simulation proposes no further events.
     """
 
     def __init__(self, channel: Channel, queues: TransactionQueues,
@@ -313,17 +318,10 @@ class RefreshScheduler:
         self.scopes = scopes
         self.period = max(1, channel.timing.tREFI // len(scopes))
         self.defer_slack = 8 * self.period
+        #: When the next owed refresh falls due: one period in.
+        self.due = self.period
         #: Scopes still owed a refresh this round, deadline order.
         self.rotation = list(scopes)
-        channel.resources.init_refresh_schedule(self.period)
-        #: The row slots each scope covers (a bank's slots are fixed
-        #: objects for the channel's lifetime), so the opportunistic
-        #: scan tests "any row open in scope" without building a list.
-        self._scope_slots = {
-            (b, s): tuple(slot for key, slot
-                          in channel.banks[b].slots.items()
-                          if s < 0 or key[0] == s)
-            for b, s in scopes if b >= 0}
         #: Memoised scopes with schedulable demand: every busy
         #: (bank, sub-bank) pair plus its ``(bank, -1)`` per-bank scope,
         #: so one set lookup answers both DARP and SARP scopes.
@@ -378,18 +376,18 @@ class RefreshScheduler:
         """DARP/SARP pull-in: refresh the oldest-owed scope that has no
         pending demand and no open rows (no closes ever race demand)."""
         busy = self._busy_scopes()
-        scope_slots = self._scope_slots
+        channel = self.channel
+        scopes = channel.refresh_scopes
         for scope in self.rotation:
             if scope in busy:
                 continue
-            for slot in scope_slots[scope]:
+            for _, _, slot in scopes[scope]:
                 if slot.active_row is not None:
                     break
             else:
                 bank_index, subbank = scope
-                channel = self.channel
                 t = channel.earliest_refresh(bank_index, subbank)
-                clamp = channel.resources.ref_due - self.defer_slack
+                clamp = self.due - self.defer_slack
                 if t < clamp:
                     t = clamp
                 if t < now:
@@ -406,8 +404,7 @@ class RefreshScheduler:
 
         Called once per peek while the queues are non-empty.
         """
-        resources = self.channel.resources
-        due = resources.ref_due
+        due = self.due
         if self.policy == "baseline":
             if demand is not None and demand.issue_time < due:
                 return demand
@@ -423,8 +420,9 @@ class RefreshScheduler:
         bound = due - self.defer_slack
         if now > bound:
             bound = now
-        if resources.cmd_bus_free > bound:
-            bound = resources.cmd_bus_free
+        cmd_bus_free = self.channel.resources.cmd_bus_free
+        if cmd_bus_free > bound:
+            bound = cmd_bus_free
         if demand.issue_time <= bound:
             return demand
         cand = self._opportunistic(now)
@@ -435,7 +433,7 @@ class RefreshScheduler:
     def note_refresh(self, candidate: Candidate) -> None:
         """A REF/REFpb committed: retire one owed period and advance the
         scope rotation."""
-        self.channel.resources.retire_refresh()
+        self.due += self.period
         bank_index, slot = candidate.victim
         scope = (bank_index, slot[0])
         try:
@@ -463,8 +461,7 @@ class RefreshScheduler:
         and report them to its observer.  They enter the device log
         too, so the validator sees them.
         """
-        resources = self.channel.resources
-        if resources.ref_due > time:
+        if self.due > time:
             return []
         channel = self.channel
         issued: List[Tuple[Candidate, bool]] = []
@@ -478,12 +475,12 @@ class RefreshScheduler:
                                      cause=PrechargeCause.REFRESH),
                            partial))
         banks = range(len(channel.banks))
-        while resources.ref_due <= time:
+        while self.due <= time:
             t = channel.earliest_refresh()
-            if t < resources.ref_due:
-                t = resources.ref_due
+            if t < self.due:
+                t = self.due
             channel.issue_refresh(t)
-            resources.ref_due += resources.ref_period * len(self.scopes)
+            self.due += self.period * len(self.scopes)
             issued.append((Candidate(t, PRIO_REFRESH, None, CommandKind.REF,
                                      victim=(-1, (-1, -1))), False))
             for bi in banks:
@@ -504,8 +501,10 @@ class Scheduler:
     :meth:`note_enqueue` when a transaction is admitted,
     :meth:`note_remove` when a column command retires one, and
     :meth:`note_bank_change` when a committed command touched a bank's
-    FSM.  Anything missed would silently stale the incremental cache, so
-    the golden-digest tests run both paths over every configuration.
+    FSM -- a REF/REFpb too, which writes its blackout into the FSM of
+    every slot in scope.  Anything missed would silently stale the
+    incremental cache, so the golden-digest tests run both paths over
+    every configuration.
     """
 
     def __init__(self, channel: Channel, queues: TransactionQueues,
@@ -551,14 +550,13 @@ class Scheduler:
         self._aux_tables: Dict[int, AuxTables] = {}
         #: Banks whose cached candidates must be rebuilt.
         self._dirty: Set[int] = set()
-        #: Channel state bound once (the bank list, the resources object
-        #: and its refresh-blackout table live as long as the channel and
-        #: are only mutated in place).  Saves the ``self.channel.*``
-        #: attribute chains on every rebuild and peek.
+        #: Channel state bound once (the bank list and the resources
+        #: object live as long as the channel and are only mutated in
+        #: place).  Saves the ``self.channel.*`` attribute chains on
+        #: every rebuild and peek.
         resources = channel.resources
         self._banks = channel.banks
         self._banks_per_group = channel.banks_per_group
-        self._ref_until = resources.ref_until
         self._res_column_floor = resources.column_floor
         self._res_act_floor = resources.act_floor
         self._res_earliest_precharge = resources.earliest_precharge
@@ -744,14 +742,12 @@ class Scheduler:
         Issue times stored here exclude the channel-resource floor and
         the ``now`` clamp -- both are re-applied at selection, so a
         cached candidate never goes stale from *other* banks' traffic.
-        A refresh blackout over this bank *is* folded in: it is
-        bank-local state that only moves when a refresh commits, which
-        dirties every bank in scope (so the fold can never go stale).
+        A refresh blackout is slot FSM state like any other: a REF
+        raises ``act_allowed`` over its scope and dirties every bank in
+        it, and column and precharge times already lie past it.
         """
         bank = self._banks[bank_index]
         slots = bank.slots
-        ru = self._ref_until
-        rb = ru[bank_index] if ru is not None else None
         txns = self._bank_txns.get(bank_index, ())
         if self.idle_close_ps is None and len(txns) <= 1:
             # Most rebuilds see zero or one transaction (the committed
@@ -778,8 +774,6 @@ class Scheduler:
             if active == c.row:  # ROW_HIT
                 is_write = not txn.is_read
                 t = bank.column_ready(key, is_write)
-                if rb is not None and rb[c.subbank] > t:
-                    t = rb[c.subbank]
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn)])
                 self._col_tables[bank_index] = (
@@ -799,15 +793,11 @@ class Scheduler:
                          else _CAUSE_ROW)
             if verdict is _ACT_OK or verdict is _EWLR_HIT:
                 t = own.act_allowed  # Bank.earliest_act of this slot
-                if rb is not None and rb[c.subbank] > t:
-                    t = rb[c.subbank]
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn)])
                 self._aux_tables[bank_index] = (table, None, None)
             else:
                 t = bank.earliest_precharge(victim_slot, txn.is_read)
-                if rb is not None and rb[victim_slot[0]] > t:
-                    t = rb[victim_slot[0]]
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn,
                       (bank_index, victim_slot), cause)])
@@ -834,8 +824,6 @@ class Scheduler:
                     continue  # a pending request still wants this row
                 t = max(slot.last_use + self.idle_close_ps,
                         bank.earliest_precharge(key))
-                if rb is not None and rb[key[0]] > t:
-                    t = rb[key[0]]
                 policies.append((t, _NO_ARRIVAL,
                                  _policy_seq(bank_index, key), loc))
         cols: List[tuple] = []
@@ -863,16 +851,12 @@ class Scheduler:
                 is_write = not txn.is_read
                 bank_group = c.bank_group
                 t = bank.column_ready(txn.slot, is_write)
-                if rb is not None and rb[c.subbank] > t:
-                    t = rb[c.subbank]
                 cols.append((t, txn.arrival_time, txn.seq, txn))
             elif verdict is _ACT_OK or verdict is _EWLR_HIT:
                 if txn.slot in seen_acts:
                     continue  # one ACT proposal per target slot
                 seen_acts.add(txn.slot)
                 t = slots[txn.slot].act_allowed
-                if rb is not None and rb[c.subbank] > t:
-                    t = rb[c.subbank]
                 acts.append((t, txn.arrival_time, txn.seq, txn))
             else:
                 loc = (bank_index, victim_slot)
@@ -885,8 +869,6 @@ class Scheduler:
                 cause = (_CAUSE_PLANE if verdict is _PLANE_CONFLICT
                          else _CAUSE_ROW)
                 t = bank.earliest_precharge(victim_slot, txn.is_read)
-                if rb is not None and rb[victim_slot[0]] > t:
-                    t = rb[victim_slot[0]]
                 pres.append((t, txn.arrival_time, txn.seq, txn, loc,
                              cause))
         self.candidates_built += (len(cols) + len(acts) + len(pres)

@@ -56,8 +56,13 @@ class RowSlot:
     ready_col_wr: int = NEVER
     #: Earliest time a PRE may issue (tRAS / tRTP / write recovery).
     pre_allowed: int = NEVER
-    #: Earliest time an ACT may issue (PRE + tRP, and tRC from last ACT).
+    #: Earliest time an ACT may issue (PRE + tRP, tRC from the last ACT,
+    #: and the end of any refresh blackout over the slot).
     act_allowed: int = 0
+    #: End of the last refresh blackout over this slot (``NEVER`` if
+    #: none).  ``act_allowed`` already waits it out; this only names
+    #: the ``refresh`` tag of an ACT floor it releases.
+    refresh_end: int = NEVER
     #: Plane and MWL tag of the active row (cached at activation so the
     #: scheduler's hot classify() path never recomputes them).
     active_plane: int = -1

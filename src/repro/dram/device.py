@@ -12,7 +12,7 @@ organisation-agnostic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.controller.mapping import RowLayout
 from repro.controller.transaction import DramCoordinates
@@ -63,6 +63,17 @@ class Channel:
         #: Optional command log for post-hoc validation
         #: (:mod:`repro.dram.validation`).
         self.command_log: Optional[list] = [] if record_commands else None
+        #: Refresh scope -> the row slots it covers, as (bank index,
+        #: slot key, slot) in bank then slot order.  A scope is the
+        #: whole rank ``(-1, -1)``, one bank ``(b, -1)`` or one sub-bank
+        #: ``(b, s)``.  Empty with refresh off.
+        self.refresh_scopes: Dict[Tuple[int, int], list] = {}
+        if timing.refresh_enabled:
+            for bi, bank in enumerate(self.banks):
+                for key, slot in bank.slots.items():
+                    for scope in ((-1, -1), (bi, -1), (bi, key[0])):
+                        self.refresh_scopes.setdefault(scope, []).append(
+                            (bi, key, slot))
 
     # -- addressing ------------------------------------------------------
 
@@ -83,46 +94,42 @@ class Channel:
 
     # -- earliest legal issue times ---------------------------------------
 
-    def _slot_floor(self, floor: Tuple[str, int], bank_floor: int,
-                    bank_index: int, subbank: int) -> Tuple[str, int]:
-        """Fold the slot-side floors into a channel-side ``(tag, time)``.
-
-        The bank FSM floor beats only the bus on a tie; a refresh
-        blackout over (bank, sub-bank) wins every tie -- the bank was
-        busy *because* of the refresh.
-        """
+    @staticmethod
+    def _slot_floor(floor: Tuple[str, int],
+                    slot_floor: int) -> Tuple[str, int]:
+        """Fold the slot FSM floor into a channel-side ``(tag, time)``;
+        it beats only the bus on a tie."""
         tag, best = floor
-        if bank_floor > best or (bank_floor == best and tag == FLOOR_BUS):
-            tag, best = FLOOR_BANK, bank_floor
-        ru = self.resources.ref_until
-        if ru is not None:
-            v = ru[bank_index][subbank]
-            if v >= best:
-                tag, best = FLOOR_REFRESH, v
+        if slot_floor > best or (slot_floor == best and tag == FLOOR_BUS):
+            return FLOOR_BANK, slot_floor
         return tag, best
 
     def act_floor(self, coords: DramCoordinates) -> Tuple[str, int]:
         """Earliest legal ACT as ``(tag, time)``: command bus, ``tRRD``,
-        ``tFAW``, the slot FSM, and any refresh blackout covering the
-        slot's sub-bank.  Reads pre-issue state: the accounting asks
-        before the command commits."""
+        ``tFAW`` and the slot FSM, which waits out any refresh blackout.
+        A blackout ending at the floor wins every tie -- the slot was
+        busy *because* of the refresh.  Reads pre-issue state: the
+        accounting asks before the command commits."""
         bank_index = coords.bank_group * self.banks_per_group + coords.bank
-        return self._slot_floor(
-            self.resources.act_floor(),
-            self.banks[bank_index].earliest_act(coords.subbank, coords.row),
-            bank_index, coords.subbank)
+        slot = self.banks[bank_index].slot(coords.subbank, coords.row)
+        tag, best = self._slot_floor(self.resources.act_floor(),
+                                     slot.act_allowed)
+        if slot.refresh_end == best:
+            tag = FLOOR_REFRESH
+        return tag, best
 
     def column_floor(self, coords: DramCoordinates,
                      is_write: bool) -> Tuple[str, int]:
         """Earliest legal RD/WR as ``(tag, time)``: shared CAS/bus
-        windows, ``tRCD`` and the slot FSM, and any refresh blackout."""
+        windows, ``tRCD`` and the slot FSM.  A refresh blackout never
+        binds: the row was opened by an ACT at or after its end, so
+        ``tRCD`` lies past it."""
         bank_index = coords.bank_group * self.banks_per_group + coords.bank
         return self._slot_floor(
             self.resources.column_floor(is_write, coords.bank_group,
                                         bank_index),
             self.banks[bank_index].earliest_column(
-                coords.subbank, coords.row, is_write),
-            bank_index, coords.subbank)
+                coords.subbank, coords.row, is_write))
 
     def earliest_act(self, coords: DramCoordinates) -> int:
         """The time of :meth:`act_floor`."""
@@ -135,17 +142,13 @@ class Channel:
 
     def earliest_precharge(self, bank_index: int, slot: SlotKey,
                            cancel: bool = False) -> int:
-        """Earliest legal PRE: command bus + the slot's ``tRAS``/``tWR``
-        horizons.  ``cancel=True`` asks for the PCM write-cancellation
-        floor when a pulse is in flight (a no-op on DRAM)."""
-        best = max(self.resources.earliest_precharge(),
+        """Earliest legal PRE of an open slot: command bus + the slot's
+        ``tRAS``/``tWR`` horizons (``tRAS`` from an ACT that waited out
+        any refresh blackout).  ``cancel=True`` asks for the PCM
+        write-cancellation floor when a pulse is in flight (a no-op on
+        DRAM)."""
+        return max(self.resources.earliest_precharge(),
                    self.banks[bank_index].earliest_precharge(slot, cancel))
-        ru = self.resources.ref_until
-        if ru is not None:
-            v = ru[bank_index][slot[0]]
-            if v > best:
-                best = v
-        return best
 
     # -- refresh ----------------------------------------------------------
 
@@ -157,16 +160,9 @@ class Channel:
         ``subbank >= 0`` narrows a bank to one sub-bank (SARP).  A
         refresh may only issue once this list is empty.
         """
-        out = []
-        indices = (range(len(self.banks)) if bank_index < 0
-                   else (bank_index,))
-        for bi in indices:
-            for key, slot in self.banks[bi].slots.items():
-                if subbank >= 0 and key[0] != subbank:
-                    continue
-                if slot.active_row is not None:
-                    out.append((bi, key))
-        return out
+        return [(bi, key) for bi, key, slot
+                in self.refresh_scopes[(bank_index, subbank)]
+                if slot.active_row is not None]
 
     def refresh_duration(self, bank_index: int = -1,
                          subbank: int = -1) -> int:
@@ -183,26 +179,12 @@ class Channel:
     def earliest_refresh(self, bank_index: int = -1,
                          subbank: int = -1) -> int:
         """Earliest legal REF/REFpb to a fully precharged scope: command
-        bus, ``tRP``/``tRC`` from every slot in scope, and the end of
-        any overlapping blackout."""
+        bus, and every slot in scope ready to activate (``tRP``/``tRC``
+        and any earlier blackout over it)."""
         best = self.resources.cmd_bus_free
-        ru = self.resources.ref_until
-        indices = (range(len(self.banks)) if bank_index < 0
-                   else (bank_index,))
-        for bi in indices:
-            for key, slot in self.banks[bi].slots.items():
-                if subbank >= 0 and key[0] != subbank:
-                    continue
-                if slot.act_allowed > best:
-                    best = slot.act_allowed
-            if ru is not None:
-                row = ru[bi]
-                if subbank < 0:
-                    v = row[0] if row[0] >= row[1] else row[1]
-                else:
-                    v = row[subbank]
-                if v > best:
-                    best = v
+        for _, _, slot in self.refresh_scopes[(bank_index, subbank)]:
+            if slot.act_allowed > best:
+                best = slot.act_allowed
         return best
 
     # -- committed issues --------------------------------------------------
@@ -255,7 +237,7 @@ class Channel:
             # cancellation and charge the second programming burst.
             self.write_cancels += 1
             self.energy.record_write()
-        self.resources.record_precharge(time)
+        self.resources.record_command(time)
         self.energy.record_precharge(partial)
         self.precharge_causes[cause] += 1
         self.open_slots.pop((bank_index, slot), None)
@@ -272,15 +254,21 @@ class Channel:
 
         Every slot in scope must already be precharged (the policies
         close them first, counting those precharges under
-        :attr:`~repro.dram.commands.PrechargeCause.REFRESH`).
+        :attr:`~repro.dram.commands.PrechargeCause.REFRESH`).  The
+        blackout is written once, into the slot FSM: no slot in scope
+        may activate before its end, so every later ACT, column and
+        precharge floor of the scope lies at or past it.
         """
         still_open = self.refresh_scope_open(bank_index, subbank)
         if still_open:
             raise ValueError(
                 f"refresh at {time} with open rows in scope: {still_open}")
-        duration = self.refresh_duration(bank_index, subbank)
-        end = self.resources.record_refresh(
-            time, duration, bank_index, subbank)
+        end = time + self.refresh_duration(bank_index, subbank)
+        for _, _, slot in self.refresh_scopes[(bank_index, subbank)]:
+            if end > slot.act_allowed:
+                slot.act_allowed = end
+            slot.refresh_end = end
+        self.resources.record_command(time)
         if self.command_log is not None:
             from repro.dram.validation import CommandRecord
             self.command_log.append(CommandRecord(

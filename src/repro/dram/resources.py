@@ -90,18 +90,6 @@ class ChannelResources:
         # plus the window.
         self._act_window: List[int] = [NEVER, NEVER, NEVER, NEVER]
         self._tfaw_active = timing.tFAW > 0
-        # Refresh state.  ``ref_until`` holds the in-flight refresh
-        # windows as per-[bank][sub-bank] blackout end times; it is None
-        # when refresh is off so every hot path skips it with a single
-        # check.  ``ref_due``/``ref_period`` track the deadline schedule:
-        # the active policy arms them via :meth:`init_refresh_schedule`
-        # and retires one owed refresh per :meth:`retire_refresh`.
-        self.refresh_active = timing.refresh_enabled
-        self.ref_until: Optional[List[List[int]]] = (
-            [[NEVER, NEVER] for _ in range(banks)]
-            if self.refresh_active else None)
-        self.ref_due = 0
-        self.ref_period = 0
         # Per-channel constants of the column path, fixed at build time
         # (comparing against Enum members or re-deriving the burst on
         # every column command cost more than the floors themselves).
@@ -143,17 +131,6 @@ class ChannelResources:
     def earliest_precharge(self) -> int:
         """Channel-side PRE floor: the command bus only."""
         return self.cmd_bus_free
-
-    def refresh_floor(self, bank: int, subbank: int) -> int:
-        """End of the refresh blackout covering (bank, sub-bank).
-
-        ``NEVER`` when refresh is off or no refresh is in flight there;
-        the device folds this into every per-slot floor.
-        """
-        ru = self.ref_until
-        if ru is None:
-            return NEVER
-        return ru[bank][subbank]
 
     def column_floor(self, is_write: bool, bank_group: int,
                      bank: int) -> Tuple[str, int]:
@@ -227,50 +204,12 @@ class ChannelResources:
         if free > self.cmd_bus_free:
             self.cmd_bus_free = free
 
-    def record_precharge(self, time: int) -> None:
-        """Commit a PRE: it only occupies the command bus for a clock."""
+    def record_command(self, time: int) -> None:
+        """Commit a PRE or REF/REFpb: it only occupies the command bus
+        for a clock."""
         free = time + self.timing.tCK
         if free > self.cmd_bus_free:
             self.cmd_bus_free = free
-
-    # -- refresh ---------------------------------------------------------
-
-    def init_refresh_schedule(self, period: int) -> None:
-        """Arm the deadline tracker: the first refresh is due one period
-        in.  ``period`` is the cadence the active policy retires owed
-        refreshes at -- tREFI for all-bank REF, tREFI divided by the
-        scope count for per-bank/per-sub-bank rotations."""
-        self.ref_period = period
-        self.ref_due = period
-
-    def retire_refresh(self) -> None:
-        """One owed refresh retired: push the deadline out one period."""
-        self.ref_due += self.ref_period
-
-    def record_refresh(self, time: int, duration: int, bank: int = -1,
-                       subbank: int = -1) -> int:
-        """Commit a refresh: black out its scope and occupy the command
-        bus for a clock.
-
-        ``bank < 0`` is an all-bank REF (the whole rank); ``subbank < 0``
-        with a bank covers both of that bank's sub-banks (DARP-style
-        REFpb); both set covers a single sub-bank (SARP).  Returns the
-        blackout end time.
-        """
-        end = time + duration
-        ru = self.ref_until
-        if bank < 0:
-            for slots in ru:
-                slots[0] = slots[1] = end
-        elif subbank < 0:
-            slots = ru[bank]
-            slots[0] = slots[1] = end
-        else:
-            ru[bank][subbank] = end
-        free = time + self.timing.tCK
-        if free > self.cmd_bus_free:
-            self.cmd_bus_free = free
-        return end
 
     def record_column(self, time: int, is_write: bool, bank_group: int,
                       bank: int) -> int:

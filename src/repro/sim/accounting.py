@@ -33,8 +33,8 @@ Gap attribution (:class:`StallBucket`):
     speculative adaptive-page-policy close.
 ``refresh``
     Refresh work: the gap before a ``REF``/``REFpb`` command or a
-    refresh-forced close, and any demand command whose binding floor
-    was an in-flight refresh blackout (``tRFC``/``tRFCpb``).
+    refresh-forced close, and any ACT whose binding floor was the end
+    of a refresh blackout (``tRFC``/``tRFCpb``) over its slot.
 ``bank_busy``
     The issued command waited on its own (sub-)bank's FSM --
     ``tRCD``/``tRAS``/``tRC``/``tRP``/``tWR``/``tRTP``, or MASA's
@@ -518,7 +518,7 @@ class ObserveOptions:
     tagged device floor and a few counter updates per command.
     Measured as Python bytecodes executed on the ten ``figref``
     configurations on mix0 (400 accesses/core, seed 5), an observed run
-    executes 15.3 % (13.1 M) more than an unobserved one.  ``trace``
+    executes 15.0 % (12.6 M) more than an unobserved one.  ``trace``
     also stores one event per command, so cap it with ``trace_limit``
     on long runs.
     """

@@ -1,12 +1,16 @@
 """DRAM refresh: deadline tracker through policies, end to end.
 
-Unit tests pin the :class:`ChannelResources` deadline/blackout
-mechanics and the :class:`Channel` refresh issue path; the validator
-tests prove the independent rule checker rejects broken refresh
-schedules; the system tests hold every policy to the rule checker, the
-bucket-sum invariant, and refresh-off digest identity; the hypothesis
-property drives random traffic through random policies and lets the
-checker's 9 x tREFI rule prove no bank ever starves.
+Unit tests pin the deadline, which :class:`RefreshScheduler` owns, and
+the blackout, which :meth:`Channel.issue_refresh` writes into the slot
+FSM of exactly its scope: an ACT inside it raises, the ACT floor of
+every slot in scope (and of no other) reads ``(refresh, end)``, and
+an ACT at the end puts the column and precharge floors ``tRCD`` and
+``tRAS`` past it.  The validator tests prove the independent rule
+checker rejects broken refresh schedules; the system tests hold every
+policy to the rule checker, the bucket-sum invariant, and refresh-off
+digest identity; the hypothesis property drives random traffic through
+random policies and lets the checker's 9 x tREFI rule prove no bank
+ever starves.
 """
 
 import random
@@ -20,6 +24,7 @@ from repro.controller.mapping import RowLayout
 from repro.controller.queue import QueueConfig, TransactionQueues
 from repro.controller.scheduler import (
     PRIO_ACT,
+    PRIO_REFRESH,
     REFRESH_POLICIES,
     Candidate,
     RefreshScheduler,
@@ -35,11 +40,7 @@ from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.bank import NEVER, BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
-from repro.dram.resources import (
-    FLOOR_REFRESH,
-    BusPolicy,
-    ChannelResources,
-)
+from repro.dram.resources import FLOOR_BANK, FLOOR_REFRESH, BusPolicy
 from repro.dram.timing import (
     REFRESH_DENSITY_GRADES_NS,
     TimingParams,
@@ -60,11 +61,6 @@ from repro.workloads.mixes import mix_traces
 
 T = ddr4_timings()
 RT = T.replace(**ddr4_refresh_overrides("8Gb"))
-
-
-def make(timing=RT):
-    return ChannelResources(timing, BusPolicy.BANK_GROUPS,
-                            bank_groups=4, banks=16)
 
 
 def refresh_config(preset=None, policy="baseline", density="8Gb"):
@@ -91,44 +87,51 @@ def mixed_traffic(cores=3, n=200, seed=11):
 
 
 class TestDeadlineTracker:
+    """The deadline lives on the refresh machine; the blackout on the
+    slot FSM of exactly the refreshed scope."""
+
     def test_refresh_off_has_no_blackout_table(self):
-        r = make(T)
-        assert not r.refresh_active
-        assert r.ref_until is None
-        assert r.refresh_floor(0, 0) == NEVER
+        ch = vsb_channel(T)
+        assert ch.refresh_scopes == {}
+        assert {slot.refresh_end for bank in ch.banks
+                for slot in bank.slots.values()} == {NEVER}
+        assert Scheduler(ch, TransactionQueues(QueueConfig())).refresh \
+            is None
 
     def test_schedule_arms_one_period_in(self):
-        r = make()
-        r.init_refresh_schedule(RT.tREFI)
-        assert r.ref_due == RT.tREFI
-        r.retire_refresh()
-        assert r.ref_due == 2 * RT.tREFI
+        refresh = RefreshScheduler(vsb_channel(),
+                                   TransactionQueues(QueueConfig()),
+                                   "baseline")
+        assert refresh.period == RT.tREFI
+        assert refresh.due == RT.tREFI
+        refresh.note_refresh(Candidate(refresh.due, PRIO_REFRESH, None,
+                                       CommandKind.REF,
+                                       victim=(-1, (-1, -1))))
+        assert refresh.due == 2 * RT.tREFI
 
     def test_all_bank_refresh_blacks_out_every_slot(self):
-        r = make()
-        end = r.record_refresh(1000, RT.tRFC)
+        ch = masa_vsb_channel()
+        end = ch.issue_refresh(1000)
         assert end == 1000 + RT.tRFC
-        for bank in range(16):
-            for sb in (0, 1):
-                assert r.refresh_floor(bank, sb) == end
+        assert set(act_floors(ch).values()) == {(FLOOR_REFRESH, end)}
 
     def test_per_bank_refresh_blacks_out_one_bank(self):
-        r = make()
-        end = r.record_refresh(0, RT.trfc_pb, bank=3)
-        assert r.refresh_floor(3, 0) == end
-        assert r.refresh_floor(3, 1) == end
-        assert r.refresh_floor(2, 0) == NEVER
+        ch = masa_vsb_channel()
+        end = ch.issue_refresh(0, 3)
+        assert end == RT.trfc_pb
+        assert blacked_out(ch, end) == {
+            (3, (sb, g)) for sb in (0, 1) for g in (0, 1)}
 
     def test_sub_bank_refresh_blacks_out_one_sub_bank(self):
-        r = make()
-        end = r.record_refresh(0, RT.trfc_pb // 2, bank=5, subbank=1)
-        assert r.refresh_floor(5, 1) == end
-        assert r.refresh_floor(5, 0) == NEVER
+        ch = masa_vsb_channel()
+        end = ch.issue_refresh(0, 5, 1)
+        assert end == (RT.trfc_pb + 1) // 2
+        assert blacked_out(ch, end) == {(5, (1, 0)), (5, (1, 1))}
 
     def test_refresh_occupies_the_command_bus(self):
-        r = make()
-        r.record_refresh(500, RT.tRFC)
-        assert r.cmd_bus_free == 500 + RT.tCK
+        ch = vsb_channel()
+        ch.issue_refresh(500)
+        assert ch.resources.cmd_bus_free == 500 + RT.tCK
 
 
 def vsb_channel(timing=RT):
@@ -140,20 +143,72 @@ def vsb_channel(timing=RT):
                    record_commands=True)
 
 
+def masa_vsb_channel():
+    """Two sub-array groups per sub-bank: every scope spans several
+    row slots."""
+    layout = RowLayout(row_bits=16, plane_count=4, ewlr_bits=3)
+    return Channel(RT, BusPolicy.DDB, bank_groups=4, banks_per_group=4,
+                   bank_geometry=BankGeometry(subbanks=2,
+                                              subarray_groups=2,
+                                              row_bits=16),
+                   row_layout=layout, ewlr=True, rap=True)
+
+
 def coords(bg=0, bank=0, subbank=0, row=0):
     return DramCoordinates(channel=0, rank=0, bank_group=bg, bank=bank,
                            subbank=subbank, row=row, column=0)
 
 
+def act_floors(ch):
+    """The ACT floor of every row slot, keyed (bank index, slot key)."""
+    out = {}
+    per_group = ch.banks_per_group
+    for bi, bank in enumerate(ch.banks):
+        shift = bank.geometry.group_shift
+        for subbank, group in bank.slots:
+            c = coords(bi // per_group, bi % per_group, subbank,
+                       group << shift)
+            out[(bi, (subbank, group))] = ch.act_floor(c)
+    return out
+
+
+def blacked_out(ch, end):
+    """The slots whose ACT floor is ``(refresh, end)``; every other
+    slot's floor must be untagged and earlier."""
+    inside = set()
+    for loc, floor in act_floors(ch).items():
+        if floor == (FLOOR_REFRESH, end):
+            inside.add(loc)
+        else:
+            assert floor[0] != FLOOR_REFRESH and floor[1] < end, loc
+    return inside
+
+
 class TestChannelRefresh:
     def test_blackout_folds_into_every_earliest_query(self):
+        """The reachable sequence: the blackout binds the ACT, and an
+        ACT exactly at its end puts the column floor ``tRCD`` and the
+        precharge floor ``tRAS`` past it."""
         ch = vsb_channel()
         end = ch.issue_refresh(0)  # all-bank
         c = coords()
         assert ch.act_floor(c) == (FLOOR_REFRESH, end)
-        assert ch.column_floor(c, False) == (FLOOR_REFRESH, end)
-        assert ch.earliest_act(c) == ch.earliest_column(c, True) == end
-        assert ch.earliest_precharge(0, (0, 0)) == end
+        assert ch.earliest_act(c) == end
+        ch.issue_act(c, end)
+        assert ch.column_floor(c, False) == (FLOOR_BANK, end + RT.tRCD)
+        assert ch.earliest_column(c, True) == end + RT.tRCD
+        assert ch.earliest_precharge(0, (0, 0)) == end + RT.tRAS
+
+    def test_act_inside_a_blackout_raises(self):
+        """The slot FSM holds the blackout itself, so an ACT that
+        ignores it fails at issue, whichever scheduler proposed it."""
+        ch = vsb_channel()
+        end = ch.issue_refresh(0, 2, 1)
+        inside = coords(bank=2, subbank=1)
+        with pytest.raises(ValueError, match="act_allowed"):
+            ch.issue_act(inside, end - 1)
+        # The partner sub-bank rides through the blackout.
+        ch.issue_act(coords(bank=2, subbank=0), ch.resources.cmd_bus_free)
 
     def test_refresh_refused_with_open_rows_in_scope(self):
         ch = vsb_channel()
@@ -431,7 +486,7 @@ class TestArbitrationEarlyOut:
             before = scans[0]
             winner = arbitrate(self, now, demand)
             if demand is None or demand.issue_time >= \
-                    self.channel.resources.ref_due + self.defer_slack:
+                    self.due + self.defer_slack:
                 return winner  # forced refresh: no pull-in decision
             seen["scanned" if scans[0] > before else "skipped"] += 1
             assert winner == _scan_winner(self, now, demand)

@@ -30,7 +30,7 @@ class TestCommandBus:
 
     def test_one_command_per_clock(self):
         r = make(BusPolicy.BANK_GROUPS)
-        r.record_precharge(0)
+        r.record_command(0)
         assert r.earliest_precharge() == T.tCK
 
 

@@ -27,8 +27,23 @@ from repro.sim.config import (
     masa_eruca,
     vsb,
 )
+from repro.sim.pinning import (
+    PINNED_FIG13_FRAGS,
+    PINNED_FIG13_PLANES,
+    PINNED_FIG14_FREQUENCIES,
+    pinned_settings,
+)
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
-from repro.cpu.core import TraceCore
+from repro.sim.specs import (
+    ablation_spec,
+    fig12_spec,
+    fig13_spec,
+    fig14_spec,
+    fig15_spec,
+    fig16_spec,
+)
+from repro.cpu.core import CoreConfig, TraceCore
+from repro.workloads.mixes import mix_traces
 
 
 def traffic(cores=3, n=300, seed=0):
@@ -47,10 +62,11 @@ def traffic(cores=3, n=300, seed=0):
     return traces
 
 
-def run_validated(config, traces):
+def run_validated(config, traces, core_config=CoreConfig()):
     config = replace(config, record_commands=True)
     system = MemorySystem(config)
-    cores = [TraceCore(t, core_id=i) for i, t in enumerate(traces)]
+    cores = [TraceCore(t, core_config, core_id=i)
+             for i, t in enumerate(traces)]
     Simulator(system, cores).run()
     timing = config.timing()
     total = 0
@@ -84,6 +100,35 @@ def test_schedules_pass_independent_validation(config):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_seeds_validate_on_eruca(seed):
     run_validated(vsb(EruConfig.full(4)), traffic(seed=seed))
+
+
+def test_pinned_figure_grids_satisfy_the_rule_checker():
+    """Every distinct mix0 cell of the pinned Fig. 12-16 and ablation
+    grids: each config at each fragmentation, once per store key (an
+    arm that differs from another config only by name simulates the
+    same).  The checker reads no slot FSM horizon, so it stays
+    independent of the floors the scheduler and the accounting share
+    (the pinned refresh grid is checked in
+    ``tests/dram/test_refresh.py``)."""
+    s = pinned_settings()
+    specs = (fig12_spec(s),
+             fig13_spec(s, fragmentations=PINNED_FIG13_FRAGS,
+                        planes=PINNED_FIG13_PLANES),
+             fig14_spec(s, frequencies=PINNED_FIG14_FREQUENCIES),
+             fig15_spec(s), fig16_spec(s), ablation_spec(s))
+    cells = {}
+    for spec in specs:
+        for cell in spec.expand():
+            if cell.kind == "mix" and cell.workload == "mix0":
+                cells.setdefault(cell.store_key(), cell)
+    assert len(cells) == 46
+    checked = 0
+    for cell in cells.values():
+        traces = mix_traces(cell.workload, cell.accesses,
+                            fragmentation=cell.fragmentation,
+                            seed=cell.seed)
+        checked += run_validated(cell.config, traces, cell.core_config)
+    assert checked > 140_000
 
 
 class TestValidatorCatchesViolations:

@@ -159,20 +159,33 @@ def test_digest_excludes_observability():
 # -- 3. one tagged floor per rule ----------------------------------------
 
 
-@pytest.mark.parametrize("config", PRESETS,
-                         ids=[c.name for c in PRESETS])
+#: The Fig. 12 platform under the per-bank and per-sub-bank refresh
+#: policies, whose refreshes start well inside the short runs below
+#: (the all-bank one is first due at tREFI), so ACTs commit right at
+#: blackout ends.
+REFRESH_PRESETS = [replace(cfgs.vsb(), refresh_density="16Gb",
+                           refresh_policy=policy,
+                           name=f"VSB+ref-{policy}-16Gb")
+                   for policy in ("darp", "sarp")]
+
+
+@pytest.mark.parametrize("config", PRESETS + REFRESH_PRESETS,
+                         ids=[c.name for c in PRESETS + REFRESH_PRESETS])
 def test_explain_floors_match_earliest_throughout_a_run(config):
     """On live pre-issue state, the folded floor is the max of its parts.
 
     Patches the controller commit path to check every ACT and RD/WR the
     scheduler actually issues, covering every policy/organisation arm
     of the folds with real traffic: the time is the max of the
-    channel-side floor, the bank FSM floor and the refresh blackout,
-    the tag names a part that releases at that time, and the scheduler
-    never issues before it.
+    channel-side floor and the slot FSM floor, the tag names a part
+    that releases at that time -- ``refresh`` exactly when the slot's
+    last blackout ends then -- and the scheduler never issues before
+    it.  The FSM floor waits out the blackout, and a column floor lies
+    strictly past it.
     """
     system = MemorySystem(config)
     checked = 0
+    blackouts = [0]
     for controller in system.controllers:
         channel = controller.channel
         original = controller.commit
@@ -185,6 +198,10 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
                 tag, time = channel.act_floor(c)
                 channel_tag, channel_time = channel.resources.act_floor()
                 bank_time = channel.bank(c).earliest_act(c.subbank, c.row)
+                ref_time = channel.bank(c).slot(c.subbank,
+                                                c.row).refresh_end
+                assert ref_time <= bank_time
+                blackouts[0] += ref_time == time
             elif candidate.kind in (CommandKind.RD, CommandKind.WR):
                 c = txn.coords
                 is_write = candidate.kind is CommandKind.WR
@@ -193,11 +210,13 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
                     is_write, c.bank_group, channel.bank_index(c))
                 bank_time = channel.bank(c).earliest_column(
                     c.subbank, c.row, is_write)
+                ref_time = channel.bank(c).slot(c.subbank,
+                                                c.row).refresh_end
+                assert ref_time < bank_time
             else:
                 return original(candidate)
-            ref_time = channel.resources.refresh_floor(
-                channel.bank_index(c), c.subbank)
-            assert time == max(channel_time, bank_time, ref_time)
+            assert time == max(channel_time, bank_time)
+            assert (tag == FLOOR_REFRESH) == (ref_time == time)
             parts = {channel_tag: channel_time, FLOOR_BANK: bank_time,
                      FLOOR_REFRESH: ref_time}
             assert parts[tag] == time
@@ -210,6 +229,8 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
              for i, t in enumerate(mix_traces("mix3", 150))]
     Simulator(system, cores).run()
     assert checked > 100
+    # Each refresh run commits ACTs the blackout bound.
+    assert (blackouts[0] > 0) == config.timing().refresh_enabled
 
 
 def coords(bank=0, row=5):
@@ -247,23 +268,29 @@ def test_binding_floor_prefers_specific_tags_on_ties():
     r.record_column(t.tCCD_S, False, 0, 1)
     assert r.column_floor(False, 0, 0) == (FLOOR_DDB_WINDOW, t.tTCW)
     # A refresh blackout ending with the floor wins whatever it ties:
-    # the bank FSM (fresh), tRRD (after an ACT), the bus (after a PRE).
-    channel = replace(cfgs.vsb(), refresh_density="16Gb").build_channel()
-    ru = channel.resources.ref_until
-    tied = []
-    for step in ("fresh", "act", "pre"):
+    # the slot FSM, which holds it, tRRD (after an ACT to bank 1) and
+    # the bus (after a PRE there).  Released one ps later, tRRD or the
+    # bus binds alone.
+    def after_blackout(step, release):
+        channel = replace(cfgs.vsb(),
+                          refresh_density="16Gb").build_channel()
+        t = channel.timing
+        end = channel.issue_refresh(0, 0, 0)  # bank 0, sub-bank 0
         if step == "act":
-            channel.issue_act(coords(bank=1), 0)
+            channel.issue_act(coords(bank=1), end + release - t.tRRD)
         elif step == "pre":
+            channel.issue_act(coords(bank=1), t.tCK)
             slot = channel.bank(coords(bank=1)).slot_key(0, 5)
-            channel.issue_precharge(1, slot, 40_000, PrechargeCause.POLICY)
-        floor = channel.act_floor(coords())
-        tied.append(floor[0])
-        ru[0][0] = floor[1]
-        assert channel.act_floor(coords()) == (FLOOR_REFRESH, floor[1])
-        ru[0][0] = floor[1] - 1
-        assert channel.act_floor(coords()) == floor
-    assert tied == [FLOOR_BANK, FLOOR_TRRD, FLOOR_BUS]
+            channel.issue_precharge(1, slot, end + release - t.tCK,
+                                    PrechargeCause.POLICY)
+        return end, channel.act_floor(coords())
+
+    for step in ("fsm", "act", "pre"):
+        end, floor = after_blackout(step, 0)
+        assert floor == (FLOOR_REFRESH, end), step
+    later = [after_blackout(step, 1) for step in ("act", "pre")]
+    assert later == [(end, (FLOOR_TRRD, end + 1)),
+                     (end, (FLOOR_BUS, end + 1))]
 
 
 # -- unit-level accounting behaviour -------------------------------------

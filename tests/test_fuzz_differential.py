@@ -120,6 +120,23 @@ class TestHarness:
         assert "FAIL" in text
         assert "--start 4 --seeds 1" in text
 
+    def test_simulator_exception_fails_its_seed_only(self, monkeypatch):
+        """An exception from the simulator is that seed's failure: it
+        is reported with its type and message, minimized and printed
+        with its repro command, and the later seeds still run."""
+        def illegal_act(config, traces, incremental, observe):
+            raise ValueError("ACT at 7 violates act_allowed=9")
+
+        monkeypatch.setattr(fuzz, "_run", illegal_act)
+        out = io.StringIO()
+        assert fuzz.run_seeds(0, 3, accesses=40, out=out) == 3
+        text = out.getvalue()
+        for seed in (0, 1, 2):
+            assert f"seed {seed:4d} FAIL" in text
+            assert f"--start {seed} --seeds 1" in text
+        assert "ValueError: ACT at 7 violates act_allowed=9" in text
+        assert text.count("minimized to cores=1 accesses=10") == 3
+
     def test_main_config_filter_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
             fuzz.main(["--config", "no-such-config"])

@@ -30,9 +30,10 @@ case), so the refresh scheduler rides every oracle below:
 4. **Observer neutrality**: the observed run's digest must equal the
    unobserved run's.
 
+An exception from the simulator fails its case like a broken oracle.
 On failure the case is shrunk (halve accesses, then drop cores) while
-it still fails, and a copy-pasteable repro command is printed.  Exit
-status 1 if any seed fails.
+it still fails, and a copy-pasteable repro command is printed; the
+remaining seeds still run.  Exit status 1 if any seed fails.
 """
 
 from __future__ import annotations
@@ -210,13 +211,20 @@ def _validate(system) -> Optional[str]:
 
 
 def check_case(case: Case, presets: Optional[List] = None) -> Optional[str]:
-    """Run all oracles on one case; returns a failure message or None."""
+    """Run all oracles on one case; returns a failure message or None.
+
+    An exception raised by the simulator (an illegal command the device
+    FSM refuses, say) is that case's failure, not the run's end.
+    """
     config = build_config(case, presets)
     traces = build_traces(case)
-    inc, inc_hash, inc_system = _run(config, traces,
-                                     incremental=True, observe=True)
-    ref, ref_hash, _ = _run(config, traces,
-                            incremental=False, observe=False)
+    try:
+        inc, inc_hash, inc_system = _run(config, traces,
+                                         incremental=True, observe=True)
+        ref, ref_hash, _ = _run(config, traces,
+                                incremental=False, observe=False)
+    except Exception as exc:
+        return f"simulator raised {type(exc).__name__}: {exc}"
     if inc_hash != ref_hash:
         return "incremental/reference command streams diverge"
     if inc.digest() != ref.digest():
