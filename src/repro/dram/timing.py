@@ -227,24 +227,6 @@ REFRESH_DENSITY_GRADES_NS = {
 }
 
 
-def ddr4_refresh_overrides(density: str = "8Gb") -> dict:
-    """``TimingParams.replace`` keywords enabling DDR4 refresh.
-
-    ``density`` selects a row of :data:`REFRESH_DENSITY_GRADES_NS`.
-    Refresh is opt-in (presets ship with it off) so that the refresh-free
-    machine's schedules stay bit-identical; enable it via
-    ``SystemConfig.refresh_policy`` or by applying these overrides.
-    """
-    try:
-        trfc_ns, trfcpb_ns = REFRESH_DENSITY_GRADES_NS[density]
-    except KeyError:
-        raise ValueError(
-            f"unknown density {density!r}; known: "
-            + ", ".join(sorted(REFRESH_DENSITY_GRADES_NS))) from None
-    return {"tRFC": ns(trfc_ns), "tREFI": ns(DDR4_TREFI_NS),
-            "tRFCpb": ns(trfcpb_ns)}
-
-
 def ddr4_timings(bus_frequency_hz: float = 1.333e9,
                  cas_cycles: int = 18) -> TimingParams:
     """DDR4 timing preset at a given bus clock.

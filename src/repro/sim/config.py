@@ -409,7 +409,7 @@ def all_presets() -> list:
         vsb(EruConfig.rap_only(4)),
         vsb(EruConfig.full(4)),
         paired_bank(),
-        paired_bank(EruConfig.full(4, ddb=True)),
+        paired_bank(EruConfig.full(4, ddb=False)),
         half_dram(),
         masa(4),
         masa(8),

@@ -25,9 +25,6 @@ from repro.cpu.core import CoreConfig
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import SimulationResult, run_traces
 
-#: Environment variable overriding :data:`DEFAULT_GRID_MIN_COST`: set it
-#: to ``0`` to force the pool path, or very high to force serial.
-GRID_MIN_COST_ENV = "REPRO_GRID_MIN_COST"
 #: Minimum estimated grid cost (accesses x cores, summed over jobs)
 #: below which :func:`run_grid` stays serial: small grids lose more to
 #: pool startup than they gain from overlap (the "parallel-overhead
@@ -112,17 +109,6 @@ def _job_cost(job: SimJob) -> int:
     return job.accesses * (len(entry[0]) if entry else 4)
 
 
-def grid_min_cost() -> int:
-    """Serial-fallback threshold, honouring ``REPRO_GRID_MIN_COST``."""
-    raw = os.environ.get(GRID_MIN_COST_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_GRID_MIN_COST
-
-
 #: Warm executor reused across run_grid calls, keyed by its worker
 #: count: consecutive figure runners used to pay a full pool fork each,
 #: which is where the parallel-overhead cliff came from on small grids.
@@ -166,12 +152,12 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     ``workers <= 1`` (or a single job) runs serially in-process -- same
     results, no pool overhead -- so callers can pass their ``--jobs``
     value straight through.  Grids whose estimated cost (accesses x
-    cores, summed) falls below :func:`grid_min_cost` also run serially:
-    pool startup costs more than the overlap recovers.  Callers that
-    diff against the result store submit only their missing cells, so
-    the gate prices exactly the work that will actually run.  Larger
-    grids go to a warm :class:`ProcessPoolExecutor` that survives
-    across calls.
+    cores, summed) falls below :data:`DEFAULT_GRID_MIN_COST` also run
+    serially: pool startup costs more than the overlap recovers.
+    Callers that diff against the result store submit only their
+    missing cells, so the gate prices exactly the work that will
+    actually run.  Larger grids go to a warm
+    :class:`ProcessPoolExecutor` that survives across calls.
 
     ``on_result(index, result)`` streams completions in submission
     order as they arrive (the spec runner uses it to persist each cell
@@ -181,7 +167,7 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     jobs = list(jobs)
     results: List[SimulationResult] = []
     if (workers <= 1 or len(jobs) <= 1
-            or sum(_job_cost(job) for job in jobs) < grid_min_cost()):
+            or sum(_job_cost(job) for job in jobs) < DEFAULT_GRID_MIN_COST):
         for index, job in enumerate(jobs):
             result = _run_job(job)
             if on_result is not None:

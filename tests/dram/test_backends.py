@@ -2,20 +2,17 @@
 
 The heart of the refactor's acceptance: the ``dram`` backend's rule
 table must resolve *byte-identically* to the hand-written DDR4 model it
-replaced (golden digests captured before the refactor, on every preset
-and both scheduler paths), and the new technologies must survive the
-same round-trips (frequency scaling, digest stability, the reference
-and incremental scheduler paths) as DDR4.
+replaced (golden digests in ``tests/data/pre_backend_digests.json``,
+computed by :func:`tests.pins.pre_backend_digests`, on every ``dram``
+preset and both scheduler paths), and the new technologies must survive
+the same round-trips (frequency scaling, digest stability, the
+reference and incremental scheduler paths) as DDR4.
 """
 
-import json
-import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from repro.core.mechanisms import EruConfig
 from repro.dram.backends import (
     MemoryTechBackend,
     backend_names,
@@ -25,29 +22,9 @@ from repro.dram.timing import ddr4_timings
 from repro.sim import config as cfgs
 from repro.sim.simulator import run_traces
 from repro.workloads.mixes import mix_traces
+from tests import pins
 
-GOLDEN_PATH = Path(__file__).parent.parent / "data" / \
-    "pre_backend_digests.json"
-
-
-def _load_golden():
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
-
-
-def _golden_configs():
-    """The exact config list the pre-refactor capture ran, in order."""
-    dram = [c for c in cfgs.all_presets() if c.backend == "dram"]
-    variants = []
-    for base in (cfgs.ddr4_baseline(), cfgs.vsb(EruConfig.full(4))):
-        for density, policy in (("8Gb", "baseline"), ("16Gb", "darp"),
-                                ("16Gb", "sarp")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                variants.append(replace(
-                    base, refresh_density=density, refresh_policy=policy,
-                    name=f"{base.name}+{density}/{policy}"))
-    return dram + [variants[i] for i in (0, 3, 1, 4, 2, 5)]
+GOLDEN = "pre_backend_digests.json"
 
 
 class TestRegistry:
@@ -71,42 +48,27 @@ class TestDramTableMatchesHandWrittenModel:
     def test_resolved_timings_identical(self, freq):
         assert get_backend("dram").timings(freq) == ddr4_timings(freq)
 
-    def test_refresh_overrides_identical(self):
-        from repro.dram.timing import ddr4_refresh_overrides
-        tech = get_backend("dram")
-        for density in ("4Gb", "8Gb", "16Gb"):
-            assert tech.refresh_overrides(density) == \
-                ddr4_refresh_overrides(density)
-
 
 class TestGoldenDigests:
     """The `dram` backend is digest-identical to the pre-refactor
-    machine on all 17 presets (plus refresh variants) and both
+    machine on every ``dram`` preset captured before the refactor (all
+    but the no-DDB paired bank), plus refresh variants, on both
     scheduler paths."""
 
     def test_all_presets_match_pre_refactor_digests(self):
-        golden = _load_golden()
-        traces = mix_traces(golden["mix"], golden["accesses"],
-                            seed=golden["seed"])
-        configs = _golden_configs()
-        assert len(configs) == len(golden["digests"]) == 23
-        for config, (name, digest) in zip(configs, golden["digests"]):
-            assert run_traces(config, traces).digest() == digest, \
-                f"{config.name} diverged from pre-refactor {name}"
+        assert pins.drift(pins.load(GOLDEN),
+                          pins.pre_backend_digests()) == {}
 
     @pytest.mark.parametrize("incremental", [False, True],
                              ids=["reference", "incremental"])
     def test_scheduler_paths_match_golden(self, incremental):
-        golden = _load_golden()
-        traces = mix_traces(golden["mix"], golden["accesses"],
-                            seed=golden["seed"])
+        golden = pins.load(GOLDEN)["digests"]
+        configs = pins.pre_backend_configs()
         # One flat and one sub-banked config per scheduler path keeps
-        # the matrix fast; the full 23-config sweep runs above.
+        # the matrix fast; the full sweep runs above.
         for index in (0, 7):
-            config = replace(_golden_configs()[index],
-                             incremental=incremental)
-            assert run_traces(config, traces).digest() == \
-                golden["digests"][index][1]
+            config = replace(configs[index], incremental=incremental)
+            assert pins.golden_digest(config) == golden[index][1]
 
 
 NEW_TECH_PRESETS = [c for c in cfgs.all_presets() if c.backend != "dram"]

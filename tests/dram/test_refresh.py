@@ -37,6 +37,7 @@ from repro.controller.transaction import (
 )
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import Trace, TraceEntry
+from repro.dram.backends import get_backend
 from repro.dram.bank import NEVER, BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
@@ -44,7 +45,6 @@ from repro.dram.resources import FLOOR_BANK, FLOOR_REFRESH, BusPolicy
 from repro.dram.timing import (
     REFRESH_DENSITY_GRADES_NS,
     TimingParams,
-    ddr4_refresh_overrides,
     ddr4_timings,
 )
 from repro.dram.validation import (
@@ -54,13 +54,12 @@ from repro.dram.validation import (
 )
 from repro.sim import config as cfgs
 from repro.sim.accounting import StallBucket
-from repro.sim.pinning import PINNED_FIGREF_DENSITIES, pinned_settings
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
-from repro.sim.specs import figref_spec
 from repro.workloads.mixes import mix_traces
+from tests.pins import pinned_spec
 
 T = ddr4_timings()
-RT = T.replace(**ddr4_refresh_overrides("8Gb"))
+RT = T.replace(**get_backend("dram").refresh_overrides("8Gb"))
 
 
 def refresh_config(preset=None, policy="baseline", density="8Gb"):
@@ -328,7 +327,7 @@ class TestSystemRefresh:
         """Every mix cell of the pinned figref grid, both channels'
         command logs: the checker shares no floor code with the
         scheduler and the accounting, which read one implementation."""
-        spec = figref_spec(pinned_settings(), PINNED_FIGREF_DENSITIES)
+        spec = pinned_spec("figref")
         cells = [c for c in spec.expand() if c.kind == "mix"]
         assert len(cells) == 14
         checked = refreshes = 0
@@ -379,7 +378,6 @@ class TestSystemRefresh:
         to wall time and the REFRESH bucket exists (it may be zero on
         short runs).  Refresh-free backends (PCM) reject the overrides
         outright -- covered in tests/dram/test_backends.py."""
-        from repro.dram.backends import get_backend
         traces = mixed_traffic(cores=2, n=90)
         for preset in cfgs.all_presets():
             if not get_backend(preset.backend).refresh_capable:
@@ -495,7 +493,7 @@ class TestArbitrationEarlyOut:
 
         monkeypatch.setattr(RefreshScheduler, "_opportunistic", counting)
         monkeypatch.setattr(RefreshScheduler, "arbitrate", checked)
-        spec = figref_spec(pinned_settings(), PINNED_FIGREF_DENSITIES)
+        spec = pinned_spec("figref")
         cells = [c for c in spec.expand() if c.kind == "mix"
                  and c.config.refresh_policy in ("darp", "sarp")]
         assert len(cells) == 8

@@ -27,23 +27,10 @@ from repro.sim.config import (
     masa_eruca,
     vsb,
 )
-from repro.sim.pinning import (
-    PINNED_FIG13_FRAGS,
-    PINNED_FIG13_PLANES,
-    PINNED_FIG14_FREQUENCIES,
-    pinned_settings,
-)
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
-from repro.sim.specs import (
-    ablation_spec,
-    fig12_spec,
-    fig13_spec,
-    fig14_spec,
-    fig15_spec,
-    fig16_spec,
-)
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.workloads.mixes import mix_traces
+from tests.pins import pinned_spec
 
 
 def traffic(cores=3, n=300, seed=0):
@@ -110,15 +97,9 @@ def test_pinned_figure_grids_satisfy_the_rule_checker():
     independent of the floors the scheduler and the accounting share
     (the pinned refresh grid is checked in
     ``tests/dram/test_refresh.py``)."""
-    s = pinned_settings()
-    specs = (fig12_spec(s),
-             fig13_spec(s, fragmentations=PINNED_FIG13_FRAGS,
-                        planes=PINNED_FIG13_PLANES),
-             fig14_spec(s, frequencies=PINNED_FIG14_FREQUENCIES),
-             fig15_spec(s), fig16_spec(s), ablation_spec(s))
     cells = {}
-    for spec in specs:
-        for cell in spec.expand():
+    for name in ("fig12", "fig13", "fig14", "fig15", "fig16", "ablation"):
+        for cell in pinned_spec(name).expand():
             if cell.kind == "mix" and cell.workload == "mix0":
                 cells.setdefault(cell.store_key(), cell)
     assert len(cells) == 46

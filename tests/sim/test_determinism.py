@@ -131,7 +131,7 @@ def test_context_alone_ipc_uses_disk_cache(tmp_path):
 def test_parallel_context_matches_serial_tables(tmp_path, monkeypatch):
     """A fig12 grid through worker processes equals the serial run."""
     from repro.sim.experiments import reduce_fig12
-    monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+    monkeypatch.setattr("repro.sim.parallel.DEFAULT_GRID_MIN_COST", 0)
     spec = ExperimentSpec(
         name="fig12", configs=(ConfigSpec("ddr4_baseline"),
                                ConfigSpec("vsb")),

@@ -14,7 +14,6 @@ from repro.sim import parallel
 from repro.sim.config import ddr4_baseline, vsb
 from repro.sim.experiments import FIGURE_REDUCERS, run_figure
 from repro.sim.parallel import SimJob
-from repro.sim.pinning import pinned_settings
 from repro.sim.runner import run_spec
 from repro.sim.specs import (
     FIG12_CONFIG_SPECS,
@@ -32,6 +31,7 @@ from repro.sim.specs import (
     figref_spec,
 )
 from repro.sim.store import ResultStore
+from tests.pins import SETTINGS
 
 SMALL = ExperimentSettings(accesses_per_core=400, mixes=("mix0",))
 TINY = ExperimentSettings(accesses_per_core=200, mixes=("mix0",))
@@ -262,7 +262,7 @@ class TestAblation:
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_CACHE_DIR",
                       str(tmp_path_factory.mktemp("ablation")))
-            sweeps, _ = run_figure("ablation", pinned_settings())
+            sweeps, _ = run_figure("ablation", SETTINGS)
         return sweeps
 
     @staticmethod

@@ -3,8 +3,7 @@
 :func:`repro.sim.parallel.run_grid` must not pay pool startup for grids
 too small to amortise it (the parallel-overhead cliff): below the
 estimated-cost threshold it runs serially even when workers were
-requested, ``REPRO_GRID_MIN_COST`` overrides the threshold in either
-direction, and grids that do go parallel share one warm executor across
+requested, and grids that do go parallel share one warm executor across
 calls instead of re-forking per figure.
 """
 
@@ -13,12 +12,7 @@ import pytest
 import repro.sim.parallel as parallel
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
-from repro.sim.parallel import (
-    SimJob,
-    _job_cost,
-    grid_min_cost,
-    run_grid,
-)
+from repro.sim.parallel import SimJob, _job_cost, run_grid
 
 
 def _job(accesses=50, mix="mix0", benchmark=None, seed=0):
@@ -48,14 +42,6 @@ class TestCostGate:
         assert _job_cost(_job(accesses=100, mix=None,
                               benchmark="mcf")) == 100
 
-    def test_min_cost_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_MIN_COST", "123")
-        assert grid_min_cost() == 123
-        monkeypatch.setenv("REPRO_GRID_MIN_COST", "bogus")
-        assert grid_min_cost() == parallel.DEFAULT_GRID_MIN_COST
-        monkeypatch.delenv("REPRO_GRID_MIN_COST")
-        assert grid_min_cost() == parallel.DEFAULT_GRID_MIN_COST
-
     def test_small_grid_stays_serial(self, monkeypatch):
         # A 3-job grid with --jobs 4: below the cost threshold, the
         # pool must never start (the cliff this PR fixes).
@@ -65,7 +51,7 @@ class TestCostGate:
         assert len(results) == 3
 
     def test_forced_parallel_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+        monkeypatch.setattr(parallel, "DEFAULT_GRID_MIN_COST", 0)
         pool = _RecordingPool()
         monkeypatch.setattr(parallel, "_warm_executor",
                             lambda workers: pool)
@@ -77,7 +63,7 @@ class TestCostGate:
             [r.digest() for r in serial]
 
     def test_forced_serial_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_MIN_COST", str(1 << 40))
+        monkeypatch.setattr(parallel, "DEFAULT_GRID_MIN_COST", 1 << 40)
         monkeypatch.setattr(parallel, "_warm_executor",
                             lambda workers: _PoolMustNotStart())
         big = [_job(accesses=400, seed=s) for s in range(6)]
