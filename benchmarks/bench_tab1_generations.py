@@ -7,15 +7,13 @@ frequency range.
 
 from conftest import print_header
 
-from repro.dram.timing import (
-    FIG14_BUS_FREQUENCIES_HZ,
-    GENERATIONS,
-    ddr4_timings,
-)
+from repro.dram.backends import get_backend
+from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ, GENERATIONS
 
 
 def test_tab1_generations(benchmark):
-    benchmark(lambda: [ddr4_timings(f) for f in FIG14_BUS_FREQUENCIES_HZ])
+    ddr4 = get_backend("dram")
+    benchmark(lambda: [ddr4.timings(f) for f in FIG14_BUS_FREQUENCIES_HZ])
 
     print_header("Tab. I: Specifications of DRAM generations")
     header = f"{'':24s}" + "".join(f"{g.name:>12s}" for g in GENERATIONS)

@@ -22,10 +22,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.controller.mapping import AddressMapping, skylake_mapping
+from repro.controller.mapping import AddressMapping, RowLayout, skylake_mapping
 from repro.cpu.core import CoreConfig
 from repro.cpu.trace import Trace
-from repro.dram.timing import ddr4_timings
+from repro.dram.backends import get_backend
 from repro.workloads.generator import generate_traces
 from repro.workloads.profiles import PROFILES
 
@@ -71,12 +71,6 @@ def timestamp_trace(trace: Trace, mapping: AddressMapping,
     return out
 
 
-def _plane_of(row: int, planes: int, row_bits: int) -> int:
-    """Naive (MSB-region) plane of a row, as in Fig. 3."""
-    bits = (planes - 1).bit_length()
-    return row >> (row_bits - bits)
-
-
 @dataclass
 class ConflictCounts:
     """Fig. 4's per-plane-count outcome."""
@@ -112,9 +106,11 @@ def analyze_plane_conflicts(
     and as *no plane conflict* otherwise.
     """
     if window_ps is None:
-        window_ps = ddr4_timings().tRC
-    plane_counts = sorted(set(plane_counts))
-    row_bits = mapping.config.row_bits
+        window_ps = get_backend("dram").timings().tRC
+    # Naive (MSB-region) planes, as in Fig. 3: no EWLR field, no RAP.
+    layouts = {n: RowLayout(mapping.config.row_bits, plane_count=n,
+                            ewlr_bits=0)
+               for n in sorted(set(plane_counts))}
     accesses: List[TimedAccess] = []
     for trace in traces:
         accesses.extend(
@@ -126,8 +122,7 @@ def analyze_plane_conflicts(
     for group in by_bank.values():
         group.sort(key=lambda a: a.time)
 
-    total = len(accesses)
-    results = {n: ConflictCounts() for n in plane_counts}
+    results = {n: ConflictCounts() for n in layouts}
     for group in by_bank.values():
         times = [a.time for a in group]
         for i, acc in enumerate(group):
@@ -137,11 +132,12 @@ def analyze_plane_conflicts(
                       if j != i and group[j].subbank != acc.subbank]
             if not others:
                 continue
-            for n in plane_counts:
-                plane = _plane_of(acc.row, n, row_bits)
+            for n, layout in layouts.items():
+                plane = layout.plane_id(acc.row, acc.subbank, False)
                 conflict = any(
                     other.row != acc.row
-                    and _plane_of(other.row, n, row_bits) == plane
+                    and layout.plane_id(other.row, other.subbank,
+                                        False) == plane
                     for other in others)
                 counts = results[n]
                 counts.overlapping += 1
@@ -149,8 +145,6 @@ def analyze_plane_conflicts(
                     counts.plane_conflict += 1
                 else:
                     counts.no_plane_conflict += 1
-    for counts in results.values():
-        counts.total_transactions = total  # type: ignore[attr-defined]
     return results
 
 

@@ -397,14 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     def cell(p):
         """--config/--mix selectors shared by run/stats/trace."""
         from repro.controller.scheduler import REFRESH_POLICIES
-        from repro.dram.timing import REFRESH_DENSITY_GRADES_NS
+        from repro.dram.backends import get_backend
         p.add_argument("--config", default="vsb", action=_Given,
                        choices=sorted(CONFIG_FACTORIES))
         p.add_argument("--mix", default="mix0", action=_Given,
                        choices=MIX_NAMES)
         p.add_argument("--refresh", metavar="DENSITY", default=None,
                        action=_Given,
-                       choices=sorted(REFRESH_DENSITY_GRADES_NS),
+                       choices=sorted(
+                           get_backend("dram").refresh_grades_ns),
                        help="enable DRAM refresh at this density grade "
                             "(e.g. 8Gb; default: refresh off, matching "
                             "the presets)")

@@ -95,7 +95,9 @@ class RowLayout:
 
         With RAP, the right sub-bank (subbank 1) inverts the plane bits so
         that identical row addresses on the two sub-banks use different
-        latch sets.
+        latch sets: rows with equal plane fields never conflict, and rows
+        conflict only when their plane fields are complements.  This is
+        RAP's only implementation, a controller-side hash (no DRAM change).
         """
         plane = (row >> self._pshift) & self._pmask
         if rap and subbank == 1:
@@ -283,14 +285,6 @@ class AddressMapping:
         address |= coords.subbank << self._subbank_shift
         address |= coords.row << self._row_shift
         return address
-
-    # -- ERUCA address fields ------------------------------------------
-
-    def plane_id(self, coords: DramCoordinates, rap: bool) -> int:
-        return self.row_layout.plane_id(coords.row, coords.subbank, rap)
-
-    def mwl_tag(self, coords: DramCoordinates) -> int:
-        return self.row_layout.mwl_tag(coords.row)
 
 
 def skylake_mapping(subbanked: bool = False,

@@ -1,11 +1,14 @@
 """The paper's mechanisms as pure, untimed decision logic.
 
-Everything ERUCA adds to a DRAM chip lives here, independent of any
-simulator state: the VSB sub-bank plane-latch activation rules
-(:mod:`repro.core.subbank`, Section IV / Fig. 5), the EWLR shared-main-
-wordline predicates (:mod:`repro.core.ewlr`, Section IV-C), the RAP
-plane permutation (:mod:`repro.core.rap`, Section IV-D), the mechanism-
-selection dataclass (:mod:`repro.core.mechanisms`), and the Fig. 11
-analytic die-area model (:mod:`repro.core.area`).  The timed models in
-:mod:`repro.dram` consult these rules but never duplicate them.
+Here live the mechanism-selection dataclass
+(:mod:`repro.core.mechanisms`), the Fig. 11 analytic die-area model
+(:mod:`repro.core.area`), and the VSB sub-bank plane-latch activation
+rules (:mod:`repro.core.subbank`, Section IV / Fig. 5) as an executable
+specification.  The address rules those verdicts read -- RAP's plane
+permutation (Section IV-D) and EWLR's shared-main-wordline tag
+(Section IV-C) -- have one implementation,
+:class:`repro.controller.mapping.RowLayout`.  The timed bank FSM
+(:meth:`repro.dram.bank.Bank.classify`) implements the verdicts itself,
+and ``tests/core/test_differential.py`` holds it to
+:class:`~repro.core.subbank.SubbankPairState`.
 """

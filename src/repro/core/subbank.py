@@ -15,8 +15,12 @@ depends on what the *other* sub-bank currently holds:
   :meth:`repro.controller.mapping.RowLayout.plane_id`), it does not change
   the rules here.
 
-This module is pure decision logic with no timing; the timed bank FSM in
-:mod:`repro.dram.bank` consults it.
+This module is pure decision logic with no timing: the executable
+specification of these rules.  The timed bank FSM implements them again
+in :meth:`repro.dram.bank.Bank.classify` (with cached plane/MWL fields),
+and ``tests/core/test_differential.py`` holds it to this module on every
+mechanism combination.  Both read the plane ID and MWL tag from
+:class:`repro.controller.mapping.RowLayout`.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ accounting -- is technology-agnostic and consumes the resolved
 Three backends ship:
 
 ``dram``
-    The paper's DDR4 model.  Its rule table resolves byte-identically to
-    :func:`repro.dram.timing.ddr4_timings` at every frequency (enforced
-    by test), so every pre-existing preset keeps its behaviour digest.
+    The paper's DDR4 model (Tab. III).  A test pins its resolved table
+    field by field, and every preset keeps the behaviour digest it had
+    before the backends existed.
 
 ``pcm_palp``
     Phase-change memory with PALP-style partition-level parallelism:

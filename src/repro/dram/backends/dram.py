@@ -1,9 +1,10 @@
 """The DDR4 backend: the paper's evaluation machine, as a rule table.
 
-This table resolves byte-identically to
-:func:`repro.dram.timing.ddr4_timings` at every bus frequency (enforced
-by ``tests/dram/test_backends.py``), so the ``dram`` backend *is* the
-pre-refactor model: every preset keeps its behaviour digest.
+Every DDR4 number the simulator uses is written here once: the timing
+rules, the refresh density grades and the refresh interval.
+``tests/dram/test_backends.py`` pins the resolved table field by field
+at six bus frequencies, and ``tests/data/pre_backend_digests.json`` pins
+the behaviour of every ``dram`` preset.
 
 The idioms it encodes (Tab. III, 18-18-18 DDR4 at 1.33 GHz):
 
@@ -25,7 +26,6 @@ from repro.dram.backends.base import (
     rule,
 )
 from repro.dram.power import EnergyParams
-from repro.dram.timing import DDR4_TREFI_NS, REFRESH_DENSITY_GRADES_NS
 
 #: 1.333 GHz reference bus period: 18 of these is the 13.5 ns CAS.
 _DDR4_REF_CLK_PS = 750
@@ -53,7 +53,15 @@ DRAM_BACKEND = register_backend(MemoryTechBackend(
     burst_length=8,
     reference_clock_ps=_DDR4_REF_CLK_PS,
     default_frequency_hz=1.333e9,
-    refresh_grades_ns=dict(REFRESH_DENSITY_GRADES_NS),
-    trefi_ns=DDR4_TREFI_NS,
+    # Representative (tRFC, tRFCpb) per die density: tRFC grows with
+    # density (more rows per refresh burst); per-bank refresh amortises
+    # better because only one bank's rows are walked.
+    refresh_grades_ns={
+        "4Gb": (260.0, 90.0),
+        "8Gb": (350.0, 160.0),
+        "16Gb": (550.0, 265.0),
+    },
+    # Normal temperature range: one all-bank REF owed every 7.8 us.
+    trefi_ns=7800.0,
     energy=EnergyParams(),
 ))

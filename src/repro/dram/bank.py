@@ -165,9 +165,6 @@ class Bank:
         """The :class:`RowSlot` serving (subbank, row)."""
         return self.slots[self.slot_key(subbank, row)]
 
-    def _plane_of(self, row: int, subbank: int) -> int:
-        return self.row_layout.plane_id(row, subbank, self.rap)
-
     # -- activation classification (Fig. 5 flow) -------------------------
 
     def classify(self, subbank: int, row: int,
@@ -192,7 +189,7 @@ class Bank:
         # Plane-latch interaction with every active row of the paired
         # sub-bank (with MASA there may be several).
         if plane is None:
-            plane = self._plane_of(row, subbank)
+            plane = self.row_layout.plane_id(row, subbank, self.rap)
         if mwl is None and self.ewlr:
             mwl = self.row_layout.mwl_tag(row)
         other_sb = 1 - subbank

@@ -1,13 +1,15 @@
-"""DRAM timing parameters and speed-grade presets.
+"""DRAM timing parameters: the integer-picosecond time base.
 
 All times are integer picoseconds.  Using an integer time base keeps command
 legality checks exact: there is never a float rounding question about whether
 two commands are ``tCCD_L`` apart.
 
-The defaults follow the paper's evaluation setup (Tab. III): DDR4 at a
-1.33 GHz bus clock with 18-18-18 timings, a fixed 200 MHz DRAM core clock,
-burst length 8, and the two new ERUCA bus-window parameters ``tTCW`` and
-``tTWTRW`` derived from the DRAM core clock and write latency.
+Each technology's values live in its backend's rule table
+(:mod:`repro.dram.backends`); the paper's Tab. III DDR4 at a 1.33 GHz bus
+clock with 18-18-18 timings is ``get_backend("dram").timings()``.  This
+module holds the fixed 200 MHz DRAM core clock, and the two new ERUCA
+bus-window parameters ``tTCW`` and ``tTWTRW`` derived from it and the
+write latency (:meth:`TimingParams.with_ddb_windows`).
 """
 
 from __future__ import annotations
@@ -211,51 +213,6 @@ class TimingParams:
         i.e. when the channel can outrun the pair of internal buses.
         """
         return DRAM_CORE_PERIOD_PS > 2 * self.burst_time
-
-
-#: DDR4 average refresh interval in ns (normal temperature range: one
-#: all-bank REF owed every 7.8 us).
-DDR4_TREFI_NS = 7800.0
-
-#: Representative DDR4 ``(tRFC, tRFCpb)`` in ns per die density.  tRFC
-#: grows with density (more rows per refresh burst); per-bank refresh
-#: amortises better because only one bank's rows are walked.
-REFRESH_DENSITY_GRADES_NS = {
-    "4Gb": (260.0, 90.0),
-    "8Gb": (350.0, 160.0),
-    "16Gb": (550.0, 265.0),
-}
-
-
-def ddr4_timings(bus_frequency_hz: float = 1.333e9,
-                 cas_cycles: int = 18) -> TimingParams:
-    """DDR4 timing preset at a given bus clock.
-
-    The paper evaluates DDR4 at 1.33 GHz (18-18-18) and scales the channel
-    to 1.6/2.0/2.4 GHz for Fig. 14 while the DRAM core stays at 200 MHz.
-    Core-side (analog) latencies are kept constant in nanoseconds; bus-side
-    quantities (tCCD_S, burst) are kept constant in clocks.
-    """
-    tck = clock_period_ps(bus_frequency_hz)
-    cas = cas_cycles * clock_period_ps(1.333e9)  # constant ns across grades
-    return TimingParams(
-        tCK=tck,
-        tRCD=cas,
-        tRP=cas,
-        tRAS=ns(32),
-        tRC=ns(32) + cas,
-        tCL=cas,
-        tCWL=cas - 4 * tck if cas - 4 * tck > 0 else cas,
-        tCCD_S=4 * tck,
-        tCCD_L=DRAM_CORE_PERIOD_PS,
-        tWTR_S=ns(2.5),
-        tWTR_L=ns(7.5),
-        tRRD=4 * tck,
-        tWR=ns(15),
-        tRTP=ns(7.5),
-        burst_length=8,
-        tFAW=ns(25),
-    )
 
 
 #: Tab. I of the paper: specifications of DRAM generations.

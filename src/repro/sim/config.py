@@ -37,6 +37,7 @@ from typing import Optional
 
 from repro.controller.mapping import AddressMapping, skylake_mapping
 from repro.controller.queue import QueueConfig
+from repro.controller.scheduler import REFRESH_POLICIES
 from repro.core.mechanisms import OMIT_AT_DEFAULT, EruConfig
 from repro.dram.backends import get_backend
 from repro.dram.bank import BankGeometry
@@ -114,15 +115,17 @@ class SystemConfig:
     #: and ``tRFCpb`` scaled from the 8Gb density grade.  Use
     #: ``refresh_density`` for the exact JEDEC grades.
     refresh_ns: Optional[float] = None
-    #: DDR4 die density selecting a (tRFC, tRFCpb) row of
-    #: :data:`repro.dram.timing.REFRESH_DENSITY_GRADES_NS`
-    #: ("4Gb" / "8Gb" / "16Gb").  Overrides ``refresh_ns``.
+    #: Die density selecting a (tRFC, tRFCpb) row of the backend's
+    #: ``refresh_grades_ns`` (DDR4: "4Gb" / "8Gb" / "16Gb").  Overrides
+    #: ``refresh_ns``.
     refresh_density: Optional[str] = None
-    #: Refresh scheduling policy (only meaningful with refresh
-    #: enabled): ``"baseline"`` on-deadline all-bank REF, ``"darp"``
-    #: deferred out-of-order per-bank refresh behind pending demand,
-    #: ``"sarp"`` sub-bank refresh overlapped with the partner
-    #: sub-bank's accesses (per-bank on flat-bank organisations).
+    #: Refresh scheduling policy, one of
+    #: :data:`~repro.controller.scheduler.REFRESH_POLICIES` (checked even
+    #: with refresh off, where it is unused): ``"baseline"`` on-deadline
+    #: all-bank REF, ``"darp"`` deferred out-of-order per-bank refresh
+    #: behind pending demand, ``"sarp"`` sub-bank refresh overlapped
+    #: with the partner sub-bank's accesses (per-bank on flat-bank
+    #: organisations).
     refresh_policy: str = "baseline"
     #: Memory-technology backend supplying the timing-rule table,
     #: refresh grades, and power model (:mod:`repro.dram.backends`):
@@ -131,6 +134,10 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         tech = get_backend(self.backend)  # raises on unknown names
+        if self.refresh_policy not in REFRESH_POLICIES:
+            raise ValueError(
+                f"unknown refresh policy {self.refresh_policy!r}; known: "
+                + ", ".join(REFRESH_POLICIES))
         if self.refresh_enabled and not tech.refresh_capable:
             raise ValueError(
                 f"backend {self.backend!r} has no refresh (refresh_ns / "

@@ -52,16 +52,6 @@ def weighted_speedup(shared_ipcs: Sequence[float],
     return sum(s / a for s, a in zip(shared_ipcs, alone_ipcs))
 
 
-def normalized(values: Dict[str, float], baseline: str) -> Dict[str, float]:
-    """Normalise a {config: value} dict to one baseline config."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} missing from values")
-    base = values[baseline]
-    if base <= 0:
-        raise ValueError("baseline value must be positive")
-    return {name: v / base for name, v in values.items()}
-
-
 def gmean(values: Iterable[float]) -> float:
     """Geometric mean (the paper's GMEAN column)."""
     vals = list(values)

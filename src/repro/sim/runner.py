@@ -177,7 +177,7 @@ class ResultSet:
         self.results = results
         self.core_config = core_config
         self._fragmentation = spec.fragmentations[0]
-        self._seed = spec.expanded_seeds()[0]
+        self._seed = spec.seeds[0]
         self._alone_config = spec.alone.to_config()
         accesses = spec.accesses_per_core
         self._index = {

@@ -3,7 +3,7 @@
 An :class:`ExperimentSpec` is a frozen, digest-able description of one
 experiment grid -- which configurations (as :class:`ConfigSpec`
 factors, not materialized objects), which mixes, at what scale, over
-which fragmentations / seeds / reps.  :meth:`ExperimentSpec.expand`
+which fragmentations and seeds.  :meth:`ExperimentSpec.expand`
 turns it into a deterministic list of :class:`CellKey` cells, each of
 which maps 1:1 onto a content address in the result store
 (:mod:`repro.sim.store`): the spec is the *what*, the runner
@@ -228,7 +228,7 @@ class CellKey:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full experiment grid: configs x mixes x frags x seeds x reps."""
+    """A full experiment grid: configs x mixes x frags x seeds."""
 
     name: str
     configs: Tuple[ConfigSpec, ...]
@@ -236,8 +236,6 @@ class ExperimentSpec:
     accesses_per_core: int = 2500
     fragmentations: Tuple[float, ...] = (0.1,)
     seeds: Tuple[int, ...] = (0,)
-    #: Replications: rep ``r`` of seed ``s`` runs at seed ``s + r``.
-    reps: int = 1
     #: Also expand the member benchmarks' alone runs (the
     #: weighted-speedup denominators) on the ``alone`` baseline.
     include_alone: bool = True
@@ -247,21 +245,12 @@ class ExperimentSpec:
 
     # -- factor helpers ------------------------------------------------
 
-    def expanded_seeds(self) -> Tuple[int, ...]:
-        """Seeds after replication, deduplicated in first-seen order."""
-        seen: List[int] = []
-        for seed in self.seeds:
-            for rep in range(max(1, self.reps)):
-                if seed + rep not in seen:
-                    seen.append(seed + rep)
-        return tuple(seen)
-
     def settings(self) -> ExperimentSettings:
         """The equivalent single-(frag, seed) settings (first levels)."""
         return ExperimentSettings(
             accesses_per_core=self.accesses_per_core,
             fragmentation=self.fragmentations[0],
-            seed=self.expanded_seeds()[0], mixes=self.mixes)
+            seed=self.seeds[0], mixes=self.mixes)
 
     # -- expansion -----------------------------------------------------
 
@@ -287,7 +276,7 @@ class ExperimentSpec:
                 seen.add(cell)
                 cells.append(cell)
 
-        for seed in self.expanded_seeds():
+        for seed in self.seeds:
             for frag in self.fragmentations:
                 for cs in self.configs:
                     config = cs.to_config()
@@ -324,7 +313,6 @@ class ExperimentSpec:
             "accesses_per_core": self.accesses_per_core,
             "fragmentations": list(self.fragmentations),
             "seeds": list(self.seeds),
-            "reps": self.reps,
             "include_alone": self.include_alone,
             "observe": self.observe,
             "alone": self.alone.to_dict(),
@@ -366,7 +354,6 @@ class ExperimentSpec:
             accesses_per_core=data.get("accesses_per_core", 2500),
             fragmentations=tuple(data.get("fragmentations") or (0.1,)),
             seeds=tuple(data.get("seeds") or (0,)),
-            reps=data.get("reps", 1),
             include_alone=data.get("include_alone", True),
             observe=data.get("observe", False),
             alone=(ConfigSpec.from_dict(alone) if alone

@@ -8,15 +8,16 @@ from repro.controller.transaction import (
     Transaction,
     TransactionKind,
 )
+from repro.dram.backends import get_backend
 from repro.dram.bank import BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.resources import BusPolicy
-from repro.dram.timing import ddr4_timings, ns
+from repro.dram.timing import ns
 from repro.sim.config import ddr4_baseline
 from repro.sim.simulator import run_traces
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 IDLE = ns(200)
 
 

@@ -10,13 +10,13 @@ from repro.controller.transaction import (
     Transaction,
     TransactionKind,
 )
+from repro.dram.backends import get_backend
 from repro.dram.bank import BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.resources import BusPolicy
-from repro.dram.timing import ddr4_timings
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def flat_controller():

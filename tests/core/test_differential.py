@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from repro.controller.mapping import PlanePlacement, RowLayout
 from repro.core.subbank import ActivationVerdict, SubbankPairState
+from repro.dram.backends import get_backend
 from repro.dram.bank import Bank, BankGeometry
-from repro.dram.timing import ddr4_timings
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def build_pair(layout, ewlr, rap):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.controller.mapping import RowLayout
 from repro.core.subbank import ActivationVerdict
+from repro.dram.backends import get_backend
 from repro.dram.bank import NEVER, Bank, BankGeometry
-from repro.dram.timing import ddr4_timings
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def full_bank():

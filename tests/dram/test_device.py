@@ -5,14 +5,14 @@ import pytest
 from repro.controller.mapping import RowLayout
 from repro.controller.transaction import DramCoordinates
 from repro.core.subbank import ActivationVerdict
+from repro.dram.backends import get_backend
 from repro.dram.bank import BankGeometry
 from repro.dram.commands import PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.power import EnergyMeter, EnergyParams
 from repro.dram.resources import BusPolicy
-from repro.dram.timing import ddr4_timings
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def flat_channel():

@@ -141,10 +141,10 @@ class TestWritePulse:
             b.do_precharge(key, end + t.tWRP - 1)
 
     def test_dram_timings_never_create_pulse_state(self):
-        from repro.dram.timing import ddr4_timings
-        b = Bank(BankGeometry(subbanks=1, row_bits=17), ddr4_timings())
+        ddr4 = get_backend("dram").timings()
+        b = Bank(BankGeometry(subbanks=1, row_bits=17), ddr4)
         b.do_activate(0, 5, time=0)
-        b.do_column(0, 5, ddr4_timings().tRCD, is_write=True)
+        b.do_column(0, 5, ddr4.tRCD, is_write=True)
         slot = b.slots[b.slot_key(0, 5)]
         assert slot.wr_pulse_end == NEVER
         assert slot.ready_col == slot.ready_col_wr

@@ -42,11 +42,6 @@ from repro.dram.bank import NEVER, BankGeometry
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.device import Channel
 from repro.dram.resources import FLOOR_BANK, FLOOR_REFRESH, BusPolicy
-from repro.dram.timing import (
-    REFRESH_DENSITY_GRADES_NS,
-    TimingParams,
-    ddr4_timings,
-)
 from repro.dram.validation import (
     CommandRecord,
     TimingViolation,
@@ -58,8 +53,9 @@ from repro.sim.simulator import MemorySystem, Simulator, run_traces
 from repro.workloads.mixes import mix_traces
 from tests.pins import pinned_spec
 
-T = ddr4_timings()
-RT = T.replace(**get_backend("dram").refresh_overrides("8Gb"))
+DDR4 = get_backend("dram")
+T = DDR4.timings()
+RT = T.replace(**DDR4.refresh_overrides("8Gb"))
 
 
 def refresh_config(preset=None, policy="baseline", density="8Gb"):
@@ -509,7 +505,7 @@ class TestArbitrationEarlyOut:
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 1 << 30),
        policy=st.sampled_from(REFRESH_POLICIES),
-       density=st.sampled_from(sorted(REFRESH_DENSITY_GRADES_NS)))
+       density=st.sampled_from(sorted(DDR4.refresh_grades_ns)))
 def test_no_bank_exceeds_nine_trefi_without_refresh(seed, policy,
                                                     density):
     """Random traffic, any policy/density: the independent checker's

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dram.backends import get_backend
 from repro.dram.resources import (
     FLOOR_BUS,
     FLOOR_CCD_WTR_LONG,
@@ -12,9 +13,8 @@ from repro.dram.resources import (
     BusPolicy,
     ChannelResources,
 )
-from repro.dram.timing import ddr4_timings
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def make(policy, timing=T):
@@ -82,7 +82,7 @@ class TestCasSpacingDdb:
         assert not r.windows_active
 
     def test_ttcw_blocks_third_cas_at_high_frequency(self):
-        fast = ddr4_timings(2.4e9)
+        fast = get_backend("dram").timings(2.4e9)
         r = make(BusPolicy.DDB, fast)
         assert r.windows_active
         t = fast.with_ddb_windows()
@@ -95,7 +95,7 @@ class TestCasSpacingDdb:
         assert third >= t.tTCW
 
     def test_ttcw_does_not_constrain_other_group(self):
-        fast = ddr4_timings(2.4e9)
+        fast = get_backend("dram").timings(2.4e9)
         r = make(BusPolicy.DDB, fast)
         r.record_column(0, is_write=False, bank_group=0, bank=0)
         second = r.column_floor(False, bank_group=0, bank=1)[1]
@@ -104,7 +104,7 @@ class TestCasSpacingDdb:
         assert other < fast.with_ddb_windows().tTCW
 
     def test_ttwtrw_after_two_writes(self):
-        fast = ddr4_timings(2.4e9)
+        fast = get_backend("dram").timings(2.4e9)
         r = make(BusPolicy.DDB, fast)
         t = fast.with_ddb_windows()
         r.record_column(0, is_write=True, bank_group=0, bank=0)
@@ -172,7 +172,7 @@ class TestDataBus:
 def test_earliest_column_is_monotone_and_legal(policy, ops):
     """Property: issuing at the reported earliest time is always accepted
     and times never move backwards."""
-    timing = ddr4_timings(2.4e9)
+    timing = get_backend("dram").timings(2.4e9)
     if policy is BusPolicy.DDB:
         timing = timing.with_ddb_windows()
     r = ChannelResources(timing, policy, bank_groups=4, banks=16)

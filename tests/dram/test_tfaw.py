@@ -10,6 +10,7 @@ import random
 from dataclasses import replace
 
 from repro.cpu.trace import Trace, TraceEntry
+from repro.dram.backends import get_backend
 from repro.dram.resources import (
     FLOOR_BUS,
     FLOOR_TFAW,
@@ -17,13 +18,12 @@ from repro.dram.resources import (
     BusPolicy,
     ChannelResources,
 )
-from repro.dram.timing import ddr4_timings
 from repro.dram.validation import validate_log
 from repro.sim import config as cfgs
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
 from repro.cpu.core import TraceCore
 
-T = ddr4_timings()
+T = get_backend("dram").timings()
 
 
 def make(timing=T):

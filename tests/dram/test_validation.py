@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.mechanisms import EruConfig
 from repro.cpu.trace import Trace, TraceEntry
+from repro.dram.backends import get_backend
 from repro.dram.resources import BusPolicy
-from repro.dram.timing import ddr4_timings
 from repro.dram.validation import (
     CommandRecord,
     TimingViolation,
@@ -115,7 +115,7 @@ def test_pinned_figure_grids_satisfy_the_rule_checker():
 class TestValidatorCatchesViolations:
     """The validator must actually reject broken schedules."""
 
-    T = ddr4_timings()
+    T = get_backend("dram").timings()
 
     def act(self, time, bank=0, slot=(0, 0), row=1, bg=0):
         return CommandRecord("ACT", time, bank, bg, slot, row)
@@ -191,7 +191,7 @@ class TestValidatorCatchesViolations:
             validate_log(log, self.T, BusPolicy.BANK_GROUPS)
 
     def test_detects_ttcw_violation(self):
-        t = ddr4_timings(2.4e9).with_ddb_windows()
+        t = get_backend("dram").timings(2.4e9).with_ddb_windows()
         log = [self.act(0, bank=0)]
         base = t.tRCD
         for i, bank in enumerate((0, 1, 2)):

@@ -23,6 +23,7 @@ import pytest
 from repro.core.mechanisms import EruConfig
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.controller.transaction import DramCoordinates
+from repro.dram.backends import get_backend
 from repro.dram.commands import CommandKind, PrechargeCause
 from repro.dram.resources import (
     FLOOR_BANK,
@@ -34,7 +35,6 @@ from repro.dram.resources import (
     BusPolicy,
     ChannelResources,
 )
-from repro.dram.timing import ddr4_timings
 from repro.sim import config as cfgs
 from repro.sim.accounting import (
     AccountingReport,
@@ -253,7 +253,7 @@ def test_binding_floor_prefers_specific_tags_on_ties():
     assert channel.act_floor(coords()) == (FLOOR_TRRD, reopen)
     # tRRD = tFAW: the fifth ACT, one tRRD after the fourth, exactly
     # when the first leaves the window.
-    t = ddr4_timings()
+    t = get_backend("dram").timings()
     r = ChannelResources(t, BusPolicy.BANK_GROUPS, bank_groups=4,
                          banks=16)
     for time in (0, t.tRRD, 2 * t.tRRD, t.tFAW - t.tRRD):
@@ -261,7 +261,7 @@ def test_binding_floor_prefers_specific_tags_on_ties():
     assert r.act_floor() == (FLOOR_TFAW, t.tFAW)
     # tCCD_L = tTCW (both 5 ns at 2.4 GHz): a column back to bank 0
     # after bank 0 then bank 1 of its group.
-    t = ddr4_timings(2.4e9).with_ddb_windows()
+    t = get_backend("dram").timings(2.4e9).with_ddb_windows()
     assert t.tCCD_L == t.tTCW
     r = ChannelResources(t, BusPolicy.DDB, bank_groups=4, banks=16)
     r.record_column(0, False, 0, 0)

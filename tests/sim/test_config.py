@@ -290,6 +290,20 @@ class TestMappingLayouts:
         assert m.row_layout.plane_count == 1
 
 
+class TestRefreshPolicyChecked:
+    """A misspelt ``refresh_policy`` fails where the config is built.
+    With refresh off no scheduler reads the policy, yet it still enters
+    the digest, so the typo would take separate store entries."""
+
+    @pytest.mark.parametrize("refresh", [{}, {"refresh_density": "8Gb"}],
+                             ids=["refresh_off", "refresh_on"])
+    def test_unknown_policy_raises_at_construction(self, refresh):
+        from dataclasses import replace
+        with pytest.raises(ValueError,
+                           match="'darpp'; known: baseline, darp, sarp"):
+            replace(vsb(), refresh_policy="darpp", **refresh)
+
+
 class TestSarpDegradationSurfaced:
     def test_warns_and_records_on_flat_banks(self):
         import warnings

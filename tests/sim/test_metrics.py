@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.sim.metrics import (
     LatencyHistogram,
     gmean,
-    normalized,
     quartiles,
     weighted_speedup,
 )
@@ -32,21 +31,6 @@ class TestWeightedSpeedup:
     def test_zero_alone_rejected(self):
         with pytest.raises(ValueError):
             weighted_speedup([1.0], [0.0])
-
-
-class TestNormalized:
-    def test_baseline_becomes_one(self):
-        out = normalized({"a": 2.0, "b": 3.0}, "a")
-        assert out["a"] == 1.0
-        assert out["b"] == 1.5
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(KeyError):
-            normalized({"a": 2.0}, "zzz")
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            normalized({"a": 0.0}, "a")
 
 
 class TestGmean:

@@ -49,8 +49,7 @@ class TestSingleCore:
         assert 0 < res.ipcs[0] <= CoreConfig().issue_width + 1
 
     def test_latency_at_least_device_minimum(self):
-        from repro.dram.timing import ddr4_timings
-        t = ddr4_timings()
+        t = ddr4_baseline().timing()
         res = run_traces(ddr4_baseline(), [seq_trace(50)])
         floor = t.tCL + t.burst_time
         assert min(res.stats.read_latencies) >= floor

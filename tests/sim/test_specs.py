@@ -106,12 +106,6 @@ def test_alone_cells_precede_their_mix():
     assert first_mix > 0
 
 
-def test_reps_extend_seeds_without_duplicates():
-    spec = ExperimentSpec(name="s", configs=(ConfigSpec(),),
-                          mixes=("mix0",), seeds=(0, 1), reps=2)
-    assert spec.expanded_seeds() == (0, 1, 2)
-
-
 def test_config_spec_materializes_the_preset_exactly():
     assert ConfigSpec("ddr4_baseline").to_config() == \
         cfgs.ddr4_baseline()

@@ -129,7 +129,9 @@ class TestExecution:
         path = tmp_path / "spec.json"
         for typo, config in (
                 ("refresh_densty", '"refresh_densty": "16Gb"'),
-                ("drain_hi", '"overrides": [["queue", {"drain_hi": 3}]]')):
+                ("drain_hi", '"overrides": [["queue", {"drain_hi": 3}]]'),
+                ("darpp", '"overrides": [["refresh_density", "8Gb"], '
+                          '["refresh_policy", "darpp"]]')):
             path.write_text('{"name": "s", "configs": [{"preset": "vsb", '
                             + config + '}], "mixes": ["mix0"]}')
             with pytest.raises(SystemExit) as err:

@@ -53,6 +53,7 @@ except ImportError:  # direct invocation without PYTHONPATH=src
 
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace, TraceEntry
+from repro.dram.backends import get_backend
 from repro.dram.validation import TimingViolation, validate_log
 from repro.sim import config as cfgs
 from repro.sim.simulator import MemorySystem, Simulator
@@ -66,8 +67,8 @@ FREQUENCY_GRADES = (None, 1.6e9, 2.0e9, 2.4e9)
 TFAW_GRADES_NS = (None, None, None, 0, 45)
 
 #: DDR4 refresh density grades a case may draw (each fixes tRFC and
-#: tRFCpb, see :data:`repro.dram.timing.REFRESH_DENSITY_GRADES_NS`).
-REFRESH_DENSITIES = ("4Gb", "8Gb", "16Gb")
+#: tRFCpb in the ``dram`` backend's ``refresh_grades_ns``).
+REFRESH_DENSITIES = tuple(get_backend("dram").refresh_grades_ns)
 
 #: The refresh draw: half the cases leave refresh off (None), the rest
 #: enable one density grade.  ``--refresh`` restricts the draw to the
