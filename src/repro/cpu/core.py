@@ -16,6 +16,7 @@ window.  Completions arrive via :meth:`complete_read`.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, fields
@@ -66,6 +67,17 @@ class CoreConfig:
                        for f in fields(self)}
             object.__setattr__(self, "_key_payload", payload)
         return payload
+
+    def key_text(self) -> str:
+        """:meth:`key_payload` as the canonical JSON a store key embeds
+        (sorted keys, compact separators).  Built once per object and
+        kept on it, like the payload."""
+        text = self.__dict__.get("_key_text")
+        if text is None:
+            text = json.dumps(self.key_payload(), sort_keys=True,
+                              separators=(",", ":"))
+            object.__setattr__(self, "_key_text", text)
+        return text
 
 
 class TraceCore:

@@ -79,6 +79,12 @@ class Organization(enum.Enum):
 DEFAULT_TSA_PS = ns(4)
 
 
+def _ddr4_energy() -> EnergyParams:
+    """The DDR4 power model: the ``dram`` backend's, the one place its
+    numbers are written.  Read each time a config is built."""
+    return get_backend("dram").energy
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """One complete memory-system configuration."""
@@ -93,7 +99,7 @@ class SystemConfig:
     bus_frequency_hz: float = 1.333e9
     tSA: int = DEFAULT_TSA_PS
     queue: QueueConfig = field(default_factory=QueueConfig)
-    energy: EnergyParams = field(default_factory=EnergyParams)
+    energy: EnergyParams = field(default_factory=_ddr4_energy)
     #: Adaptive open-page idle-close threshold (ps); None keeps rows
     #: open until a conflict forces the precharge (pure open page).
     idle_close_ps: Optional[int] = None
@@ -356,7 +362,7 @@ def half_dram() -> SystemConfig:
     activation energy."""
     eru = EruConfig(planes=1, ewlr=False, rap=False, ddb=False)
     return SystemConfig("Half-DRAM", Organization.HALF_DRAM, eru=eru,
-                        energy=EnergyParams(act_scale=0.5))
+                        energy=replace(_ddr4_energy(), act_scale=0.5))
 
 
 def masa_eruca(groups: int = 8, ddb: bool = True,

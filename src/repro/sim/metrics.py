@@ -74,10 +74,11 @@ class LatencyHistogram:
     (each value repeated ``count`` times), which is how the result
     digest reproduces the historical sorted-list encoding bit for bit.
 
-    The result store persists a histogram as one compact JSON string
-    plus its CRC-32 (:meth:`pack`).  :meth:`unpack` checks the CRC and
-    keeps the string; the counts are built on first read (any method
-    below, iteration, equality), so a reader that never looks at the
+    The result store persists a histogram as compact JSON bytes plus
+    their CRC-32 (:meth:`pack`), one section of the entry file.
+    :meth:`unpack` checks the CRC over the section's bytes as read and
+    keeps them; the counts are built on first read (any method below,
+    iteration, equality), so a reader that never looks at the
     latencies -- the Fig. 12 reducer -- never pays for decoding them.
     A live histogram holds its counts from the start, so :meth:`add`
     costs the same either way.
@@ -89,13 +90,13 @@ class LatencyHistogram:
     2.0
     >>> packed, crc = h.pack()
     >>> packed
-    '[[1,2,3],[1,1,2]]'
+    b'[[1,2,3],[1,1,2]]'
     >>> restored = LatencyHistogram.unpack(packed, crc)
     >>> restored.decoded
     False
     >>> restored == h, restored.decoded
     (True, True)
-    >>> LatencyHistogram.unpack(packed.replace("2", "4"), crc)
+    >>> LatencyHistogram.unpack(packed.replace(b"2", b"4"), crc)
     Traceback (most recent call last):
     ...
     ValueError: packed histogram fails its CRC-32
@@ -106,32 +107,32 @@ class LatencyHistogram:
     def __init__(self, values: Iterable[int] = ()) -> None:
         self.counts: Counter = Counter(values)
         self.total = sum(self.counts.values())
-        self._packed: Optional[str] = None
+        self._packed: Optional[bytes] = None
 
     @classmethod
-    def unpack(cls, packed: str, crc32: int) -> "LatencyHistogram":
+    def unpack(cls, packed: bytes, crc32: int) -> "LatencyHistogram":
         """The histogram :meth:`pack` returned ``(packed, crc32)`` for.
 
-        The CRC is checked here, so a changed or truncated string raises
-        :class:`ValueError` and mistyped arguments raise
-        :class:`TypeError`; the string itself is decoded on first read.
+        The CRC is checked here, over the bytes as given, so changed or
+        truncated bytes raise :class:`ValueError` and mistyped
+        arguments raise :class:`TypeError`; the bytes themselves are
+        decoded on first read.
         """
-        if type(packed) is not str or type(crc32) is not int:
-            raise TypeError("a packed histogram is a (str, int) pair")
-        if zlib.crc32(packed.encode()) != crc32:
+        if type(packed) is not bytes or type(crc32) is not int:
+            raise TypeError("a packed histogram is a (bytes, int) pair")
+        if zlib.crc32(packed) != crc32:
             raise ValueError("packed histogram fails its CRC-32")
         hist = _Restored.__new__(_Restored)
         hist._packed = packed
         return hist
 
-    def pack(self) -> Tuple[str, int]:
-        """``(packed, crc32)``: ``[values, counts]`` as compact JSON,
-        the distinct latencies ascending, and the CRC-32 of that string.
-        """
+    def pack(self) -> Tuple[bytes, int]:
+        """``(packed, crc32)``: ``[values, counts]`` as compact JSON
+        bytes, the distinct latencies ascending, and their CRC-32."""
         values = sorted(self.counts)
         packed = json.dumps([values, [self.counts[v] for v in values]],
-                            separators=(",", ":"))
-        return packed, zlib.crc32(packed.encode())
+                            separators=(",", ":")).encode()
+        return packed, zlib.crc32(packed)
 
     @property
     def decoded(self) -> bool:
@@ -217,7 +218,7 @@ class LatencyHistogram:
 
 class _Restored(LatencyHistogram):
     """A histogram made by :meth:`LatencyHistogram.unpack`: its counts
-    are decoded from the packed string on first read.
+    are decoded from the packed bytes on first read.
 
     ``__getattr__`` lives here, not on :class:`LatencyHistogram`: a
     class that defines it loses CPython's specialised attribute access,

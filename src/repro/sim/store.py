@@ -12,20 +12,34 @@ results:
   ``(CACHE_VERSION, SystemConfig.digest(), trace key, seed, core
   config)`` -- see :func:`store_key`.  Any behaviour-affecting knob
   lands in the config digest, so a refresh or backend override can
-  never alias a stale entry.
-* **Entries** are one JSON file each under
-  ``<cache dir>/store/<key[:2]>/<key>.json`` holding the serialized
-  result summary (everything :meth:`SimulationResult.digest` hashes,
-  plus the counters the reducers read) and, for observed runs, the
-  stall-attribution sidecar payload.  The read-latency histogram is
-  one compact JSON string, ``"[[values...],[counts...]]"`` with the
-  distinct latencies ascending, next to its CRC-32
-  (:meth:`LatencyHistogram.pack`).  Every read checks the CRC; the
-  string is decoded only when something reads the latencies, so a
-  figure that reduces IPCs alone (Fig. 12) never decodes it.  Each
-  entry records its own 64-hex entry id, and a read checks it: an
-  entry copied or renamed onto another key's path is a miss, never
-  that key's result.
+  never alias a stale entry.  The part of the canonical text fixed by
+  the config and the core config is built once per pair and kept on
+  the config.
+* **Entries** are one file each under
+  ``<cache dir>/store/<key[:2]>/<key>.json``, of three sections, each
+  ending in a newline (:func:`encode_entry`):
+
+  1. the *header line*, one JSON array ``[crc,header,key_info]``: the
+     header object holds the result summary (everything
+     :meth:`SimulationResult.digest` hashes and the reducers read,
+     less the latency histogram), the entry's own 64-hex id, the
+     histogram's CRC-32 and the sidecar's, if any; ``key_info`` is the
+     cell's description for debugging; ``crc`` is the CRC-32 of the
+     two, as written;
+  2. the read-latency histogram, packed as compact JSON
+     ``[[values...],[counts...]]`` with the distinct latencies
+     ascending (:meth:`LatencyHistogram.pack`);
+  3. the stall-attribution sidecar of an observed run as compact JSON,
+     or nothing.
+
+  A read parses the header object alone.  It checks the header line's
+  CRC, the entry id (an entry copied or renamed onto another key's
+  path is a miss, never that key's result) and the histogram section's
+  CRC; the histogram is decoded the first time something reads the
+  latencies, so a figure that reduces IPCs alone (Fig. 12) never
+  decodes it.  The sidecar is read only by a caller that asks for
+  accounting: its CRC is checked then, and its JSON parsed on the
+  first :meth:`StoredAccounting.to_dict`.
 * **Writes** are atomic (temp file + ``os.replace``) and merge
   freshest-last: concurrent writers of the same key race to an
   identical deterministic payload, and a new unobserved write never
@@ -43,11 +57,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import time
+import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.controller.controller import ControllerStats
 from repro.cpu.core import CoreConfig
@@ -75,7 +92,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: v6: the histogram is one packed JSON string ``[values, counts]``
 #: with its CRC-32 beside it (``read_latencies_crc32``), checked on
 #: every read and decoded on first use; v5 entries read as misses.
-CACHE_VERSION = 6
+#: v7: an entry is three newline-terminated sections -- a CRC-sealed
+#: JSON header, the packed histogram, the accounting sidecar -- and a
+#: read parses the header alone; v6 entries read as misses.
+CACHE_VERSION = 7
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
@@ -93,6 +113,48 @@ def cache_directory(directory: Optional[str] = None) -> str:
     return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
 
 
+# -- keys --------------------------------------------------------------------
+
+_DEFAULT_CORE = CoreConfig()
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``, without the encoder's per-call set-up for
+    the types a key's workload holds: None, a string, an int, a finite
+    float.  Anything else goes through ``json.dumps`` itself."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _key_prefix(config: SystemConfig, core_config: CoreConfig) -> str:
+    """The canonical key text up to the workload's value: everything
+    the config and the core config fix.
+
+    Kept on the config, one per core config (keyed by its canonical
+    text, :meth:`CoreConfig.key_text`), as :meth:`SystemConfig.digest`
+    keeps its digest: both are frozen, so the prefix cannot change, and
+    the memo is not a field, so equality, hashing and
+    :func:`dataclasses.replace` never see it.
+    """
+    prefixes = config.__dict__.get("_key_prefixes")
+    if prefixes is None:
+        prefixes = {}
+        object.__setattr__(config, "_key_prefixes", prefixes)
+    core = core_config.key_text()
+    prefix = prefixes.get(core)
+    if prefix is None:
+        prefix = prefixes[core] = (
+            f'{{"config":{_json_scalar(config.digest())},"core":{core},'
+            f'"version":{_json_scalar(CACHE_VERSION)},"workload":')
+    return prefix
+
+
 def store_key(config: SystemConfig, *, accesses: int,
               fragmentation: float, seed: int,
               mix: Optional[str] = None,
@@ -105,44 +167,130 @@ def store_key(config: SystemConfig, *, accesses: int,
     stimulus bit-for-bit and :meth:`SystemConfig.digest` pins every
     behaviour-affecting system knob, so equal keys imply equal
     :class:`~repro.sim.simulator.SimulationResult` digests.
+
+    The key is the SHA-256 of the canonical text ``json.dumps(payload,
+    sort_keys=True, separators=(",", ":"))`` of ``{"version":
+    CACHE_VERSION, "config": config.digest(), "core":
+    core_config.key_payload(), "workload": {"mix", "benchmark",
+    "accesses", "fragmentation", "seed"}}``, byte for byte.  The text
+    is assembled in that sorted key order: the (config, core config)
+    pair's prefix (:func:`_key_prefix`), then the workload.
     """
     if (mix is None) == (benchmark is None):
         raise ValueError("exactly one of mix/benchmark must be given")
-    cc = core_config or CoreConfig()
-    payload = {
-        "version": CACHE_VERSION,
-        "config": config.digest(),
-        "workload": {"mix": mix, "benchmark": benchmark,
-                     "accesses": accesses,
-                     "fragmentation": fragmentation, "seed": seed},
-        "core": cc.key_payload(),
-    }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canon = (f"{_key_prefix(config, core_config or _DEFAULT_CORE)}"
+             f'{{"accesses":{_json_scalar(accesses)},'
+             f'"benchmark":{_json_scalar(benchmark)},'
+             f'"fragmentation":{_json_scalar(fragmentation)},'
+             f'"mix":{_json_scalar(mix)},'
+             f'"seed":{_json_scalar(seed)}}}}}')
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _read_json(path: str):
-    """The JSON document in ``path``, parsed from its bytes.
+# -- entry format ------------------------------------------------------------
+
+
+def _dumps(value) -> str:
+    """Compact, key-sorted JSON: the text of every entry section."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class Entry(NamedTuple):
+    """One entry's sections, as :func:`decode_entry` found them."""
+
+    #: The header object (the header line's CRC already checked).
+    header: dict
+    #: The cell's description (``key_info``, :meth:`CellKey.describe`)
+    #: as JSON text, unparsed: it ends the header line, and no read
+    #: needs it.
+    key_info: bytes
+    #: The packed histogram section, unchecked: its CRC-32 is
+    #: ``header["result"]["stats"]["read_latencies_crc32"]``.
+    histogram: bytes
+    #: The sidecar section, unchecked (empty when there is none): its
+    #: CRC-32 is ``header["accounting_crc32"]``.
+    sidecar: bytes
+
+    def accounting(self) -> Optional[bytes]:
+        """The sidecar's JSON text, or ``None`` if the header names no
+        sidecar or the section fails its CRC-32 (changed or cut)."""
+        crc = self.header.get("accounting_crc32")
+        if crc is None or zlib.crc32(self.sidecar) != crc:
+            return None
+        return self.sidecar
+
+
+def encode_entry(header: dict, key_info: bytes, histogram: bytes,
+                 sidecar: bytes) -> bytes:
+    """An entry file's bytes: the header line ``[crc,header,key_info]``,
+    the histogram section and the sidecar section, each ending in a
+    newline.  ``crc`` is the CRC-32 of the line between its first comma
+    and its closing bracket, as written; the CRCs of the other two
+    sections are whatever the header holds."""
+    sealed = _dumps(header).encode() + b"," + key_info
+    return b"[%d,%s]\n%s\n%s\n" % (zlib.crc32(sealed), sealed,
+                                    histogram, sidecar)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def decode_entry(raw: bytes) -> Entry:
+    """The sections of an entry file's bytes.
+
+    Parses the header object alone: the key info after it is returned
+    as text.  Raises :class:`ValueError` if the header line fails its
+    CRC (a changed byte, a truncation, a v6 entry's single JSON object)
+    or does not hold a header object, or if the histogram section has
+    no terminating newline (a truncation).  The histogram and sidecar
+    are returned unchecked; a final newline missing from the sidecar
+    section leaves its text whole.
+    """
+    end = raw.index(b"\n")
+    histogram_end = raw.index(b"\n", end + 1)
+    split = raw.index(b",", 0, end)
+    sealed = raw[split + 1:end - 1]
+    if raw[:1] != b"[" or raw[end - 1:end] != b"]" \
+            or zlib.crc32(sealed) != int(raw[1:split]):
+        raise ValueError("entry header line fails its CRC-32")
+    # The header's JSON text is ASCII (JSON escapes the rest), so the
+    # decoder's string offset just past it is also a byte offset.
+    header, stop = _DECODER.raw_decode(sealed.decode())
+    if type(header) is not dict or sealed[stop:stop + 1] != b",":
+        raise ValueError("entry header line holds no header object")
+    sidecar = raw[histogram_end + 1:]
+    if sidecar.endswith(b"\n"):
+        sidecar = sidecar[:-1]
+    return Entry(header, sealed[stop + 1:], raw[end + 1:histogram_end],
+                 sidecar)
+
+
+def _read_entry(path: str) -> Entry:
+    """The sections of the entry file at ``path``.
 
     Raises :class:`OSError` if the file cannot be read and
-    :class:`ValueError` if it is not JSON (bytes that are not UTF-8
-    raise :class:`UnicodeDecodeError`, a :class:`ValueError`).
+    :class:`ValueError` if its header or layout is damaged
+    (:func:`decode_entry`).
     """
     with open(path, "rb") as fh:
-        return json.loads(fh.read())
+        return decode_entry(fh.read())
 
 
 # -- result (de)serialization ------------------------------------------------
 
 
-def serialize_result(result: SimulationResult) -> dict:
-    """JSON-able summary carrying everything the reducers and the
-    result digest read.  Perf counters (peeks, wall time) are
-    host-side observations, not behaviour, and are deliberately
-    dropped."""
+def serialize_result(result: SimulationResult) -> Tuple[dict, bytes]:
+    """``(summary, histogram)``: a JSON-able summary carrying everything
+    the reducers and the result digest read, less the read-latency
+    histogram, which comes packed (:meth:`LatencyHistogram.pack`) with
+    its CRC-32 in the summary.  The energy parameters are one string,
+    their canonical JSON text, so a reader can share one
+    :class:`EnergyParams` per text without parsing it again.  Perf
+    counters (peeks, wall time) are host-side observations, not
+    behaviour, and are deliberately dropped."""
     s = result.stats
     e = result.energy
-    latencies, crc32 = s.read_latencies.pack()
+    histogram, crc32 = s.read_latencies.pack()
     return {
         "config_name": result.config_name,
         "ipcs": list(result.ipcs),
@@ -157,12 +305,11 @@ def serialize_result(result: SimulationResult) -> dict:
             "precharges": s.precharges,
             "refreshes": s.refreshes,
             "write_cancels": s.write_cancels,
-            "read_latencies": latencies,
             "read_latencies_crc32": crc32,
         },
         "energy": {
-            "params": {f.name: getattr(e.params, f.name)
-                       for f in dataclasses.fields(EnergyParams)},
+            "params": _dumps({f.name: getattr(e.params, f.name)
+                              for f in dataclasses.fields(EnergyParams)}),
             "activations": e.activations,
             "ewlr_hit_activations": e.ewlr_hit_activations,
             "precharges": e.precharges,
@@ -173,7 +320,7 @@ def serialize_result(result: SimulationResult) -> dict:
         "precharge_causes": {cause.name: n for cause, n
                              in result.precharge_causes.items()},
         "digest": result.digest(),
-    }
+    }, histogram
 
 
 class StoredAccounting:
@@ -183,11 +330,14 @@ class StoredAccounting:
     two calls the sidecar emitters make -- ``verify()`` (a no-op: the
     live report was verified before it was persisted) and ``to_dict()``
     (returns the stored payload verbatim, so re-emitted sidecars are
-    byte-identical to the original run's).
+    byte-identical to the original run's).  Holds the sidecar's JSON
+    text, CRC-checked by the store, and parses it on the first
+    ``to_dict()``.
     """
 
-    def __init__(self, payload: dict) -> None:
-        self._payload = payload
+    def __init__(self, text: bytes) -> None:
+        self._text = text
+        self._payload: Optional[dict] = None
 
     def verify(self) -> None:
         """Already verified before persisting."""
@@ -195,20 +345,34 @@ class StoredAccounting:
     def to_dict(self) -> dict:
         """The persisted report payload (a copy: sidecar emitters
         annotate the returned dict in place)."""
+        if self._payload is None:
+            self._payload = json.loads(self._text)
         return dict(self._payload)
 
 
-def restore_result(payload: dict) -> SimulationResult:
+#: Precharge causes by name: a plain mapping lookup, without the enum
+#: metaclass call ``PrechargeCause[name]`` makes per entry and cause.
+_CAUSES = PrechargeCause.__members__
+
+
+def restore_result(summary: dict, histogram: bytes,
+                   params: EnergyParams,
+                   accounting: Optional[bytes] = None
+                   ) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`serialize_result`.
 
-    The restored result digests identically to the live one (asserted
-    in ``tests/sim/test_store.py``); perf counters come back zero.  A
-    histogram that fails its CRC-32 raises :class:`ValueError`, and a
-    missing or mistyped one :class:`KeyError` or :class:`TypeError`;
-    the store reads each as a miss.  The histogram's counts are built
-    on first read (:class:`~repro.sim.metrics.LatencyHistogram`).
+    ``params`` are the energy parameters the summary names (the store
+    passes one shared object per parameter set) and ``accounting`` the
+    checked sidecar text, if the caller asked for it.  The restored
+    result digests identically to the live one (asserted in
+    ``tests/sim/test_store.py``); perf counters come back zero.  A
+    histogram section that fails its CRC-32 raises :class:`ValueError`,
+    and a missing or mistyped CRC :class:`KeyError` or
+    :class:`TypeError`; the store reads each as a miss.  The
+    histogram's counts are built on first read
+    (:class:`~repro.sim.metrics.LatencyHistogram`).
     """
-    stats_p = payload["stats"]
+    stats_p = summary["stats"]
     stats = ControllerStats(
         commands_issued=stats_p["commands_issued"],
         acts=stats_p["acts"],
@@ -218,11 +382,11 @@ def restore_result(payload: dict) -> SimulationResult:
         refreshes=stats_p["refreshes"],
         write_cancels=stats_p["write_cancels"],
         read_latencies=LatencyHistogram.unpack(
-            stats_p["read_latencies"], stats_p["read_latencies_crc32"]),
+            histogram, stats_p["read_latencies_crc32"]),
     )
-    energy_p = payload["energy"]
+    energy_p = summary["energy"]
     energy = EnergyMeter(
-        params=EnergyParams(**energy_p["params"]),
+        params=params,
         activations=energy_p["activations"],
         ewlr_hit_activations=energy_p["ewlr_hit_activations"],
         precharges=energy_p["precharges"],
@@ -230,19 +394,19 @@ def restore_result(payload: dict) -> SimulationResult:
         reads=energy_p["reads"],
         writes=energy_p["writes"],
     )
-    causes = {PrechargeCause[name]: n for name, n
-              in payload["precharge_causes"].items()}
-    accounting = payload.get("accounting")
+    causes = {_CAUSES[name]: n for name, n
+              in summary["precharge_causes"].items()}
     return SimulationResult(
-        config_name=payload["config_name"],
-        ipcs=list(payload["ipcs"]),
-        finish_times=list(payload["finish_times"]),
+        config_name=summary["config_name"],
+        ipcs=summary["ipcs"],
+        finish_times=summary["finish_times"],
         stats=stats,
         energy=energy,
         precharge_causes=causes,
-        elapsed_ps=payload["elapsed_ps"],
-        transactions=payload["transactions"],
-        accounting=StoredAccounting(accounting) if accounting else None,
+        elapsed_ps=summary["elapsed_ps"],
+        transactions=summary["transactions"],
+        accounting=(StoredAccounting(accounting)
+                    if accounting is not None else None),
     )
 
 
@@ -279,16 +443,20 @@ class GcReport:
 class ResultStore:
     """Content-addressed {cell key: result summary} table on disk.
 
-    One JSON file per entry under ``<root>/store/<key[:2]>/``; see the
-    module docstring for key and merge semantics.  All methods tolerate
-    concurrent writers and corrupt or partial files (such an entry
-    reads as a miss and is rewritten on the next put).
+    One file per entry under ``<root>/store/<key[:2]>/``; see the
+    module docstring for key, format and merge semantics.  All methods
+    tolerate concurrent writers and corrupt or partial files (such an
+    entry reads as a miss and is rewritten on the next put).
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
         self.root = cache_directory(directory)
         self.directory = os.path.join(self.root, "store")
         self.counters = StoreCounters()
+        #: One shared :class:`EnergyParams` per parameter set read,
+        #: keyed by its canonical JSON text: a store holds one set per
+        #: technology, so restoring parses and builds each once.
+        self._energy_params: Dict[str, EnergyParams] = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -311,39 +479,53 @@ class ResultStore:
 
     # -- reads ---------------------------------------------------------
 
-    def load_entry(self, key: str) -> Optional[dict]:
-        """The raw entry payload, or ``None`` on miss/corruption.
+    def load_entry(self, key: str) -> Optional[Entry]:
+        """The entry's sections, or ``None`` on miss/corruption.
 
         Entries from other cache versions are ignored, not misread:
-        the version is checked inside the payload as well as being part
+        the version is checked inside the header as well as being part
         of the key digest, so even a hand-placed file from an older
         scheme cannot surface.  So are entries written for another key
         (a file copied or renamed onto this key's path): the entry's
-        recorded ``id`` must be this key's :meth:`entry_id`.
+        recorded ``id`` must be this key's :meth:`entry_id`.  The
+        histogram and sidecar sections are not checked here.
         """
         eid = self.entry_id(key)
         try:
-            entry = _read_json(self._entry_path(eid))
+            entry = _read_entry(self._entry_path(eid))
         except (OSError, ValueError):
             return None
-        if not isinstance(entry, dict) \
-                or entry.get("version") != CACHE_VERSION \
-                or entry.get("id") != eid:
+        header = entry.header
+        if header.get("version") != CACHE_VERSION \
+                or header.get("id") != eid:
             return None
         return entry
+
+    def _energy(self, text: str) -> EnergyParams:
+        """The shared :class:`EnergyParams` for one parameter set, given
+        as its canonical JSON text."""
+        params = self._energy_params.get(text)
+        if params is None:
+            params = self._energy_params[text] = \
+                EnergyParams(**json.loads(text))
+        return params
 
     def _restore(self, key: str,
                  need_accounting: bool) -> Optional[SimulationResult]:
         """The stored result, or ``None`` if absent or unrestorable."""
         entry = self.load_entry(key)
-        if entry is None or (need_accounting
-                             and not entry.get("accounting")):
+        if entry is None:
             return None
+        accounting = None
+        if need_accounting:
+            accounting = entry.accounting()
+            if accounting is None:
+                return None
         try:
-            payload = dict(entry["result"])
-            if entry.get("accounting"):
-                payload["accounting"] = entry["accounting"]
-            return restore_result(payload)
+            summary = entry.header["result"]
+            return restore_result(
+                summary, entry.histogram,
+                self._energy(summary["energy"]["params"]), accounting)
         except (KeyError, TypeError, ValueError, AttributeError):
             # A partial or mistyped entry (e.g. a bare alone IPC from
             # an older writer) is a miss: the runner re-simulates the
@@ -355,9 +537,11 @@ class ResultStore:
         """The stored result, or ``None``.
 
         Missing, corrupt and unrestorable entries all read as misses.
-        ``need_accounting`` makes entries without a stall-attribution
-        sidecar read as misses too -- an observed consumer must re-run
-        the cell (the re-run's put then merges the sidecar in).
+        ``need_accounting`` makes entries without an intact
+        stall-attribution sidecar read as misses too -- an observed
+        consumer must re-run the cell (the re-run's put then merges the
+        sidecar in).  Without it the sidecar is never read, and the
+        result carries no accounting.
         """
         result = self._restore(key, need_accounting)
         if result is None:
@@ -417,44 +601,44 @@ class ResultStore:
         """Persist one result summary (atomic, freshest-last merge).
 
         The new summary overlays any existing entry; an existing
-        accounting sidecar survives an unobserved overwrite, and an
-        observed result contributes its sidecar.  The existing entry is
-        read through :meth:`load_entry`, so a file written for another
-        key contributes nothing.  ``key_info`` is
+        accounting sidecar that passes its CRC survives an unobserved
+        overwrite, and an observed result contributes its sidecar.  The
+        existing entry is read through :meth:`load_entry`, so a file
+        written for another key contributes nothing.  ``key_info`` is
         stored for ``repro cells`` / debugging only -- it never feeds
         the key.
         """
-        accounting = None
+        sidecar = b""
         report = result.accounting
         if report is not None:
             report.verify()
-            accounting = report.to_dict()
-        entry = {
-            "version": CACHE_VERSION,
-            "id": self.entry_id(key),
-            "key": key_info or {},
-            "result": serialize_result(result),
-            "accounting": accounting,
-            "written_at": time.time(),
-        }
+            sidecar = _dumps(report.to_dict()).encode()
+        info = _dumps(key_info or {}).encode()
         existing = self.load_entry(key)
         if existing is not None:
             # Freshest-last: the new payload wins, but a sidecar the
             # new run did not produce is preserved from the old entry.
-            if accounting is None and existing.get("accounting"):
-                entry["accounting"] = existing["accounting"]
-            if not entry["key"] and existing.get("key"):
-                entry["key"] = existing["key"]
-        self._write(key, entry)
+            if not sidecar:
+                sidecar = existing.accounting() or b""
+            if not key_info:
+                info = existing.key_info
+        summary, histogram = serialize_result(result)
+        header = {
+            "version": CACHE_VERSION,
+            "id": self.entry_id(key),
+            "result": summary,
+            "accounting_crc32": zlib.crc32(sidecar) if sidecar else None,
+            "written_at": time.time(),
+        }
+        self._write(key, encode_entry(header, info, histogram, sidecar))
         self.counters.puts += 1
 
-    def _write(self, key: str, entry: dict) -> None:
+    def _write(self, key: str, data: bytes) -> None:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            # json.dumps encodes in C; json.dump to a file never does.
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
 
     # -- maintenance ---------------------------------------------------
@@ -463,11 +647,12 @@ class ResultStore:
            max_entries: Optional[int] = None) -> GcReport:
         """Prune the store; returns what was scanned/removed/kept.
 
-        Always removes unreadable entries (not JSON, or JSON that is
-        not an object), entries from other cache versions, and temp
-        files orphaned by a killed writer once they are older than
-        :data:`ORPHAN_TMP_AGE_S` (counted in ``removed`` and
-        ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
+        Always removes unreadable entries (a header line that fails its
+        CRC or holds no header object, or no histogram section, as in
+        every v6 entry), entries from other cache
+        versions, and temp files orphaned by a killed writer once they
+        are older than :data:`ORPHAN_TMP_AGE_S` (counted in ``removed``
+        and ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
         entries older than that (by ``written_at``, falling back to
         file mtime); ``max_entries`` keeps only the newest N survivors.
         """
@@ -477,13 +662,11 @@ class ResultStore:
         for path in list(self.iter_paths()):
             report.scanned += 1
             try:
-                entry = _read_json(path)
-                if not isinstance(entry, dict):
-                    raise TypeError("entry is not a JSON object")
-                raw_stamp = entry.get("written_at")
+                header = _read_entry(path).header
+                raw_stamp = header.get("written_at")
                 stamp = (float(raw_stamp) if raw_stamp is not None
                          else os.path.getmtime(path))
-                stale = entry.get("version") != CACHE_VERSION
+                stale = header.get("version") != CACHE_VERSION
             except (OSError, ValueError, TypeError):
                 stamp, stale = 0.0, True
             if not stale and max_age_days is not None:

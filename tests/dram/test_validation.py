@@ -29,7 +29,9 @@ from repro.sim.config import (
 )
 from repro.sim.simulator import MemorySystem, Simulator, run_traces
 from repro.cpu.core import CoreConfig, TraceCore
+from repro.workloads.generator import generate_traces
 from repro.workloads.mixes import mix_traces
+from repro.workloads.profiles import profile
 from tests.pins import pinned_spec
 
 
@@ -110,6 +112,26 @@ def test_pinned_figure_grids_satisfy_the_rule_checker():
                             seed=cell.seed)
         checked += run_validated(cell.config, traces, cell.core_config)
     assert checked > 140_000
+
+
+def test_pinned_alone_cells_satisfy_the_rule_checker():
+    """Every distinct alone cell of the same pinned grids: each
+    benchmark of a spec's mixes run by itself on the spec's alone
+    baseline (the weighted-speedup denominators), at each fragmentation
+    and scaled core clock, once per store key."""
+    cells = {}
+    for name in ("fig12", "fig13", "fig14", "fig15", "fig16", "ablation"):
+        for cell in pinned_spec(name).expand():
+            if cell.kind == "alone":
+                cells.setdefault(cell.store_key(), cell)
+    assert len(cells) == 18
+    checked = 0
+    for cell in cells.values():
+        traces = generate_traces([profile(cell.workload)], cell.accesses,
+                                 fragmentation=cell.fragmentation,
+                                 seed=cell.seed)
+        checked += run_validated(cell.config, traces, cell.core_config)
+    assert checked == 13_374
 
 
 class TestValidatorCatchesViolations:

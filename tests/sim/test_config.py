@@ -89,30 +89,32 @@ class TestStoreIdentity:
 
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
-        assert CACHE_VERSION == 6
+        assert CACHE_VERSION == 7
 
     @pytest.mark.parametrize("factory,workload,frag,seed,scale,key", [
         (vsb, dict(mix="mix0"), 0.1, 3, 1.0,
-         "bbb17ac541203f270f1829ee11e0c3b31651391777354ad7665c7fb1fa71571f"),
+         "0d0be954470ffb07bf733b37ce22b6950c0f5c77f615836c6910f388318f75cb"),
         (ddr4_baseline, dict(benchmark="mcf"), 0.5, 1, 1.8,
-         "3dff36fc88bdfebf2223feaef4fdea81ec6fc3e19c315755ef632408acef251d"),
+         "0dab7349a0027c1a09f1d56c77b9e3401029ff9269033b38be8c84eb3d43d00c"),
     ], ids=["vsb_mix", "baseline_alone_scaled_core"])
     def test_store_key_is_pinned(self, factory, workload, frag, seed,
                                  scale, key):
         """A moved key orphans every stored entry, so the key
-        derivation is pinned byte for byte: a fresh core config, and
-        one whose key payload was already built, give the literal."""
+        derivation is pinned byte for byte: a fresh config and core
+        config, the same pair with its key prefix built, and a fresh
+        config with that core config, all give the literal."""
         from repro.cpu.core import CoreConfig
         from repro.sim.store import store_key
         core = CoreConfig().scaled(scale)
-        for _ in range(2):
-            assert store_key(factory(), accesses=400, fragmentation=frag,
+        config = factory()
+        for candidate in (config, config, factory()):
+            assert store_key(candidate, accesses=400, fragmentation=frag,
                              seed=seed, core_config=core,
                              **workload) == key
 
     def test_core_key_payload_memo_is_not_a_field(self):
-        """The memoised core key payload leaves equality, hashing,
-        ``replace`` and pickling as they were."""
+        """The memoised core key payload and its text leave equality,
+        hashing, ``replace`` and pickling as they were."""
         import pickle
         from dataclasses import replace
         from repro.cpu.core import CoreConfig
@@ -121,11 +123,28 @@ class TestStoreIdentity:
         assert payload == {"clock_hz": 4e9, "issue_width": 8,
                            "rob_size": 192}
         assert memoised.key_payload() is payload
+        text = memoised.key_text()
+        assert text == \
+            '{"clock_hz":4000000000.0,"issue_width":8,"rob_size":192}'
+        assert memoised.key_text() is text
         fresh = CoreConfig()
         assert memoised == fresh and hash(memoised) == hash(fresh)
         assert replace(memoised, rob_size=64).key_payload()["rob_size"] \
             == 64
         assert pickle.loads(pickle.dumps(memoised)) == fresh
+
+
+def test_ddr4_energy_is_the_dram_backends(monkeypatch):
+    """The ``dram`` backend's power model is the only DDR4 copy: the
+    DDR4 presets take it, and Half-DRAM scales its activations."""
+    from dataclasses import replace
+    from repro.dram.backends import base
+    dram = base.get_backend("dram")
+    edited = replace(dram, energy=replace(dram.energy, act_nj=12.5))
+    monkeypatch.setitem(base._REGISTRY, "dram", edited)
+    assert ddr4_baseline().energy == edited.energy
+    assert vsb().energy.act_nj == 12.5
+    assert half_dram().energy == replace(edited.energy, act_scale=0.5)
 
 
 def _rebuilt_here(config):

@@ -7,8 +7,6 @@ persistent result store that returns exactly what was computed --
 alone-IPC denominators included.
 """
 
-import json
-
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
 from repro.sim.parallel import SimJob, run_grid
@@ -19,6 +17,7 @@ from repro.sim.store import ResultStore, store_key
 from repro.workloads.generator import generate_traces
 from repro.workloads.mixes import mix_traces
 from repro.workloads.profiles import profile
+from tests.sim.entries import edit_header, read_entry
 
 
 def test_same_seed_same_digest():
@@ -115,13 +114,14 @@ def test_context_alone_ipc_uses_disk_cache(tmp_path):
     (cell,) = [c for c in first.results
                if c.kind == "alone" and c.workload == "mcf"]
     path = ResultStore(str(tmp_path)).path_for(cell.store_key())
-    with open(path) as fh:
-        entry = json.load(fh)
-    assert entry["result"]["ipcs"][0] == value
+    ipcs = read_entry(path).header["result"]["ipcs"]
+    assert ipcs[0] == value
     sentinel = 42.0
-    entry["result"]["ipcs"][0] = sentinel
-    with open(path, "w") as fh:
-        json.dump(entry, fh)
+
+    def poison(header):
+        header["result"]["ipcs"][0] = sentinel
+
+    edit_header(path, poison)
     second, report = run_spec(BASELINE_SPEC,
                               store=ResultStore(str(tmp_path)))
     assert report.submitted == 0

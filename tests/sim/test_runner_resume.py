@@ -6,9 +6,10 @@ absent.  The :class:`~repro.sim.runner.RunReport` counters are the
 proof -- the same counters the CI resume-smoke step asserts on.
 """
 
-import json
 import os
 import shutil
+
+import pytest
 
 from repro.sim import parallel
 from repro.sim.experiments import run_figure
@@ -19,7 +20,14 @@ from repro.sim.specs import (
     ExperimentSpec,
     fig16_spec,
 )
-from repro.sim.store import CACHE_VERSION, ResultStore
+from repro.sim.store import CACHE_VERSION, Entry, ResultStore
+from tests.sim.entries import (
+    as_v6,
+    read_bytes,
+    read_entry,
+    write_bytes,
+    write_entry,
+)
 
 SETTINGS = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
 
@@ -127,10 +135,11 @@ def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
     store = ResultStore(str(tmp_path))
     path = store.path_for(alone.store_key())
     os.makedirs(os.path.dirname(path))
-    with open(path, "w") as fh:
-        json.dump({"version": CACHE_VERSION,
-                   "id": store.entry_id(alone.store_key()),
-                   "result": {"ipcs": [1.0]}}, fh)
+    write_entry(path, Entry({"version": CACHE_VERSION,
+                             "id": store.entry_id(alone.store_key()),
+                             "result": {"ipcs": [1.0]}},
+                            b"{}", b"", b""))
+    assert store.load_entry(alone.store_key()) is not None
     assert not store.contains(alone.store_key())
     submitted = []
     rs, report = run_spec(
@@ -152,7 +161,7 @@ def test_foreign_entry_is_a_miss_and_only_its_cell_reruns(tmp_path):
     store = ResultStore(str(tmp_path))
     rs, _ = run_spec(observed, store=store)
     source, victim = observed.expand()[:2]
-    assert store.load_entry(source.store_key())["accounting"]
+    assert read_entry(store.path_for(source.store_key())).accounting()
     shutil.copyfile(store.path_for(source.store_key()),
                     store.path_for(victim.store_key()))
     assert store.get(victim.store_key()) is None
@@ -163,7 +172,7 @@ def test_foreign_entry_is_a_miss_and_only_its_cell_reruns(tmp_path):
         if status == "run" else None)
     assert rerun == [victim]
     assert report.submitted == 1
-    assert store.load_entry(victim.store_key())["accounting"] is None
+    assert read_entry(store.path_for(victim.store_key())).sidecar == b""
     restored = store.get(victim.store_key())
     assert restored.digest() == rs.results[victim].digest()
 
@@ -173,3 +182,91 @@ def test_run_report_summary_is_greppable():
                        submitted=4)
     assert report.summary() == \
         "cells=7 memory_hits=1 store_hits=2 submitted=4"
+
+
+class GcRacingStore(ResultStore):
+    """A store through which ``repro gc`` races a run: a sweep by
+    another store on the same directory, ``ResultStore(root).gc(**gc)``,
+    runs just before the reads numbered in ``before_get`` and just after
+    the puts numbered in ``after_put`` (counted from 0)."""
+
+    def __init__(self, directory, gc, before_get=(), after_put=()):
+        super().__init__(directory)
+        self.gc_args = gc
+        self.before_get, self.after_put = before_get, after_put
+        self.reads = self.writes = 0
+        self.sweeps = []
+
+    def _sweep(self):
+        self.sweeps.append(ResultStore(self.root).gc(**self.gc_args))
+
+    def get(self, key, need_accounting=False):
+        if self.reads in self.before_get:
+            self._sweep()
+        self.reads += 1
+        return super().get(key, need_accounting)
+
+    def put(self, key, result, key_info=None):
+        super().put(key, result, key_info)
+        if self.writes in self.after_put:
+            self._sweep()
+        self.writes += 1
+
+
+RACE_SPEC = ExperimentSpec(
+    name="baseline", configs=(ConfigSpec(), ConfigSpec("vsb")),
+    mixes=("mix0",), accesses_per_core=150)
+
+
+@pytest.fixture(scope="module")
+def uncached():
+    """Every cell of ``RACE_SPEC``, simulated without a store."""
+    results = {}
+    execute_cells(RACE_SPEC.expand(), results=results, store=None)
+    return results
+
+
+@pytest.mark.parametrize("warm,v6_cell,gc,before_get,after_put,hits", [
+    (True, None, {"max_entries": 0}, {2}, (), 2),
+    (True, None, {"max_entries": 0}, {0, 3}, (), 0),
+    (True, None, {"max_entries": 2}, {1}, (), None),
+    (True, None, {"max_age_days": 0}, {4}, (), 4),
+    (True, 1, {}, {0}, (), 5),
+    (True, 4, {"max_entries": 0}, {5}, (), 4),
+    (False, None, {"max_entries": 0}, (), {1}, 0),
+    (False, None, {"max_entries": 1}, (), {0, 2, 4}, 0),
+    (False, 2, {}, {1}, {0}, 0),
+], ids=["cap0_between_reads", "cap0_first_and_mid", "cap2_between_reads",
+        "age0_between_reads", "v6_then_gc_first", "v6_then_cap0_late",
+        "cap0_between_puts", "cap1_between_puts", "v6_cold_both"])
+def test_gc_racing_a_run_never_misreads(tmp_path, uncached, warm,
+                                        v6_cell, gc, before_get,
+                                        after_put, hits):
+    """A ``repro gc`` during ``repro run SPEC`` leaves every cell
+    either served with its uncached digest or re-simulated.  The sweeps run at chosen points of the run -- before
+    a read of the store diff, between two puts -- with every entry, the
+    newest few, or none kept, and with a stale v6 entry on one cell's
+    path.  No read returns another cell's entry or a half-written one,
+    and every entry left behind restores to its own cell's result."""
+    cells = RACE_SPEC.expand()
+    digests = {cell: result.digest() for cell, result in uncached.items()}
+    directory = str(tmp_path / "cache")
+    if warm:
+        execute_cells(cells, results={}, store=ResultStore(directory))
+    if v6_cell is not None:
+        key = cells[v6_cell].store_key()
+        ResultStore(directory).put(key, uncached[cells[v6_cell]])
+        path = ResultStore(directory).path_for(key)
+        write_bytes(path, as_v6(read_bytes(path)))
+    store = GcRacingStore(directory, gc, before_get, after_put)
+    results = {}
+    report = execute_cells(cells, results=results, store=store)
+    assert store.sweeps
+    assert report.store_hits + report.submitted == report.cells
+    if hits is not None:
+        assert report.store_hits == hits
+    assert {cell: r.digest() for cell, r in results.items()} == digests
+    after = ResultStore(directory)
+    for cell in cells:
+        stored = after.get(cell.store_key())
+        assert stored is None or stored.digest() == digests[cell]

@@ -7,6 +7,8 @@ sidecars, and that entries from other cache versions are ignored --
 never misread -- including the pre-v4 ``alone_ipc.json`` table.
 """
 
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -21,11 +23,20 @@ from repro.sim.accounting import ObserveOptions
 from repro.sim.simulator import run_traces
 from repro.sim.store import (
     CACHE_VERSION,
+    Entry,
     ResultStore,
     StoreUnwritable,
     store_key,
 )
 from repro.workloads.mixes import mix_traces
+from tests.sim.entries import (
+    as_v6,
+    edit_header,
+    read_bytes,
+    read_entry,
+    write_bytes,
+    write_entry,
+)
 
 
 def _small_result(observe=False):
@@ -68,9 +79,10 @@ def test_run_without_reads_round_trips(tmp_path):
     key = _key(cfgs.ddr4_baseline())
     store = ResultStore(str(tmp_path))
     store.put(key, live)
-    stats = store.load_entry(key)["result"]["stats"]
-    assert stats["read_latencies"] == "[[],[]]"
-    assert stats["read_latencies_crc32"] == zlib.crc32(b"[[],[]]")
+    entry = read_entry(store.path_for(key))
+    assert entry.histogram == b"[[],[]]"
+    assert entry.header["result"]["stats"]["read_latencies_crc32"] == \
+        zlib.crc32(b"[[],[]]")
     assert store.get(key).digest() == live.digest()
 
 
@@ -80,41 +92,45 @@ def test_run_without_reads_round_trips(tmp_path):
     {"100": 3, "200": 1},
 ], ids=["fewer_counts", "fewer_values", "v4_string_keyed"])
 def test_malformed_histogram_is_a_miss(tmp_path, histogram):
-    """Histogram arrays of unequal length, or the v4 ``{str: count}``
-    map under a v5 version stamp, read as misses -- never as a
-    truncated or re-keyed histogram."""
+    """A histogram section holding arrays of unequal length, or the v4
+    ``{str: count}`` map, reads as a miss -- never as a truncated or
+    re-keyed histogram."""
     store = ResultStore(str(tmp_path))
     store.put(_key(), _small_result())
-    entry = store.load_entry(_key())
-    entry["result"]["stats"]["read_latencies"] = histogram
-    with open(store.path_for(_key()), "w") as fh:
-        json.dump(entry, fh)
+    path = store.path_for(_key())
+    entry = read_entry(path)
+    write_entry(path, entry._replace(
+        histogram=json.dumps(histogram).encode()))
     assert not store.contains(_key())
     assert store.get(_key()) is None
 
 
-def _change_one_digit(stats):
-    packed = stats["read_latencies"]
-    i = next(i for i, ch in enumerate(packed) if ch.isdigit())
-    stats["read_latencies"] = (packed[:i] + str((int(packed[i]) + 1) % 10)
-                               + packed[i + 1:])
+def _change_one_digit(entry):
+    packed = entry.histogram
+    i = next(i for i, ch in enumerate(packed) if chr(ch).isdigit())
+    digit = str((int(chr(packed[i])) + 1) % 10).encode()
+    return entry._replace(histogram=packed[:i] + digit + packed[i + 1:])
 
 
-def _truncate(stats):
-    stats["read_latencies"] = stats["read_latencies"][:-3]
+def _truncate(entry):
+    return entry._replace(histogram=entry.histogram[:-3])
 
 
-def _drop_crc(stats):
-    del stats["read_latencies_crc32"]
+def _drop_crc(entry):
+    del entry.header["result"]["stats"]["read_latencies_crc32"]
+    return entry
 
 
-def _crc_as_string(stats):
+def _crc_as_string(entry):
+    stats = entry.header["result"]["stats"]
     stats["read_latencies_crc32"] = str(stats["read_latencies_crc32"])
+    return entry
 
 
-def _v5_arrays(stats):
-    values, counts = json.loads(stats["read_latencies"])
-    stats["read_latencies"] = {"values": values, "counts": counts}
+def _v5_arrays(entry):
+    values, counts = json.loads(entry.histogram)
+    return entry._replace(histogram=json.dumps(
+        {"values": values, "counts": counts}).encode())
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -122,21 +138,141 @@ def _v5_arrays(stats):
 ], ids=["digit_changed", "truncated", "crc_missing", "crc_string",
         "v5_arrays"])
 def test_corrupt_packed_histogram_is_a_miss(tmp_path, corrupt):
-    """v6 checks the packed histogram's CRC-32 on every read: a changed
-    or truncated string, a missing or mistyped CRC and v5's two arrays
-    under a v6 stamp are all misses at ``get`` -- never an entry whose
-    histogram fails later, on first read."""
+    """Every read checks the histogram section's CRC-32: a changed or
+    truncated section, a missing or mistyped CRC and v5's two arrays
+    are all misses at ``get`` -- never an entry whose histogram fails
+    later, on first read.  The header is re-sealed after each edit, so
+    only the histogram check stands between the damage and a hit."""
     store = ResultStore(str(tmp_path))
     store.put(_key(), _small_result())
-    entry = store.load_entry(_key())
-    corrupt(entry["result"]["stats"])
-    with open(store.path_for(_key()), "w") as fh:
-        json.dump(entry, fh)
+    path = store.path_for(_key())
+    write_entry(path, corrupt(read_entry(path)))
     assert not store.contains(_key())
     assert store.get(_key()) is None
     live = _small_result()
     store.put(_key(), live)
     assert store.get(_key()).digest() == live.digest()
+
+
+def _sections(raw):
+    """(header line end, histogram section end) of an entry's bytes."""
+    header_end = raw.index(b"\n")
+    return header_end, raw.index(b"\n", header_end + 1)
+
+
+def _digit_after(raw, start):
+    """The offset of the first digit at or after ``start``."""
+    return next(i for i in range(start, len(raw))
+                if chr(raw[i]).isdigit())
+
+
+def _bump(raw, i):
+    return raw[:i] + str((int(chr(raw[i])) + 1) % 10).encode() \
+        + raw[i + 1:]
+
+
+def _header_digit(raw):
+    # A digit inside the header object (an IPC, a counter), not the
+    # seal: the JSON still parses, so only the seal catches it.
+    return _bump(raw, _digit_after(raw, raw.index(b'"ipcs"')))
+
+
+def _key_info_digit(raw):
+    # The key info ends the header line; a read never parses it, but
+    # the seal covers it.
+    return _bump(raw, _digit_after(raw, raw.index(b'"accesses"')))
+
+
+def _seal_digit(raw):
+    return _bump(raw, 1)
+
+
+def _histogram_digit(raw):
+    return _bump(raw, _digit_after(raw, _sections(raw)[0]))
+
+
+def _cut_header(raw):
+    return raw[:_sections(raw)[0] // 2]
+
+
+def _cut_header_newline(raw):
+    return raw[:_sections(raw)[0]]
+
+
+def _cut_histogram(raw):
+    header_end, histogram_end = _sections(raw)
+    return raw[:(header_end + histogram_end) // 2]
+
+
+def _cut_histogram_newline(raw):
+    return raw[:_sections(raw)[1]]
+
+
+@pytest.mark.parametrize("damage", [
+    _header_digit, _key_info_digit, _seal_digit, _histogram_digit,
+    _cut_header, _cut_header_newline, _cut_histogram,
+    _cut_histogram_newline, as_v6,
+], ids=["header_digit", "key_info_digit", "seal_digit",
+        "histogram_digit", "cut_in_header", "cut_header_newline",
+        "cut_in_histogram", "cut_histogram_newline", "v6_entry"])
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["unobserved", "observed"])
+def test_damage_to_what_a_read_serves_is_a_miss(tmp_path, damage,
+                                                observed):
+    """A changed byte in the header or the histogram section, a
+    truncation that cuts into either, and a v6 entry are misses for
+    every reader, with or without accounting; the next put repairs the
+    entry."""
+    store = ResultStore(str(tmp_path))
+    store.put(_key(), _small_result(observe=True),
+              key_info={"accesses": 200})
+    path = store.path_for(_key())
+    write_bytes(path, damage(read_bytes(path)))
+    assert not store.contains(_key(), need_accounting=observed)
+    assert store.get(_key(), need_accounting=observed) is None
+    live = _small_result(observe=True)
+    store.put(_key(), live)
+    assert store.get(_key(), need_accounting=True).digest() == \
+        live.digest()
+
+
+def _sidecar_digit(raw):
+    return _bump(raw, _digit_after(raw, _sections(raw)[1]))
+
+
+def _cut_sidecar(raw):
+    histogram_end = _sections(raw)[1]
+    return raw[:(histogram_end + len(raw)) // 2]
+
+
+def _drop_sidecar(raw):
+    return raw[:_sections(raw)[1] + 1]
+
+
+@pytest.mark.parametrize("damage", [
+    _sidecar_digit, _cut_sidecar, _drop_sidecar,
+], ids=["sidecar_digit", "cut_in_sidecar", "sidecar_gone"])
+def test_damaged_sidecar_misses_only_for_accounting(tmp_path, damage):
+    """An unobserved read never reads the sidecar section, so damage
+    there leaves it a hit with the same digest; a ``need_accounting``
+    read checks the section's CRC-32 and misses.  An unobserved put
+    over the damaged entry keeps no sidecar, so the observed re-run
+    puts it back."""
+    store = ResultStore(str(tmp_path))
+    observed = _small_result(observe=True)
+    store.put(_key(), observed)
+    path = store.path_for(_key())
+    write_bytes(path, damage(read_bytes(path)))
+    plain = store.get(_key())
+    assert plain is not None and plain.accounting is None
+    assert plain.digest() == observed.digest()
+    assert store.get(_key(), need_accounting=True) is None
+    store.put(_key(), _small_result())
+    assert read_entry(path).accounting() is None
+    assert store.get(_key(), need_accounting=True) is None
+    store.put(_key(), observed)
+    restored = store.get(_key(), need_accounting=True)
+    assert restored.accounting.to_dict() == observed.accounting.to_dict()
 
 
 def test_every_preset_round_trips(tmp_path):
@@ -203,7 +339,7 @@ def test_sidecar_race_costs_one_rerun(tmp_path):
     plain_writer.load_entry = load_then_interleave
     plain_writer.put(_key(), _small_result())
     reader = ResultStore(str(tmp_path))
-    assert reader.load_entry(_key())["accounting"] is None
+    assert read_entry(reader.path_for(_key())).accounting() is None
     assert reader.get(_key(), need_accounting=True) is None
     rerun = _small_result(observe=True)
     assert rerun.digest() == observed.digest()
@@ -231,6 +367,55 @@ def test_unwritable_directory_is_refused(tmp_path, monkeypatch):
         store.ensure_writable()
 
 
+def _canonical_key(cell):
+    """The key as the canonical JSON of its whole payload, built in one
+    ``json.dumps`` call."""
+    payload = {
+        "version": CACHE_VERSION,
+        "config": cell.config.digest(),
+        "workload": {
+            "mix": cell.workload if cell.kind == "mix" else None,
+            "benchmark": cell.workload if cell.kind == "alone" else None,
+            "accesses": cell.accesses,
+            "fragmentation": cell.fragmentation,
+            "seed": cell.seed,
+        },
+        "core": {f.name: getattr(cell.core_config, f.name)
+                 for f in dataclasses.fields(CoreConfig)},
+    }
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_every_named_spec_key_is_the_canonical_json_digest():
+    """``store_key`` assembles the canonical text from a memoised
+    (config, core config) prefix; every key of every named spec equals
+    the digest of the whole payload dumped at once -- Fig. 14's scaled
+    cores and Fig. 13's two fragmentations among them."""
+    from repro.sim.specs import NAMED_SPECS, ExperimentSettings
+    clocks, fragmentations = set(), set()
+    for seed in (0, 7):
+        settings = ExperimentSettings(accesses_per_core=300, seed=seed)
+        for name, make in NAMED_SPECS.items():
+            for cell in make(settings).expand():
+                assert cell.store_key() == _canonical_key(cell), \
+                    (name, cell.describe())
+                clocks.add(cell.core_config.clock_hz)
+                fragmentations.add(cell.fragmentation)
+    assert len(clocks) == 4 and fragmentations == {0.1, 0.5}
+
+
+@pytest.mark.parametrize("value", [
+    None, True, False, 0, -3, 10**20, 0.1, 2.0, 1e300, -0.0,
+    float("nan"), float("inf"), "mix0", "é", 'a"b\\c\n', "",
+], ids=repr)
+def test_key_scalars_are_written_as_json_dumps_writes_them(value):
+    """The key's workload values skip the encoder's set-up, and still
+    come out exactly as ``json.dumps`` writes them."""
+    from repro.sim.store import _json_scalar
+    assert _json_scalar(value) == json.dumps(value)
+
+
 def test_store_key_demands_exactly_one_workload():
     with pytest.raises(ValueError):
         store_key(cfgs.vsb(), accesses=200, fragmentation=0.1, seed=0)
@@ -255,8 +440,8 @@ def test_unobserved_overwrite_keeps_accounting_sidecar(tmp_path):
     assert merged is not None and merged.accounting is not None
     assert merged.accounting.to_dict() == observed.accounting.to_dict()
     # The key sidecar survives too.
-    entry = ResultStore(str(tmp_path)).load_entry(_key())
-    assert entry["key"] == {"kind": "mix"}
+    entry = read_entry(ResultStore(str(tmp_path)).path_for(_key()))
+    assert json.loads(entry.key_info) == {"kind": "mix"}
 
 
 def test_need_accounting_misses_on_plain_entries(tmp_path):
@@ -329,10 +514,10 @@ def test_scalar_and_full_entries_share_one_read_path(tmp_path):
     assert store.get(_key()).ipcs == list(live.ipcs)
     path = store.path_for(_key(seed=5))
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"version": CACHE_VERSION,
-                   "id": store.entry_id(_key(seed=5)),
-                   "result": {"config_name": "", "ipcs": [2.75]}}, fh)
+    write_entry(path, Entry(
+        {"version": CACHE_VERSION, "id": store.entry_id(_key(seed=5)),
+         "result": {"config_name": "", "ipcs": [2.75]}}, b"{}", b"", b""))
+    assert store.load_entry(_key(seed=5)) is not None
     assert not store.contains(_key(seed=5))
     assert store.get(_key(seed=5)) is None
     assert store.counters.misses == 1
@@ -342,33 +527,73 @@ def test_scalar_and_full_entries_share_one_read_path(tmp_path):
     b"", b'{"version": 6, "id"', b'{"version": 6, "id": "\xe9"}', b"[]",
     b"null",
     b'"entry"',
-], ids=["empty", "truncated", "not_utf8", "array", "null", "string"])
+    b'[0,{"version": 7, "id"', b'[0,{"version": 7, "id": "\xe9"},{}]',
+    b"[0]", b"0", b'"ab"',
+], ids=["empty", "truncated", "not_utf8", "array", "null", "string",
+        "v7_truncated", "v7_not_utf8", "no_header", "number",
+        "two_chars"])
 def test_unreadable_entry_bytes_are_a_miss(tmp_path, raw):
     """Entries are parsed from their bytes: an empty, truncated or
-    non-UTF-8 file, and JSON that is not an object, all read as misses
-    that the next put overwrites."""
+    non-UTF-8 header line, and one that is not a sealed
+    ``[crc,header,key_info]`` array, all read as misses that the next
+    put overwrites -- alone, or followed by empty histogram and
+    sidecar sections."""
     store = ResultStore(str(tmp_path))
     path = store.path_for(_key())
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    assert store.load_entry(_key()) is None
-    assert not store.contains(_key())
-    assert store.get(_key()) is None
+    for sections in (b"", b"\n\n\n"):
+        write_bytes(path, raw + sections)
+        assert store.load_entry(_key()) is None
+        assert not store.contains(_key())
+        assert store.get(_key()) is None
     live = _small_result()
     store.put(_key(), live)
     assert store.get(_key()).digest() == live.digest()
 
 
-def test_entry_file_is_sorted_json_and_a_newline(tmp_path):
-    """A put writes the entry as ``json.dumps(entry, sort_keys=True)``
-    plus a newline, byte for byte."""
+@pytest.mark.parametrize("sealed", [
+    b"[],{}", b"null,{}", b'"header",{}', b'{"version":7}',
+    b'{"version":7}{}',
+], ids=["array", "null", "string", "no_key_info", "no_comma"])
+def test_sealed_line_without_a_header_object_is_a_miss(tmp_path, sealed):
+    """A header line whose CRC matches but that holds no header object
+    followed by the key info is unreadable too."""
     store = ResultStore(str(tmp_path))
-    store.put(_key(), _small_result(observe=True))
-    with open(store.path_for(_key()), "rb") as fh:
-        raw = fh.read()
-    entry = json.loads(raw)
-    assert raw == (json.dumps(entry, sort_keys=True) + "\n").encode()
+    path = store.path_for(_key())
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_bytes(path, b"[%d,%s]\n[[],[]]\n\n" % (zlib.crc32(sealed),
+                                                   sealed))
+    assert store.load_entry(_key()) is None
+    assert store.get(_key()) is None
+    assert store.gc().removed == 1
+
+
+def _compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_entry_file_is_sorted_json_and_a_newline(tmp_path):
+    """A put writes three sections, each compact key-sorted JSON plus a
+    newline, byte for byte: the header line ``[crc,header,key_info]``
+    (the CRC-32 of the header's and key info's text), the packed
+    histogram, and the sidecar, whose CRC-32 the header holds."""
+    store = ResultStore(str(tmp_path))
+    live = _small_result(observe=True)
+    store.put(_key(), live, key_info={"kind": "mix", "seed": 0})
+    raw = read_bytes(store.path_for(_key()))
+    header_line, histogram, sidecar, tail = raw.split(b"\n")
+    assert tail == b""
+    sealed = (_compact(read_entry(store.path_for(_key())).header) + b","
+              + _compact({"kind": "mix", "seed": 0}))
+    assert header_line == b"[%d,%s]" % (zlib.crc32(sealed), sealed)
+    crc, header, key_info = json.loads(header_line)
+    assert key_info == {"kind": "mix", "seed": 0}
+    assert (histogram, header["result"]["stats"]["read_latencies_crc32"]) \
+        == live.stats.read_latencies.pack()
+    assert sidecar == _compact(live.accounting.to_dict())
+    assert header["accounting_crc32"] == zlib.crc32(sidecar)
+    assert header["version"] == CACHE_VERSION
+    assert header["id"] == store.entry_id(_key())
 
 
 def test_gc_prunes_versions_age_and_excess(tmp_path):
@@ -388,16 +613,35 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     assert (report.scanned, report.removed, report.kept) == (5, 2, 3)
     assert report.freed_bytes > 0
     # Age-based pruning: backdate one survivor.
-    old = store.load_entry(_key(seed=0))
-    old["written_at"] = 0.0
-    with open(store.path_for(_key(seed=0)), "w") as fh:
-        json.dump(old, fh)
+    edit_header(store.path_for(_key(seed=0)),
+                lambda header: header.update(written_at=0.0))
     report = store.gc(max_age_days=1)
     assert (report.removed, report.kept) == (1, 2)
     # Size cap keeps the newest N.
     report = store.gc(max_entries=1)
     assert (report.removed, report.kept) == (1, 1)
     assert store.counters.evictions == 4
+
+
+def test_gc_keeps_v7_entries_and_removes_v6_ones(tmp_path):
+    """An entry the v6 writer laid out (one JSON object) is stale, and
+    so is an entry in the current layout stamped with another version:
+    gc frees both, and keeps the current entry beside them."""
+    store = ResultStore(str(tmp_path))
+    live = _small_result(observe=True)
+    for seed in (0, 1, 2):
+        store.put(_key(seed=seed), live)
+    v6 = store.path_for(_key(seed=1))
+    write_bytes(v6, as_v6(read_bytes(v6)))
+    restamped = store.path_for(_key(seed=2))
+    edit_header(restamped, lambda header: header.update(version=6))
+    size = os.path.getsize(v6) + os.path.getsize(restamped)
+    report = store.gc()
+    assert (report.scanned, report.removed, report.kept) == (3, 2, 1)
+    assert report.freed_bytes == size
+    assert not os.path.exists(v6) and not os.path.exists(restamped)
+    kept = store.get(_key(seed=0), need_accounting=True)
+    assert kept.digest() == live.digest()
 
 
 def test_gc_removes_entries_that_are_not_objects(tmp_path):
