@@ -64,7 +64,7 @@ def bench_figure(benchmark, name: str, settings: ExperimentSettings):
     """Regenerate one named figure once under pytest-benchmark; returns
     the reduced table."""
     from repro.sim.experiments import run_figure
-    table, _ = benchmark.pedantic(
+    table, _, _ = benchmark.pedantic(
         run_figure, args=(name, settings),
         kwargs={"jobs": bench_jobs()}, rounds=1, iterations=1)
     return table

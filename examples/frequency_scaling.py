@@ -21,7 +21,7 @@ def main() -> None:
     mix = sys.argv[2] if len(sys.argv) > 2 else "mix0"
     print(f"sweeping channel frequency on {mix} "
           f"({accesses} accesses/core); CPU clock scales along...\n")
-    points, _ = run_figure("fig14", ExperimentSettings(
+    points, _, _ = run_figure("fig14", ExperimentSettings(
         accesses_per_core=accesses, mixes=(mix,)))
 
     configs = []

@@ -25,7 +25,7 @@ def main() -> None:
 
     print(f"running {len(FIG12_CONFIG_SPECS)} configurations on "
           f"{', '.join(mixes)} ({accesses} accesses/core)...\n")
-    table, _ = run_figure("fig12", ExperimentSettings(
+    table, _, _ = run_figure("fig12", ExperimentSettings(
         accesses_per_core=accesses, mixes=mixes))
 
     norm = table.normalized()

@@ -188,7 +188,7 @@ def cmd_cells(args) -> None:
     store = ResultStore()
     cached = 0
     for cell in spec.expand():
-        hit = store.contains(cell.store_key())
+        hit = store.contains(cell.store_key(), cell.config.energy)
         cached += hit
         d = cell.describe()
         print(f"[{'cached' if hit else 'missing'}] {d['kind']:5s} "
@@ -359,15 +359,17 @@ def _print_figref(points) -> None:
 def cmd_figure(args) -> None:
     """``repro fig12`` ... ``repro figref``: run a named figure spec
     through the store and print its table (plus stall-attribution
-    sidecars with ``--emit-stats DIR``)."""
-    table, rs = run_figure(args.command, _settings(args),
-                           jobs=_jobs(args),
-                           observe=args.emit_stats is not None)
+    sidecars with ``--emit-stats DIR``), then the run report line
+    (``cells=... submitted=...``, as ``repro run`` prints it)."""
+    table, rs, report = run_figure(args.command, _settings(args),
+                                   jobs=_jobs(args),
+                                   observe=args.emit_stats is not None)
     args.printer(table)
     if args.emit_stats is not None:
         for path in emit_stats_sidecars(rs, args.emit_stats,
                                         prefix=f"{args.command}__"):
             print(f"wrote {path}")
+    print(report.summary())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -261,7 +261,8 @@ class RefreshScheduler:
 
     One refresh *scope* is the unit a single REF/REFpb command covers:
     the whole rank (``baseline``), one bank (``darp``), or one sub-bank
-    (``sarp``, degrading to per-bank on flat-bank geometries).  One
+    (``sarp``, which :class:`~repro.sim.config.SystemConfig` allows on
+    sub-banked organisations only).  One
     refresh is owed per ``period = tREFI / len(scopes)`` elapsed, so
     every policy retires the same rank-wide refresh bandwidth; JEDEC's
     eight-deferral allowance becomes ``defer_slack = 8 * period`` of
@@ -308,7 +309,7 @@ class RefreshScheduler:
         subbanks = channel.banks[0].geometry.subbanks
         if policy == "baseline":
             scopes = [(-1, -1)]
-        elif policy == "darp" or subbanks == 1:
+        elif policy == "darp":
             scopes = [(b, -1) for b in range(banks)]
         else:
             scopes = [(b, s) for b in range(banks)

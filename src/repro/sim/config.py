@@ -31,7 +31,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -130,8 +129,8 @@ class SystemConfig:
     #: with refresh off, where it is unused): ``"baseline"`` on-deadline
     #: all-bank REF, ``"darp"`` deferred out-of-order per-bank refresh
     #: behind pending demand, ``"sarp"`` sub-bank refresh overlapped
-    #: with the partner sub-bank's accesses (per-bank on flat-bank
-    #: organisations).
+    #: with the partner sub-bank's accesses (sub-banked organisations
+    #: only: a flat bank has no partner sub-bank).
     refresh_policy: str = "baseline"
     #: Memory-technology backend supplying the timing-rule table,
     #: refresh grades, and power model (:mod:`repro.dram.backends`):
@@ -154,14 +153,10 @@ class SystemConfig:
             raise ValueError(
                 f"backend {self.backend!r} has no {self.refresh_density!r} "
                 f"density grade (known: {known})")
-        if (self.refresh_enabled and self.refresh_policy == "sarp"
-                and not self.subbanked):
-            warnings.warn(
-                f"refresh_policy='sarp' on non-sub-banked {self.name!r} "
-                "degrades to per-bank 'darp' (no partner sub-bank to "
-                "overlap); effective_refresh_policy records the policy "
-                "actually applied",
-                stacklevel=2)
+        if self.refresh_policy == "sarp" and not self.subbanked:
+            raise ValueError(
+                f"refresh policy 'sarp' needs sub-banks; {self.name!r} "
+                "has none (use 'darp' for per-bank refresh)")
 
     # -- derived properties ----------------------------------------------
 
@@ -199,18 +194,6 @@ class SystemConfig:
     @property
     def refresh_enabled(self) -> bool:
         return self.refresh_density is not None or bool(self.refresh_ns)
-
-    @property
-    def effective_refresh_policy(self) -> str:
-        """The refresh policy actually applied by the scheduler.
-
-        ``"sarp"`` needs a partner sub-bank to overlap refresh with, so
-        on flat-bank organisations it degrades to per-bank ``"darp"``
-        (see :class:`repro.controller.scheduler.RefreshScheduler`).
-        """
-        if self.refresh_policy == "sarp" and not self.subbanked:
-            return "darp"
-        return self.refresh_policy
 
     def timing(self) -> TimingParams:
         tech = get_backend(self.backend)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sim.metrics import LatencyHistogram, gmean, quartiles
-from repro.sim.runner import ResultSet, run_spec
+from repro.sim.runner import ResultSet, RunReport, run_spec
 from repro.sim.simulator import SimulationResult
 from repro.sim.specs import (
     NAMED_SPECS,
@@ -268,18 +268,21 @@ FIGURE_REDUCERS: Dict[str, Callable[[ResultSet, Sequence[str]], object]] = {
 
 
 def run_figure(name: str, settings: ExperimentSettings, *, jobs: int = 1,
-               observe: bool = False, **axes) -> Tuple[object, ResultSet]:
-    """Build, run and reduce one named figure; return (table, results).
+               observe: bool = False, **axes
+               ) -> Tuple[object, ResultSet, RunReport]:
+    """Build, run and reduce one named figure; return (table, results,
+    run report).
 
     ``axes`` go to the figure's spec builder (e.g. ``planes=(2, 4)``
     for ``fig13``).  The spec runs through :func:`run_spec` against the
-    default store, so only cells it lacks simulate (``jobs``-wide);
-    ``observe`` attaches cycle accounting to every mix cell, which
-    :func:`emit_stats_sidecars` exports from the returned results.
+    default store, so only cells it lacks simulate (``jobs``-wide), and
+    the report counts them; ``observe`` attaches cycle accounting to
+    every mix cell, which :func:`emit_stats_sidecars` exports from the
+    returned results.
     """
     spec = NAMED_SPECS[name](settings, observe=observe, **axes)
-    rs, _ = run_spec(spec, jobs=jobs)
-    return FIGURE_REDUCERS[name](rs, spec.mixes), rs
+    rs, report = run_spec(spec, jobs=jobs)
+    return FIGURE_REDUCERS[name](rs, spec.mixes), rs, report
 
 
 # -- stall-attribution sidecars ----------------------------------------------
@@ -304,9 +307,7 @@ def emit_stats_sidecars(rs: ResultSet, directory: str,
     ``__frag<f>`` off the spec's first fragmentation level) with the
     report's :meth:`~repro.sim.accounting.AccountingReport.to_dict`
     schema (documented in ``docs/OBSERVABILITY.md``) plus a ``system``
-    block naming the technology backend and the *effective* refresh
-    policy -- ``sarp`` on a non-sub-banked organisation degrades to
-    ``darp``, and the sidecar records the policy actually applied.
+    block naming the technology backend and the refresh policy.
     Results restored from the store carry their persisted report, so
     re-emitted sidecars are identical to the original run's.  Returns
     the paths written, sorted.  Cells without accounting
@@ -329,7 +330,6 @@ def emit_stats_sidecars(rs: ResultSet, directory: str,
         payload["system"] = {
             "backend": config.backend,
             "refresh_policy": config.refresh_policy,
-            "effective_refresh_policy": config.effective_refresh_policy,
         }
         name = f"{prefix}{slug(config.name)}__{cell.workload}"
         if cell.fragmentation != default_frag:

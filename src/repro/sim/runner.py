@@ -101,7 +101,7 @@ def execute_cells(cells: Sequence[CellKey], *,
                 progress(cell, "memory")
             continue
         if store is not None:
-            stored = store.get(cell.store_key(),
+            stored = store.get(cell.store_key(), cell.config.energy,
                                need_accounting=needs_report)
             if stored is not None:
                 results[cell] = stored

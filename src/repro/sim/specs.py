@@ -203,6 +203,27 @@ class CellKey:
     seed: int
     core_config: CoreConfig
 
+    def __hash__(self) -> int:
+        """The hash of the field tuple, computed once per object and
+        kept on it (the key is frozen, so it cannot change): a run
+        looks each cell up in several dicts and sets.  The memo is not
+        a field, so equality and :func:`dataclasses.replace` never see
+        it, and :meth:`__getstate__` leaves it out of a pickle: string
+        hashes differ between processes."""
+        memo = self.__dict__.get("_hash")
+        if memo is None:
+            memo = hash((self.kind, self.config, self.workload,
+                         self.accesses, self.fragmentation, self.seed,
+                         self.core_config))
+            object.__setattr__(self, "_hash", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        """The fields, without the hash memo."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def store_key(self) -> str:
         return store_key(
             self.config, accesses=self.accesses,

@@ -20,11 +20,13 @@ results:
   ending in a newline (:func:`encode_entry`):
 
   1. the *header line*, one JSON array ``[crc,header,key_info]``: the
-     header object holds the result summary (everything
-     :meth:`SimulationResult.digest` hashes and the reducers read,
-     less the latency histogram), the entry's own 64-hex id, the
-     histogram's CRC-32 and the sidecar's, if any; ``key_info`` is the
-     cell's description for debugging; ``crc`` is the CRC-32 of the
+     header is one flat JSON array whose fields :class:`Header` lists
+     in file order -- the format version and the entry's own 64-hex id
+     first, then when it was written, the CRC-32s of the other two
+     sections, and the result summary (everything
+     :meth:`SimulationResult.digest` hashes and the reducers read, less
+     the latency histogram and the energy parameters); ``key_info`` is
+     the cell's description for debugging; ``crc`` is the CRC-32 of the
      two, as written;
   2. the read-latency histogram, packed as compact JSON
      ``[[values...],[counts...]]`` with the distinct latencies
@@ -32,14 +34,18 @@ results:
   3. the stall-attribution sidecar of an observed run as compact JSON,
      or nothing.
 
-  A read parses the header object alone.  It checks the header line's
-  CRC, the entry id (an entry copied or renamed onto another key's
-  path is a miss, never that key's result) and the histogram section's
-  CRC; the histogram is decoded the first time something reads the
-  latencies, so a figure that reduces IPCs alone (Fig. 12) never
-  decodes it.  The sidecar is read only by a caller that asks for
-  accounting: its CRC is checked then, and its JSON parsed on the
-  first :meth:`StoredAccounting.to_dict`.
+  An entry stores no energy parameters: the key's config digest
+  already pins ``SystemConfig.energy``, so the caller passes the cell
+  config's :class:`EnergyParams` to :meth:`ResultStore.get`.  A read
+  parses the header array alone, into a :class:`Header`.  It checks the
+  header line's CRC, the header's length and field types, its version,
+  its entry id (an entry copied or renamed onto another key's path is a
+  miss, never that key's result) and the histogram section's CRC; the
+  histogram is decoded the first time something reads the latencies,
+  so a figure that reduces IPCs alone (Fig. 12) never decodes it.  The
+  sidecar is read only by a caller that asks for accounting: its CRC is
+  checked then, and its JSON parsed on the first
+  :meth:`StoredAccounting.to_dict`.
 * **Writes** are atomic (temp file + ``os.replace``) and merge
   freshest-last: concurrent writers of the same key race to an
   identical deterministic payload, and a new unobserved write never
@@ -54,7 +60,6 @@ throwaway directory); delete the directory to invalidate everything.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -64,7 +69,15 @@ import time
 import zlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    get_type_hints,
+)
 
 from repro.controller.controller import ControllerStats
 from repro.cpu.core import CoreConfig
@@ -95,7 +108,11 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: v7: an entry is three newline-terminated sections -- a CRC-sealed
 #: JSON header, the packed histogram, the accounting sidecar -- and a
 #: read parses the header alone; v6 entries read as misses.
-CACHE_VERSION = 7
+#: v8: the header is one flat JSON array in :class:`Header`'s field
+#: order, and an entry no longer stores the energy parameters, which the
+#: key's config digest pins; v7 entries (a header object) read as
+#: misses.
+CACHE_VERSION = 8
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
@@ -195,32 +212,93 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+class Header(NamedTuple):
+    """An entry's header: one flat JSON array of these fields, in this
+    order.
+
+    The entry's own fields come first, then the result summary --
+    everything :meth:`SimulationResult.digest` hashes and the reducers
+    read, less the latency histogram (a section of its own) and the
+    energy parameters (pinned by the key's config digest, and passed in
+    by the reader).  Each field's annotation is the type its JSON value
+    parses to: a header array of another length, or with another type
+    anywhere, is unreadable.
+    """
+
+    #: :data:`CACHE_VERSION` of the writer.
+    version: int
+    #: The entry's 64-hex id (:meth:`ResultStore.entry_id`), also its
+    #: file name.
+    id: str
+    #: ``time.time()`` of the put; ``repro gc --max-age-days`` reads it.
+    written_at: float
+    #: CRC-32 of the histogram section.
+    histogram_crc32: int
+    #: CRC-32 of the sidecar section: 0, the CRC-32 of an empty
+    #: section, when the entry has no sidecar.
+    sidecar_crc32: int
+    config_name: str
+    ipcs: list
+    finish_times: list
+    elapsed_ps: int
+    transactions: int
+    #: :class:`ControllerStats` counters.
+    commands_issued: int
+    acts: int
+    ewlr_hits: int
+    columns: int
+    precharges: int
+    refreshes: int
+    write_cancels: int
+    #: :class:`EnergyMeter` counters.
+    energy_activations: int
+    energy_ewlr_hit_activations: int
+    energy_precharges: int
+    energy_partial_precharges: int
+    energy_reads: int
+    energy_writes: int
+    #: Precharge counts by :class:`PrechargeCause`, one field per
+    #: cause (a result counts every cause, zeros included).
+    row_conflict_precharges: int
+    plane_conflict_precharges: int
+    policy_precharges: int
+    refresh_precharges: int
+    #: :meth:`SimulationResult.digest` of the live result, for readers
+    #: of the file; a read does not recompute it.
+    digest: str
+
+
+#: The JSON type of each :class:`Header` field, in file order.
+_HEADER_TYPES = tuple(get_type_hints(Header).values())
+
+
 class Entry(NamedTuple):
     """One entry's sections, as :func:`decode_entry` found them."""
 
-    #: The header object (the header line's CRC already checked).
-    header: dict
+    #: The header (the header line's CRC and the field types already
+    #: checked).
+    header: Header
     #: The cell's description (``key_info``, :meth:`CellKey.describe`)
     #: as JSON text, unparsed: it ends the header line, and no read
     #: needs it.
     key_info: bytes
     #: The packed histogram section, unchecked: its CRC-32 is
-    #: ``header["result"]["stats"]["read_latencies_crc32"]``.
+    #: ``header.histogram_crc32``.
     histogram: bytes
     #: The sidecar section, unchecked (empty when there is none): its
-    #: CRC-32 is ``header["accounting_crc32"]``.
+    #: CRC-32 is ``header.sidecar_crc32``.
     sidecar: bytes
 
     def accounting(self) -> Optional[bytes]:
-        """The sidecar's JSON text, or ``None`` if the header names no
-        sidecar or the section fails its CRC-32 (changed or cut)."""
-        crc = self.header.get("accounting_crc32")
-        if crc is None or zlib.crc32(self.sidecar) != crc:
+        """The sidecar's JSON text, or ``None`` if the entry has none
+        or the section fails its CRC-32 (changed or cut)."""
+        if not self.sidecar \
+                or zlib.crc32(self.sidecar) != self.header.sidecar_crc32:
             return None
         return self.sidecar
 
 
-def encode_entry(header: dict, key_info: bytes, histogram: bytes,
+def encode_entry(header: Sequence, key_info: bytes, histogram: bytes,
                  sidecar: bytes) -> bytes:
     """An entry file's bytes: the header line ``[crc,header,key_info]``,
     the histogram section and the sidecar section, each ending in a
@@ -238,13 +316,14 @@ _DECODER = json.JSONDecoder()
 def decode_entry(raw: bytes) -> Entry:
     """The sections of an entry file's bytes.
 
-    Parses the header object alone: the key info after it is returned
-    as text.  Raises :class:`ValueError` if the header line fails its
-    CRC (a changed byte, a truncation, a v6 entry's single JSON object)
-    or does not hold a header object, or if the histogram section has
-    no terminating newline (a truncation).  The histogram and sidecar
-    are returned unchecked; a final newline missing from the sidecar
-    section leaves its text whole.
+    Parses the header array alone: the key info after it is returned as
+    text.  Raises :class:`ValueError` if the header line fails its CRC
+    (a changed byte, a truncation, a v6 entry's single JSON object), if
+    it does not hold a header array of :class:`Header`'s length and
+    field types (a v7 entry's header object among them), or if the
+    histogram section has no terminating newline (a truncation).  The
+    histogram and sidecar are returned unchecked; a final newline
+    missing from the sidecar section leaves its text whole.
     """
     end = raw.index(b"\n")
     histogram_end = raw.index(b"\n", end + 1)
@@ -255,14 +334,20 @@ def decode_entry(raw: bytes) -> Entry:
         raise ValueError("entry header line fails its CRC-32")
     # The header's JSON text is ASCII (JSON escapes the rest), so the
     # decoder's string offset just past it is also a byte offset.
-    header, stop = _DECODER.raw_decode(sealed.decode())
-    if type(header) is not dict or sealed[stop:stop + 1] != b",":
-        raise ValueError("entry header line holds no header object")
+    fields, stop = _DECODER.raw_decode(sealed.decode())
+    if sealed[stop:stop + 1] != b"," or type(fields) is not list \
+            or tuple(map(type, fields)) != _HEADER_TYPES:
+        raise ValueError("entry header line holds no v8 header array")
     sidecar = raw[histogram_end + 1:]
     if sidecar.endswith(b"\n"):
         sidecar = sidecar[:-1]
-    return Entry(header, sealed[stop + 1:], raw[end + 1:histogram_end],
-                 sidecar)
+    return Entry(Header._make(fields), sealed[stop + 1:],
+                 raw[end + 1:histogram_end], sidecar)
+
+
+#: Bytes one ``os.read`` asks for: more than any entry but an observed
+#: one with a large sidecar, which takes further reads.
+_READ_SIZE = 1 << 16
 
 
 def _read_entry(path: str) -> Entry:
@@ -272,53 +357,56 @@ def _read_entry(path: str) -> Entry:
     :class:`ValueError` if its header or layout is damaged
     (:func:`decode_entry`).
     """
-    with open(path, "rb") as fh:
-        return decode_entry(fh.read())
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw = chunk = os.read(fd, _READ_SIZE)
+        while len(chunk) == _READ_SIZE:
+            chunk = os.read(fd, _READ_SIZE)
+            raw += chunk
+    finally:
+        os.close(fd)
+    return decode_entry(raw)
 
 
 # -- result (de)serialization ------------------------------------------------
 
 
 def serialize_result(result: SimulationResult) -> Tuple[dict, bytes]:
-    """``(summary, histogram)``: a JSON-able summary carrying everything
-    the reducers and the result digest read, less the read-latency
-    histogram, which comes packed (:meth:`LatencyHistogram.pack`) with
-    its CRC-32 in the summary.  The energy parameters are one string,
-    their canonical JSON text, so a reader can share one
-    :class:`EnergyParams` per text without parsing it again.  Perf
-    counters (peeks, wall time) are host-side observations, not
-    behaviour, and are deliberately dropped."""
+    """``(summary, histogram)``: the result's :class:`Header` fields by
+    name -- everything the reducers and the result digest read, less
+    the read-latency histogram, which comes packed
+    (:meth:`LatencyHistogram.pack`) with its CRC-32 among the fields,
+    and less the energy parameters, which the key pins.  Perf counters
+    (peeks, wall time) are host-side observations, not behaviour, and
+    are deliberately dropped."""
     s = result.stats
     e = result.energy
+    causes = result.precharge_causes
     histogram, crc32 = s.read_latencies.pack()
     return {
+        "histogram_crc32": crc32,
         "config_name": result.config_name,
         "ipcs": list(result.ipcs),
         "finish_times": list(result.finish_times),
         "elapsed_ps": result.elapsed_ps,
         "transactions": result.transactions,
-        "stats": {
-            "commands_issued": s.commands_issued,
-            "acts": s.acts,
-            "ewlr_hits": s.ewlr_hits,
-            "columns": s.columns,
-            "precharges": s.precharges,
-            "refreshes": s.refreshes,
-            "write_cancels": s.write_cancels,
-            "read_latencies_crc32": crc32,
-        },
-        "energy": {
-            "params": _dumps({f.name: getattr(e.params, f.name)
-                              for f in dataclasses.fields(EnergyParams)}),
-            "activations": e.activations,
-            "ewlr_hit_activations": e.ewlr_hit_activations,
-            "precharges": e.precharges,
-            "partial_precharges": e.partial_precharges,
-            "reads": e.reads,
-            "writes": e.writes,
-        },
-        "precharge_causes": {cause.name: n for cause, n
-                             in result.precharge_causes.items()},
+        "commands_issued": s.commands_issued,
+        "acts": s.acts,
+        "ewlr_hits": s.ewlr_hits,
+        "columns": s.columns,
+        "precharges": s.precharges,
+        "refreshes": s.refreshes,
+        "write_cancels": s.write_cancels,
+        "energy_activations": e.activations,
+        "energy_ewlr_hit_activations": e.ewlr_hit_activations,
+        "energy_precharges": e.precharges,
+        "energy_partial_precharges": e.partial_precharges,
+        "energy_reads": e.reads,
+        "energy_writes": e.writes,
+        "row_conflict_precharges": causes[PrechargeCause.ROW_CONFLICT],
+        "plane_conflict_precharges": causes[PrechargeCause.PLANE_CONFLICT],
+        "policy_precharges": causes[PrechargeCause.POLICY],
+        "refresh_precharges": causes[PrechargeCause.REFRESH],
         "digest": result.digest(),
     }, histogram
 
@@ -350,61 +438,57 @@ class StoredAccounting:
         return dict(self._payload)
 
 
-#: Precharge causes by name: a plain mapping lookup, without the enum
-#: metaclass call ``PrechargeCause[name]`` makes per entry and cause.
-_CAUSES = PrechargeCause.__members__
-
-
-def restore_result(summary: dict, histogram: bytes,
+def restore_result(header: Header, histogram: bytes,
                    params: EnergyParams,
                    accounting: Optional[bytes] = None
                    ) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` from :func:`serialize_result`.
+    """Rebuild a :class:`SimulationResult` from an entry's header and
+    histogram section.
 
-    ``params`` are the energy parameters the summary names (the store
-    passes one shared object per parameter set) and ``accounting`` the
-    checked sidecar text, if the caller asked for it.  The restored
+    ``params`` are the energy parameters of the cell's config (the
+    entry does not store them: the key pins them) and ``accounting``
+    the checked sidecar text, if the caller asked for it.  The restored
     result digests identically to the live one (asserted in
     ``tests/sim/test_store.py``); perf counters come back zero.  A
     histogram section that fails its CRC-32 raises :class:`ValueError`,
-    and a missing or mistyped CRC :class:`KeyError` or
-    :class:`TypeError`; the store reads each as a miss.  The
-    histogram's counts are built on first read
-    (:class:`~repro.sim.metrics.LatencyHistogram`).
+    which the store reads as a miss.  The histogram's counts are built
+    on first read (:class:`~repro.sim.metrics.LatencyHistogram`).
     """
-    stats_p = summary["stats"]
     stats = ControllerStats(
-        commands_issued=stats_p["commands_issued"],
-        acts=stats_p["acts"],
-        ewlr_hits=stats_p["ewlr_hits"],
-        columns=stats_p["columns"],
-        precharges=stats_p["precharges"],
-        refreshes=stats_p["refreshes"],
-        write_cancels=stats_p["write_cancels"],
+        commands_issued=header.commands_issued,
+        acts=header.acts,
+        ewlr_hits=header.ewlr_hits,
+        columns=header.columns,
+        precharges=header.precharges,
+        refreshes=header.refreshes,
+        write_cancels=header.write_cancels,
         read_latencies=LatencyHistogram.unpack(
-            histogram, stats_p["read_latencies_crc32"]),
+            histogram, header.histogram_crc32),
     )
-    energy_p = summary["energy"]
     energy = EnergyMeter(
         params=params,
-        activations=energy_p["activations"],
-        ewlr_hit_activations=energy_p["ewlr_hit_activations"],
-        precharges=energy_p["precharges"],
-        partial_precharges=energy_p["partial_precharges"],
-        reads=energy_p["reads"],
-        writes=energy_p["writes"],
+        activations=header.energy_activations,
+        ewlr_hit_activations=header.energy_ewlr_hit_activations,
+        precharges=header.energy_precharges,
+        partial_precharges=header.energy_partial_precharges,
+        reads=header.energy_reads,
+        writes=header.energy_writes,
     )
-    causes = {_CAUSES[name]: n for name, n
-              in summary["precharge_causes"].items()}
+    causes = {
+        PrechargeCause.ROW_CONFLICT: header.row_conflict_precharges,
+        PrechargeCause.PLANE_CONFLICT: header.plane_conflict_precharges,
+        PrechargeCause.POLICY: header.policy_precharges,
+        PrechargeCause.REFRESH: header.refresh_precharges,
+    }
     return SimulationResult(
-        config_name=summary["config_name"],
-        ipcs=summary["ipcs"],
-        finish_times=summary["finish_times"],
+        config_name=header.config_name,
+        ipcs=header.ipcs,
+        finish_times=header.finish_times,
         stats=stats,
         energy=energy,
         precharge_causes=causes,
-        elapsed_ps=summary["elapsed_ps"],
-        transactions=summary["transactions"],
+        elapsed_ps=header.elapsed_ps,
+        transactions=header.transactions,
         accounting=(StoredAccounting(accounting)
                     if accounting is not None else None),
     )
@@ -453,10 +537,6 @@ class ResultStore:
         self.root = cache_directory(directory)
         self.directory = os.path.join(self.root, "store")
         self.counters = StoreCounters()
-        #: One shared :class:`EnergyParams` per parameter set read,
-        #: keyed by its canonical JSON text: a store holds one set per
-        #: technology, so restoring parses and builds each once.
-        self._energy_params: Dict[str, EnergyParams] = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -475,7 +555,9 @@ class ResultStore:
         return self._entry_path(self.entry_id(key))
 
     def _entry_path(self, eid: str) -> str:
-        return os.path.join(self.directory, eid[:2], eid + ".json")
+        # os.path.join's result, without its per-call checks: the
+        # directory never ends in a separator.
+        return f"{self.directory}{os.sep}{eid[:2]}{os.sep}{eid}.json"
 
     # -- reads ---------------------------------------------------------
 
@@ -496,21 +578,11 @@ class ResultStore:
         except (OSError, ValueError):
             return None
         header = entry.header
-        if header.get("version") != CACHE_VERSION \
-                or header.get("id") != eid:
+        if header.version != CACHE_VERSION or header.id != eid:
             return None
         return entry
 
-    def _energy(self, text: str) -> EnergyParams:
-        """The shared :class:`EnergyParams` for one parameter set, given
-        as its canonical JSON text."""
-        params = self._energy_params.get(text)
-        if params is None:
-            params = self._energy_params[text] = \
-                EnergyParams(**json.loads(text))
-        return params
-
-    def _restore(self, key: str,
+    def _restore(self, key: str, params: EnergyParams,
                  need_accounting: bool) -> Optional[SimulationResult]:
         """The stored result, or ``None`` if absent or unrestorable."""
         entry = self.load_entry(key)
@@ -522,37 +594,39 @@ class ResultStore:
             if accounting is None:
                 return None
         try:
-            summary = entry.header["result"]
-            return restore_result(
-                summary, entry.histogram,
-                self._energy(summary["energy"]["params"]), accounting)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            # A partial or mistyped entry (e.g. a bare alone IPC from
-            # an older writer) is a miss: the runner re-simulates the
-            # cell and its put overwrites the entry.
+            return restore_result(entry.header, entry.histogram, params,
+                                  accounting)
+        except ValueError:
+            # A histogram section that fails its CRC-32 is a miss: the
+            # runner re-simulates the cell and its put overwrites the
+            # entry.
             return None
 
-    def get(self, key: str,
+    def get(self, key: str, params: EnergyParams,
             need_accounting: bool = False) -> Optional[SimulationResult]:
         """The stored result, or ``None``.
 
-        Missing, corrupt and unrestorable entries all read as misses.
-        ``need_accounting`` makes entries without an intact
+        ``params`` are the energy parameters of the config whose digest
+        the key holds (``SystemConfig.energy``): the restored result's
+        :class:`EnergyMeter` reads them, and the entry does not store
+        them.  Missing, corrupt and unrestorable entries all read as
+        misses.  ``need_accounting`` makes entries without an intact
         stall-attribution sidecar read as misses too -- an observed
         consumer must re-run the cell (the re-run's put then merges the
         sidecar in).  Without it the sidecar is never read, and the
         result carries no accounting.
         """
-        result = self._restore(key, need_accounting)
+        result = self._restore(key, params, need_accounting)
         if result is None:
             self.counters.misses += 1
         else:
             self.counters.hits += 1
         return result
 
-    def contains(self, key: str, need_accounting: bool = False) -> bool:
+    def contains(self, key: str, params: EnergyParams,
+                 need_accounting: bool = False) -> bool:
         """Whether :meth:`get` would hit (without counting)."""
-        return self._restore(key, need_accounting) is not None
+        return self._restore(key, params, need_accounting) is not None
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_paths())
@@ -623,13 +697,9 @@ class ResultStore:
             if not key_info:
                 info = existing.key_info
         summary, histogram = serialize_result(result)
-        header = {
-            "version": CACHE_VERSION,
-            "id": self.entry_id(key),
-            "result": summary,
-            "accounting_crc32": zlib.crc32(sidecar) if sidecar else None,
-            "written_at": time.time(),
-        }
+        header = Header(version=CACHE_VERSION, id=self.entry_id(key),
+                        written_at=time.time(),
+                        sidecar_crc32=zlib.crc32(sidecar), **summary)
         self._write(key, encode_entry(header, info, histogram, sidecar))
         self.counters.puts += 1
 
@@ -648,13 +718,14 @@ class ResultStore:
         """Prune the store; returns what was scanned/removed/kept.
 
         Always removes unreadable entries (a header line that fails its
-        CRC or holds no header object, or no histogram section, as in
-        every v6 entry), entries from other cache
-        versions, and temp files orphaned by a killed writer once they
-        are older than :data:`ORPHAN_TMP_AGE_S` (counted in ``removed``
-        and ``freed_bytes``, not ``scanned``).  ``max_age_days`` drops
-        entries older than that (by ``written_at``, falling back to
-        file mtime); ``max_entries`` keeps only the newest N survivors.
+        CRC or holds no v8 header array, as in every v7 entry, or no
+        histogram section, as in every v6 entry), entries from other
+        cache versions, and temp files orphaned by a killed writer once
+        they are older than :data:`ORPHAN_TMP_AGE_S` (counted in
+        ``removed`` and ``freed_bytes``, not ``scanned``).
+        ``max_age_days`` drops entries older than that (by
+        ``written_at``); ``max_entries`` keeps only the newest N
+        survivors.
         """
         report = GcReport()
         survivors: List[tuple] = []
@@ -663,11 +734,9 @@ class ResultStore:
             report.scanned += 1
             try:
                 header = _read_entry(path).header
-                raw_stamp = header.get("written_at")
-                stamp = (float(raw_stamp) if raw_stamp is not None
-                         else os.path.getmtime(path))
-                stale = header.get("version") != CACHE_VERSION
-            except (OSError, ValueError, TypeError):
+                stamp = header.written_at
+                stale = header.version != CACHE_VERSION
+            except (OSError, ValueError):
                 stamp, stale = 0.0, True
             if not stale and max_age_days is not None:
                 stale = now - stamp > max_age_days * 86400.0

@@ -372,13 +372,16 @@ class TestSystemRefresh:
     def test_bucket_sum_invariant_over_all_presets(self):
         """Every refresh-capable preset, refresh on: buckets still sum
         to wall time and the REFRESH bucket exists (it may be zero on
-        short runs).  Refresh-free backends (PCM) reject the overrides
-        outright -- covered in tests/dram/test_backends.py."""
+        short runs).  Sub-banked presets run ``sarp`` and flat ones
+        ``darp`` (``sarp`` needs sub-banks).  Refresh-free backends
+        (PCM) reject the overrides outright -- covered in
+        tests/dram/test_backends.py."""
         traces = mixed_traffic(cores=2, n=90)
         for preset in cfgs.all_presets():
             if not get_backend(preset.backend).refresh_capable:
                 continue
-            config = refresh_config(preset, policy="sarp")
+            config = refresh_config(
+                preset, policy="sarp" if preset.subbanked else "darp")
             result = run_traces(config, traces, observe=True)
             result.accounting.verify()
             assert StallBucket.REFRESH in result.accounting.totals()

@@ -91,27 +91,41 @@ def test_random_seeds_validate_on_eruca(seed):
     run_validated(vsb(EruConfig.full(4)), traffic(seed=seed))
 
 
-def test_pinned_figure_grids_satisfy_the_rule_checker():
-    """Every distinct mix0 cell of the pinned Fig. 12-16 and ablation
-    grids: each config at each fragmentation, once per store key (an
-    arm that differs from another config only by name simulates the
-    same).  The checker reads no slot FSM horizon, so it stays
-    independent of the floors the scheduler and the accounting share
-    (the pinned refresh grid is checked in
-    ``tests/dram/test_refresh.py``)."""
+def _validate_pinned_mix_cells(mix):
+    """(cells, commands checked) over every distinct ``mix`` cell of
+    the pinned Fig. 12-16 and ablation grids: each config at each
+    fragmentation, once per store key (an arm that differs from another
+    config only by name simulates the same)."""
     cells = {}
     for name in ("fig12", "fig13", "fig14", "fig15", "fig16", "ablation"):
         for cell in pinned_spec(name).expand():
-            if cell.kind == "mix" and cell.workload == "mix0":
+            if cell.kind == "mix" and cell.workload == mix:
                 cells.setdefault(cell.store_key(), cell)
-    assert len(cells) == 46
     checked = 0
     for cell in cells.values():
         traces = mix_traces(cell.workload, cell.accesses,
                             fragmentation=cell.fragmentation,
                             seed=cell.seed)
         checked += run_validated(cell.config, traces, cell.core_config)
+    return len(cells), checked
+
+
+def test_pinned_figure_grids_satisfy_the_rule_checker():
+    """Every distinct mix0 cell of the pinned grids.  The checker reads
+    no slot FSM horizon, so it stays independent of the floors the
+    scheduler and the accounting share (the pinned refresh grid is
+    checked in ``tests/dram/test_refresh.py``)."""
+    cells, checked = _validate_pinned_mix_cells("mix0")
+    assert cells == 46
     assert checked > 140_000
+
+
+def test_pinned_figure_grids_mix3_cells_satisfy_the_rule_checker():
+    """Every distinct mix3 cell of the same grids (the ablation replays
+    mix0 alone, so Figs. 12-16 only)."""
+    cells, checked = _validate_pinned_mix_cells("mix3")
+    assert cells == 34
+    assert checked > 100_000
 
 
 def test_pinned_alone_cells_satisfy_the_rule_checker():

@@ -89,13 +89,13 @@ class TestStoreIdentity:
 
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
-        assert CACHE_VERSION == 7
+        assert CACHE_VERSION == 8
 
     @pytest.mark.parametrize("factory,workload,frag,seed,scale,key", [
         (vsb, dict(mix="mix0"), 0.1, 3, 1.0,
-         "0d0be954470ffb07bf733b37ce22b6950c0f5c77f615836c6910f388318f75cb"),
+         "8061b98861fe620ba9a567a9213e28c1e8f5ffb3ef81e5da1fa3227558b9235f"),
         (ddr4_baseline, dict(benchmark="mcf"), 0.5, 1, 1.8,
-         "0dab7349a0027c1a09f1d56c77b9e3401029ff9269033b38be8c84eb3d43d00c"),
+         "cbad64e0731a04a902996415c99e2289e3092984fe74f3ecf601a4d6d5f10088"),
     ], ids=["vsb_mix", "baseline_alone_scaled_core"])
     def test_store_key_is_pinned(self, factory, workload, frag, seed,
                                  scale, key):
@@ -324,38 +324,34 @@ class TestRefreshPolicyChecked:
 
 
 class TestSarpDegradationSurfaced:
-    def test_warns_and_records_on_flat_banks(self):
-        import warnings
-        from dataclasses import replace
+    """``sarp`` overlaps a sub-bank's refresh with its partner's
+    accesses.  A flat bank has no partner, so instead of running
+    ``darp`` under the ``sarp`` name the config refuses to build, with
+    refresh on or off (the policy enters the digest either way)."""
 
-        with pytest.warns(UserWarning, match="degrades"):
-            config = replace(ddr4_baseline(), refresh_density="8Gb",
-                             refresh_policy="sarp")
-        assert config.refresh_policy == "sarp"
-        assert config.effective_refresh_policy == "darp"
+    @pytest.mark.parametrize("refresh", [{}, {"refresh_density": "8Gb"}],
+                             ids=["refresh_off", "refresh_on"])
+    def test_raises_on_flat_banks(self, refresh):
+        from dataclasses import replace
+        for flat in (ddr4_baseline(), masa(8)):
+            with pytest.raises(ValueError, match="'sarp' needs sub-banks"):
+                replace(flat, refresh_policy="sarp", **refresh)
 
     def test_subbanked_sarp_is_silent_and_effective(self):
         import warnings
         from dataclasses import replace
 
+        from repro.sim.simulator import MemorySystem
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = replace(vsb(), refresh_density="8Gb",
                              refresh_policy="sarp")
-        assert config.effective_refresh_policy == "sarp"
+        refresh = MemorySystem(config).controllers[0].scheduler.refresh
+        assert refresh.policy == "sarp"
+        assert {sb for _, sb in refresh.scopes} == {0, 1}
 
-    def test_no_warning_without_refresh(self):
-        import warnings
-        from dataclasses import replace
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = replace(ddr4_baseline(), refresh_policy="sarp")
-        # Recorded as degraded either way -- the scheduler would apply
-        # darp if refresh were later enabled at this geometry.
-        assert config.effective_refresh_policy == "darp"
-
-    def test_sidecar_records_effective_policy(self, tmp_path):
+    def test_sidecar_records_the_policy(self, tmp_path):
         import json as _json
 
         from repro.sim.experiments import emit_stats_sidecars
@@ -366,13 +362,11 @@ class TestSarpDegradationSurfaced:
         spec = ExperimentSpec(
             name="sarp", mixes=("mix0",), accesses_per_core=200,
             include_alone=False, observe=True,
-            configs=(ConfigSpec(overrides=(("refresh_density", "8Gb"),
-                                           ("refresh_policy", "sarp"))),))
-        with pytest.warns(UserWarning, match="degrades"):
-            rs, _ = run_spec(spec, store=ResultStore(str(tmp_path)))
+            configs=(ConfigSpec("vsb", overrides=(
+                ("refresh_density", "8Gb"), ("refresh_policy", "sarp"))),))
+        rs, _ = run_spec(spec, store=ResultStore(str(tmp_path)))
         (path,) = emit_stats_sidecars(rs, str(tmp_path / "sidecars"))
         with open(path) as fh:
             payload = _json.load(fh)
-        assert payload["system"]["refresh_policy"] == "sarp"
-        assert payload["system"]["effective_refresh_policy"] == "darp"
-        assert payload["system"]["backend"] == "dram"
+        assert payload["system"] == {"backend": "dram",
+                                     "refresh_policy": "sarp"}

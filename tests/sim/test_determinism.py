@@ -53,6 +53,11 @@ def test_grid_results_identical_serial_vs_parallel():
         ["DDR4", "DDR4", "VSB(EWLR+RAP,4P)+DDB", "VSB(EWLR+RAP,4P)+DDB"]
 
 
+#: The energy parameters of :func:`_alone`'s config, which every read
+#: of its entries passes (an entry does not store them).
+ALONE_PARAMS = cfgs.ddr4_baseline().energy
+
+
 def _alone(benchmark="mcf", seed=0):
     """A live baseline alone run and its store key (250 accesses)."""
     config = cfgs.ddr4_baseline()
@@ -81,16 +86,16 @@ def test_alone_runs_through_grid_match_inline():
 def test_disk_cache_round_trip(tmp_path):
     store = ResultStore(str(tmp_path / "cache"))
     live, key = _alone()
-    assert store.get(key) is None
+    assert store.get(key, ALONE_PARAMS) is None
     store.put(key, live)
     # A fresh instance reads what the first one persisted.
     fresh = ResultStore(str(tmp_path / "cache"))
-    assert fresh.get(key).ipcs == live.ipcs
+    assert fresh.get(key, ALONE_PARAMS).ipcs == live.ipcs
     # Per-entry files: another writer's key leaves this one intact.
     other_live, other_key = _alone("lbm")
     ResultStore(str(tmp_path / "cache")).put(other_key, other_live)
-    assert ResultStore(str(tmp_path / "cache")).get(key).digest() == \
-        live.digest()
+    reread = ResultStore(str(tmp_path / "cache")).get(key, ALONE_PARAMS)
+    assert reread.digest() == live.digest()
 
 
 def test_disk_cache_survives_corruption(tmp_path):
@@ -101,9 +106,10 @@ def test_disk_cache_survives_corruption(tmp_path):
     # must repair it.
     with open(store.path_for(key), "w") as fh:
         fh.write("{not json")
-    assert store.get(key) is None
+    assert store.get(key, ALONE_PARAMS) is None
     store.put(key, live)
-    assert ResultStore(str(tmp_path)).get(key).digest() == live.digest()
+    repaired = ResultStore(str(tmp_path)).get(key, ALONE_PARAMS)
+    assert repaired.digest() == live.digest()
 
 
 def test_context_alone_ipc_uses_disk_cache(tmp_path):
@@ -114,14 +120,10 @@ def test_context_alone_ipc_uses_disk_cache(tmp_path):
     (cell,) = [c for c in first.results
                if c.kind == "alone" and c.workload == "mcf"]
     path = ResultStore(str(tmp_path)).path_for(cell.store_key())
-    ipcs = read_entry(path).header["result"]["ipcs"]
+    ipcs = read_entry(path).header.ipcs
     assert ipcs[0] == value
     sentinel = 42.0
-
-    def poison(header):
-        header["result"]["ipcs"][0] = sentinel
-
-    edit_header(path, poison)
+    edit_header(path, ipcs=[sentinel] + ipcs[1:])
     second, report = run_spec(BASELINE_SPEC,
                               store=ResultStore(str(tmp_path)))
     assert report.submitted == 0
@@ -189,5 +191,6 @@ def test_disk_cache_two_writers_freshest_wins(tmp_path):
     other.put(key, new)              # a second writer updates the entry
     stale.put(unrelated_key, unrelated)  # must not resurrect ``old``
     fresh = ResultStore(str(tmp_path))
-    assert fresh.get(key).digest() == new.digest()
-    assert fresh.get(unrelated_key).digest() == unrelated.digest()
+    assert fresh.get(key, ALONE_PARAMS).digest() == new.digest()
+    assert fresh.get(unrelated_key, ALONE_PARAMS).digest() == \
+        unrelated.digest()

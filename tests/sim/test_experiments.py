@@ -262,7 +262,7 @@ class TestAblation:
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_CACHE_DIR",
                       str(tmp_path_factory.mktemp("ablation")))
-            sweeps, _ = run_figure("ablation", SETTINGS)
+            sweeps, _, _ = run_figure("ablation", SETTINGS)
         return sweeps
 
     @staticmethod
@@ -291,12 +291,12 @@ class TestAblation:
 
 class TestRunFigure:
     def test_returns_the_table_and_the_results_it_reduced(self):
-        rows, rs = run_figure("fig16", TINY)
+        rows, rs, _ = run_figure("fig16", TINY)
         assert rs.spec == fig16_spec(TINY)
         assert rows == FIGURE_REDUCERS["fig16"](rs, TINY.mixes)
 
     def test_observe_reaches_every_mix_cell(self):
-        _, rs = run_figure("fig16", TINY, observe=True)
+        _, rs, _ = run_figure("fig16", TINY, observe=True)
         assert rs.spec.observe
         assert all(result.accounting is not None
                    for cell, result in rs.results.items()

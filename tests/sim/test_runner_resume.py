@@ -68,7 +68,8 @@ def test_results_stream_to_the_store_as_they_land(tmp_path):
 
     def progress(cell, status):
         if status == "run":
-            stored_when_seen.append(store.contains(cell.store_key()))
+            stored_when_seen.append(store.contains(cell.store_key(),
+                                                    cell.config.energy))
 
     run_spec(spec, store=store, progress=progress)
     assert stored_when_seen and all(stored_when_seen)
@@ -125,9 +126,10 @@ def test_context_run_cells_syncs_counters():
 
 
 def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
-    """A current-version entry that cannot be restored (here a bare
-    alone IPC, as the retired alone-IPC writer left them) reads as a
-    miss: the runner re-simulates the cell and overwrites the entry."""
+    """A current-version entry that cannot be read (here a header
+    array holding only the version, the id and a bare alone IPC, as the
+    retired alone-IPC writer kept them) reads as a miss: the runner
+    re-simulates the cell and overwrites the entry."""
     spec = ExperimentSpec(name="baseline", configs=(ConfigSpec(),),
                           mixes=SETTINGS.mixes,
                           accesses_per_core=SETTINGS.accesses_per_core)
@@ -135,12 +137,12 @@ def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
     store = ResultStore(str(tmp_path))
     path = store.path_for(alone.store_key())
     os.makedirs(os.path.dirname(path))
-    write_entry(path, Entry({"version": CACHE_VERSION,
-                             "id": store.entry_id(alone.store_key()),
-                             "result": {"ipcs": [1.0]}},
+    params = alone.config.energy
+    write_entry(path, Entry([CACHE_VERSION,
+                             store.entry_id(alone.store_key()), [1.0]],
                             b"{}", b"", b""))
-    assert store.load_entry(alone.store_key()) is not None
-    assert not store.contains(alone.store_key())
+    assert store.load_entry(alone.store_key()) is None
+    assert not store.contains(alone.store_key(), params)
     submitted = []
     rs, report = run_spec(
         spec, store=store,
@@ -148,7 +150,7 @@ def test_partial_entry_is_a_miss_and_gets_repaired(tmp_path):
         if status == "run" else None)
     assert alone in submitted
     assert report.submitted == report.cells
-    repaired = ResultStore(str(tmp_path)).get(alone.store_key())
+    repaired = ResultStore(str(tmp_path)).get(alone.store_key(), params)
     assert repaired.digest() == rs.results[alone].digest()
 
 
@@ -164,7 +166,7 @@ def test_foreign_entry_is_a_miss_and_only_its_cell_reruns(tmp_path):
     assert read_entry(store.path_for(source.store_key())).accounting()
     shutil.copyfile(store.path_for(source.store_key()),
                     store.path_for(victim.store_key()))
-    assert store.get(victim.store_key()) is None
+    assert store.get(victim.store_key(), victim.config.energy) is None
     rerun = []
     _, report = run_spec(
         fig16_spec(SETTINGS), store=store,
@@ -173,7 +175,7 @@ def test_foreign_entry_is_a_miss_and_only_its_cell_reruns(tmp_path):
     assert rerun == [victim]
     assert report.submitted == 1
     assert read_entry(store.path_for(victim.store_key())).sidecar == b""
-    restored = store.get(victim.store_key())
+    restored = store.get(victim.store_key(), victim.config.energy)
     assert restored.digest() == rs.results[victim].digest()
 
 
@@ -200,11 +202,11 @@ class GcRacingStore(ResultStore):
     def _sweep(self):
         self.sweeps.append(ResultStore(self.root).gc(**self.gc_args))
 
-    def get(self, key, need_accounting=False):
+    def get(self, key, params, need_accounting=False):
         if self.reads in self.before_get:
             self._sweep()
         self.reads += 1
-        return super().get(key, need_accounting)
+        return super().get(key, params, need_accounting)
 
     def put(self, key, result, key_info=None):
         super().put(key, result, key_info)
@@ -257,7 +259,8 @@ def test_gc_racing_a_run_never_misreads(tmp_path, uncached, warm,
         key = cells[v6_cell].store_key()
         ResultStore(directory).put(key, uncached[cells[v6_cell]])
         path = ResultStore(directory).path_for(key)
-        write_bytes(path, as_v6(read_bytes(path)))
+        write_bytes(path, as_v6(read_bytes(path),
+                                cells[v6_cell].config.energy))
     store = GcRacingStore(directory, gc, before_get, after_put)
     results = {}
     report = execute_cells(cells, results=results, store=store)
@@ -268,5 +271,5 @@ def test_gc_racing_a_run_never_misreads(tmp_path, uncached, warm,
     assert {cell: r.digest() for cell, r in results.items()} == digests
     after = ResultStore(directory)
     for cell in cells:
-        stored = after.get(cell.store_key())
+        stored = after.get(cell.store_key(), cell.config.energy)
         assert stored is None or stored.digest() == digests[cell]

@@ -204,3 +204,60 @@ def test_unresolvable_spec_lists_the_named_specs(tmp_path):
     assert all(name in str(err.value) for name in NAMED_SPECS)
     with pytest.raises(ValueError, match="neither"):
         resolve_spec(str(tmp_path / "missing.json"))
+
+
+#: Builds Fig. 12's cells at seed 3, hashes every one (so each keeps
+#: its hash memo) and writes them to stdout pickled.
+_PICKLE_CELLS = """
+import pickle, sys
+from repro.sim.specs import ExperimentSettings, fig12_spec
+cells = fig12_spec(ExperimentSettings(accesses_per_core=300, seed=3)).expand()
+assert len({hash(cell) for cell in cells}) == len(cells)
+sys.stdout.buffer.write(pickle.dumps(cells))
+"""
+
+#: Reads those cells back, builds the same cells here, and checks that
+#: each pair is equal, hashes alike and finds the other in a dict.
+_CHECK_CELLS = """
+import pickle, sys
+from repro.sim.specs import ExperimentSettings, fig12_spec
+pickled = pickle.loads(sys.stdin.buffer.read())
+cells = fig12_spec(ExperimentSettings(accesses_per_core=300, seed=3)).expand()
+index = {cell: i for i, cell in enumerate(cells)}
+assert pickled == cells
+assert [hash(cell) for cell in pickled] == [hash(cell) for cell in cells]
+assert [index[cell] for cell in pickled] == list(range(len(cells)))
+print(len(cells))
+"""
+
+
+def test_cell_key_hash_memo_never_crosses_a_pickle():
+    """A cell key keeps its hash once computed, but string hashes differ
+    between processes: keys pickled by a process with one
+    ``PYTHONHASHSEED`` are equal to, hash like, and look up as the same
+    keys built by a process with another."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def python(code, seed, stdin=b""):
+        proc = subprocess.run([sys.executable, "-c", code], input=stdin,
+                              env=dict(env, PYTHONHASHSEED=seed),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        return proc.stdout
+
+    pickled = python(_PICKLE_CELLS, "1")
+    assert python(_CHECK_CELLS, "2", pickled).strip() == b"82"
+    cells = pickle.loads(pickled)
+    assert all("_hash" not in cell.__dict__ for cell in cells)
+    cell = cells[0]
+    assert hash(cell) == hash(cell) and "_hash" in cell.__dict__
+    assert "_hash" not in pickle.loads(pickle.dumps(cell)).__dict__

@@ -24,19 +24,26 @@ from repro.sim.simulator import run_traces
 from repro.sim.store import (
     CACHE_VERSION,
     Entry,
+    Header,
     ResultStore,
     StoreUnwritable,
+    decode_entry,
     store_key,
 )
 from repro.workloads.mixes import mix_traces
 from tests.sim.entries import (
     as_v6,
+    as_v7,
     edit_header,
     read_bytes,
     read_entry,
     write_bytes,
     write_entry,
 )
+
+#: The energy parameters of :func:`_key`'s default config, which every
+#: read of its entries passes (an entry does not store them).
+PARAMS = cfgs.vsb().energy
 
 
 def _small_result(observe=False):
@@ -55,7 +62,7 @@ def test_round_trip_is_digest_identical(tmp_path):
     store = ResultStore(str(tmp_path))
     live = _small_result()
     store.put(_key(), live)
-    restored = ResultStore(str(tmp_path)).get(_key())
+    restored = ResultStore(str(tmp_path)).get(_key(), PARAMS)
     assert restored is not None
     # Digest equality covers IPCs, stats, energy, and precharge causes
     # -- everything any figure reducer reads.
@@ -81,9 +88,9 @@ def test_run_without_reads_round_trips(tmp_path):
     store.put(key, live)
     entry = read_entry(store.path_for(key))
     assert entry.histogram == b"[[],[]]"
-    assert entry.header["result"]["stats"]["read_latencies_crc32"] == \
-        zlib.crc32(b"[[],[]]")
-    assert store.get(key).digest() == live.digest()
+    assert entry.header.histogram_crc32 == zlib.crc32(b"[[],[]]")
+    assert store.get(key, cfgs.ddr4_baseline().energy).digest() == \
+        live.digest()
 
 
 @pytest.mark.parametrize("histogram", [
@@ -101,8 +108,8 @@ def test_malformed_histogram_is_a_miss(tmp_path, histogram):
     entry = read_entry(path)
     write_entry(path, entry._replace(
         histogram=json.dumps(histogram).encode()))
-    assert not store.contains(_key())
-    assert store.get(_key()) is None
+    assert not store.contains(_key(), PARAMS)
+    assert store.get(_key(), PARAMS) is None
 
 
 def _change_one_digit(entry):
@@ -117,14 +124,14 @@ def _truncate(entry):
 
 
 def _drop_crc(entry):
-    del entry.header["result"]["stats"]["read_latencies_crc32"]
-    return entry
+    header = list(entry.header)
+    del header[Header._fields.index("histogram_crc32")]
+    return entry._replace(header=header)
 
 
 def _crc_as_string(entry):
-    stats = entry.header["result"]["stats"]
-    stats["read_latencies_crc32"] = str(stats["read_latencies_crc32"])
-    return entry
+    return entry._replace(header=entry.header._replace(
+        histogram_crc32=str(entry.header.histogram_crc32)))
 
 
 def _v5_arrays(entry):
@@ -147,11 +154,11 @@ def test_corrupt_packed_histogram_is_a_miss(tmp_path, corrupt):
     store.put(_key(), _small_result())
     path = store.path_for(_key())
     write_entry(path, corrupt(read_entry(path)))
-    assert not store.contains(_key())
-    assert store.get(_key()) is None
+    assert not store.contains(_key(), PARAMS)
+    assert store.get(_key(), PARAMS) is None
     live = _small_result()
     store.put(_key(), live)
-    assert store.get(_key()).digest() == live.digest()
+    assert store.get(_key(), PARAMS).digest() == live.digest()
 
 
 def _sections(raw):
@@ -172,9 +179,10 @@ def _bump(raw, i):
 
 
 def _header_digit(raw):
-    # A digit inside the header object (an IPC, a counter), not the
-    # seal: the JSON still parses, so only the seal catches it.
-    return _bump(raw, _digit_after(raw, raw.index(b'"ipcs"')))
+    # A digit of the first IPC, inside the header array, not the seal:
+    # the JSON still parses, so only the seal catches it.
+    ipc = repr(decode_entry(raw).header.ipcs[0]).encode()
+    return _bump(raw, _digit_after(raw, raw.index(ipc)))
 
 
 def _key_info_digit(raw):
@@ -211,28 +219,31 @@ def _cut_histogram_newline(raw):
 @pytest.mark.parametrize("damage", [
     _header_digit, _key_info_digit, _seal_digit, _histogram_digit,
     _cut_header, _cut_header_newline, _cut_histogram,
-    _cut_histogram_newline, as_v6,
+    _cut_histogram_newline, as_v6, as_v7,
 ], ids=["header_digit", "key_info_digit", "seal_digit",
         "histogram_digit", "cut_in_header", "cut_header_newline",
-        "cut_in_histogram", "cut_histogram_newline", "v6_entry"])
+        "cut_in_histogram", "cut_histogram_newline", "v6_entry",
+        "v7_entry"])
 @pytest.mark.parametrize("observed", [False, True],
                          ids=["unobserved", "observed"])
 def test_damage_to_what_a_read_serves_is_a_miss(tmp_path, damage,
                                                 observed):
     """A changed byte in the header or the histogram section, a
-    truncation that cuts into either, and a v6 entry are misses for
-    every reader, with or without accounting; the next put repairs the
-    entry."""
+    truncation that cuts into either, and a v6 or v7 entry are misses
+    for every reader, with or without accounting; the next put repairs
+    the entry."""
     store = ResultStore(str(tmp_path))
     store.put(_key(), _small_result(observe=True),
               key_info={"accesses": 200})
     path = store.path_for(_key())
-    write_bytes(path, damage(read_bytes(path)))
-    assert not store.contains(_key(), need_accounting=observed)
-    assert store.get(_key(), need_accounting=observed) is None
+    raw = read_bytes(path)
+    write_bytes(path, damage(raw, PARAMS) if damage in (as_v6, as_v7)
+                else damage(raw))
+    assert not store.contains(_key(), PARAMS, need_accounting=observed)
+    assert store.get(_key(), PARAMS, need_accounting=observed) is None
     live = _small_result(observe=True)
     store.put(_key(), live)
-    assert store.get(_key(), need_accounting=True).digest() == \
+    assert store.get(_key(), PARAMS, need_accounting=True).digest() == \
         live.digest()
 
 
@@ -263,29 +274,46 @@ def test_damaged_sidecar_misses_only_for_accounting(tmp_path, damage):
     store.put(_key(), observed)
     path = store.path_for(_key())
     write_bytes(path, damage(read_bytes(path)))
-    plain = store.get(_key())
+    plain = store.get(_key(), PARAMS)
     assert plain is not None and plain.accounting is None
     assert plain.digest() == observed.digest()
-    assert store.get(_key(), need_accounting=True) is None
+    assert store.get(_key(), PARAMS, need_accounting=True) is None
     store.put(_key(), _small_result())
     assert read_entry(path).accounting() is None
-    assert store.get(_key(), need_accounting=True) is None
+    assert store.get(_key(), PARAMS, need_accounting=True) is None
     store.put(_key(), observed)
-    restored = store.get(_key(), need_accounting=True)
+    restored = store.get(_key(), PARAMS, need_accounting=True)
     assert restored.accounting.to_dict() == observed.accounting.to_dict()
 
 
+def _energy_totals(result):
+    """Every :class:`EnergyMeter` total the Fig. 16 reducer reads."""
+    e = result.energy
+    return (e.activation_energy_nj(), e.access_energy_nj(),
+            e.background_energy_nj(result.elapsed_ps),
+            e.total_energy_nj(result.elapsed_ps))
+
+
 def test_every_preset_round_trips(tmp_path):
-    """Each preset's result comes back with its digest and its latency
-    quartiles, the two things the packed histogram feeds."""
+    """Each preset's result comes back with its digest, its latency
+    quartiles (what the packed histogram feeds) and every energy total
+    Fig. 16 reads.  The entry holds no energy parameters: the restored
+    meter takes the cell config's, passed to ``get``, which for the
+    GDDR5, PCM-PALP and Half-DRAM presets differ from DDR4's."""
     store = ResultStore(str(tmp_path))
     traces = mix_traces("mix0", 100, fragmentation=0.1, seed=0)
-    for config in cfgs.all_presets():
+    presets = cfgs.all_presets()
+    assert len({config.energy for config in presets}) >= 4
+    for config in presets:
         live = run_traces(config, traces)
         key = _key(config)
         store.put(key, live)
-        restored = ResultStore(str(tmp_path)).get(key)
+        assert b"act_nj" not in read_bytes(store.path_for(key))
+        restored = ResultStore(str(tmp_path)).get(key, config.energy)
         assert not restored.stats.read_latencies.decoded
+        assert restored.energy.params is config.energy
+        assert _energy_totals(restored) == _energy_totals(live), \
+            config.name
         assert restored.stats.read_latencies.quartiles() == \
             live.stats.read_latencies.quartiles(), config.name
         assert restored.digest() == live.digest(), config.name
@@ -340,11 +368,11 @@ def test_sidecar_race_costs_one_rerun(tmp_path):
     plain_writer.put(_key(), _small_result())
     reader = ResultStore(str(tmp_path))
     assert read_entry(reader.path_for(_key())).accounting() is None
-    assert reader.get(_key(), need_accounting=True) is None
+    assert reader.get(_key(), PARAMS, need_accounting=True) is None
     rerun = _small_result(observe=True)
     assert rerun.digest() == observed.digest()
     reader.put(_key(), rerun)
-    restored = reader.get(_key(), need_accounting=True)
+    restored = reader.get(_key(), PARAMS, need_accounting=True)
     assert restored.digest() == observed.digest()
     assert restored.accounting.to_dict() == observed.accounting.to_dict()
 
@@ -435,7 +463,7 @@ def test_unobserved_overwrite_keeps_accounting_sidecar(tmp_path):
     # rewrites the same key without accounting.
     second = ResultStore(str(tmp_path))
     second.put(_key(), _small_result(observe=False))
-    merged = ResultStore(str(tmp_path)).get(_key(),
+    merged = ResultStore(str(tmp_path)).get(_key(), PARAMS,
                                             need_accounting=True)
     assert merged is not None and merged.accounting is not None
     assert merged.accounting.to_dict() == observed.accounting.to_dict()
@@ -447,8 +475,8 @@ def test_unobserved_overwrite_keeps_accounting_sidecar(tmp_path):
 def test_need_accounting_misses_on_plain_entries(tmp_path):
     store = ResultStore(str(tmp_path))
     store.put(_key(), _small_result())
-    assert store.get(_key(), need_accounting=True) is None
-    assert store.get(_key()) is not None
+    assert store.get(_key(), PARAMS, need_accounting=True) is None
+    assert store.get(_key(), PARAMS) is not None
 
 
 def _writer(directory, key, result):
@@ -471,7 +499,8 @@ def test_two_process_writers_both_persist(tmp_path):
         p.join()
         assert p.exitcode == 0
     store = ResultStore(str(tmp_path))
-    assert [store.get(k).digest() for k in keys] == [live.digest()] * 2
+    assert [store.get(k, PARAMS).digest() for k in keys] == \
+        [live.digest()] * 2
 
 
 def _alone_key():
@@ -488,18 +517,20 @@ def test_v3_alone_ipc_table_is_ignored_not_misread(tmp_path):
     with open(tmp_path / "alone_ipc.json", "w") as fh:
         json.dump({"version": 3, "entries": {key: 99.0}}, fh)
     store = ResultStore(str(tmp_path))
-    assert store.get(key) is None
+    params = cfgs.ddr4_baseline().energy
+    assert store.get(key, params) is None
     # Even a hand-placed *entry file* from another version reads as a
     # miss (the version is checked inside the payload as well).
     path = store.path_for(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"version": 3, "result": {"ipcs": [99.0]}}, fh)
-    assert store.get(key) is None
+    assert store.get(key, params) is None
     # A fresh put repairs the entry in place.
     live = _small_result()
     store.put(key, live)
-    assert ResultStore(str(tmp_path)).get(key).digest() == live.digest()
+    assert ResultStore(str(tmp_path)).get(key, params).digest() == \
+        live.digest()
 
 
 def test_scalar_and_full_entries_share_one_read_path(tmp_path):
@@ -510,16 +541,16 @@ def test_scalar_and_full_entries_share_one_read_path(tmp_path):
     store = ResultStore(str(tmp_path))
     live = _small_result()
     store.put(_key(), live)
-    assert store.contains(_key())
-    assert store.get(_key()).ipcs == list(live.ipcs)
+    assert store.contains(_key(), PARAMS)
+    assert store.get(_key(), PARAMS).ipcs == list(live.ipcs)
     path = store.path_for(_key(seed=5))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     write_entry(path, Entry(
-        {"version": CACHE_VERSION, "id": store.entry_id(_key(seed=5)),
-         "result": {"config_name": "", "ipcs": [2.75]}}, b"{}", b"", b""))
-    assert store.load_entry(_key(seed=5)) is not None
-    assert not store.contains(_key(seed=5))
-    assert store.get(_key(seed=5)) is None
+        [CACHE_VERSION, store.entry_id(_key(seed=5)), "", [2.75]],
+        b"{}", b"", b""))
+    assert store.load_entry(_key(seed=5)) is None
+    assert not store.contains(_key(seed=5), PARAMS)
+    assert store.get(_key(seed=5), PARAMS) is None
     assert store.counters.misses == 1
 
 
@@ -544,11 +575,11 @@ def test_unreadable_entry_bytes_are_a_miss(tmp_path, raw):
     for sections in (b"", b"\n\n\n"):
         write_bytes(path, raw + sections)
         assert store.load_entry(_key()) is None
-        assert not store.contains(_key())
-        assert store.get(_key()) is None
+        assert not store.contains(_key(), PARAMS)
+        assert store.get(_key(), PARAMS) is None
     live = _small_result()
     store.put(_key(), live)
-    assert store.get(_key()).digest() == live.digest()
+    assert store.get(_key(), PARAMS).digest() == live.digest()
 
 
 @pytest.mark.parametrize("sealed", [
@@ -556,7 +587,7 @@ def test_unreadable_entry_bytes_are_a_miss(tmp_path, raw):
     b'{"version":7}{}',
 ], ids=["array", "null", "string", "no_key_info", "no_comma"])
 def test_sealed_line_without_a_header_object_is_a_miss(tmp_path, sealed):
-    """A header line whose CRC matches but that holds no header object
+    """A header line whose CRC matches but that holds no header array
     followed by the key info is unreadable too."""
     store = ResultStore(str(tmp_path))
     path = store.path_for(_key())
@@ -564,8 +595,61 @@ def test_sealed_line_without_a_header_object_is_a_miss(tmp_path, sealed):
     write_bytes(path, b"[%d,%s]\n[[],[]]\n\n" % (zlib.crc32(sealed),
                                                    sealed))
     assert store.load_entry(_key()) is None
-    assert store.get(_key()) is None
+    assert store.get(_key(), PARAMS) is None
     assert store.gc().removed == 1
+
+
+def _drop_last_field(header):
+    return list(header)[:-1]
+
+
+def _extra_field(header):
+    return list(header) + [0]
+
+
+def _as_object(header):
+    # The v7 shape: the same fields, as one key-sorted object.
+    return header._asdict()
+
+
+def _field(name, value):
+    def edit(header):
+        return header._replace(**{name: value})
+    edit.__name__ = f"{name}={value!r}"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_last_field, _extra_field, _as_object,
+    _field("version", CACHE_VERSION + 1), _field("version", 7),
+    _field("version", str(CACHE_VERSION)),
+    _field("acts", 3.0), _field("acts", True), _field("ipcs", "1.0"),
+    _field("written_at", None), _field("sidecar_crc32", None),
+    _field("row_conflict_precharges", "7"),
+], ids=lambda edit: edit.__name__.strip("_"))
+def test_header_array_of_another_shape_is_a_miss(tmp_path, edit):
+    """A sealed header line whose array is short, too long, an object
+    instead of an array, of another version, or with a field of another
+    JSON type is a miss, and the cell re-simulates: the header is read
+    only as :class:`Header`'s exact field list."""
+    from repro.sim.runner import run_spec
+    from repro.sim.specs import ConfigSpec, ExperimentSpec
+    spec = ExperimentSpec(name="vsb", configs=(ConfigSpec("vsb"),),
+                          mixes=("mix0",), accesses_per_core=150,
+                          include_alone=False)
+    (cell,) = spec.expand()
+    store = ResultStore(str(tmp_path))
+    cold, _ = run_spec(spec, store=store)
+    path = store.path_for(cell.store_key())
+    entry = read_entry(path)
+    write_entry(path, entry._replace(header=edit(entry.header)))
+    assert store.load_entry(cell.store_key()) is None
+    assert not store.contains(cell.store_key(), cell.config.energy)
+    warm, report = run_spec(spec, store=store)
+    assert (report.store_hits, report.submitted) == (0, 1)
+    assert warm.results[cell].digest() == cold.results[cell].digest()
+    assert read_entry(path).header._replace(written_at=0.0) == \
+        entry.header._replace(written_at=0.0)
 
 
 def _compact(value):
@@ -576,24 +660,31 @@ def test_entry_file_is_sorted_json_and_a_newline(tmp_path):
     """A put writes three sections, each compact key-sorted JSON plus a
     newline, byte for byte: the header line ``[crc,header,key_info]``
     (the CRC-32 of the header's and key info's text), the packed
-    histogram, and the sidecar, whose CRC-32 the header holds."""
+    histogram, and the sidecar, whose CRC-32 the header holds.  The
+    header is one flat array in :class:`Header`'s field order, version
+    and id first, and holds no energy parameter."""
     store = ResultStore(str(tmp_path))
     live = _small_result(observe=True)
     store.put(_key(), live, key_info={"kind": "mix", "seed": 0})
     raw = read_bytes(store.path_for(_key()))
     header_line, histogram, sidecar, tail = raw.split(b"\n")
     assert tail == b""
-    sealed = (_compact(read_entry(store.path_for(_key())).header) + b","
+    header = read_entry(store.path_for(_key())).header
+    sealed = (_compact(list(header)) + b","
               + _compact({"kind": "mix", "seed": 0}))
     assert header_line == b"[%d,%s]" % (zlib.crc32(sealed), sealed)
-    crc, header, key_info = json.loads(header_line)
+    crc, fields, key_info = json.loads(header_line)
     assert key_info == {"kind": "mix", "seed": 0}
-    assert (histogram, header["result"]["stats"]["read_latencies_crc32"]) \
+    assert Header._make(fields) == header
+    assert Header._fields[:2] == ("version", "id")
+    assert (histogram, header.histogram_crc32) \
         == live.stats.read_latencies.pack()
     assert sidecar == _compact(live.accounting.to_dict())
-    assert header["accounting_crc32"] == zlib.crc32(sidecar)
-    assert header["version"] == CACHE_VERSION
-    assert header["id"] == store.entry_id(_key())
+    assert header.sidecar_crc32 == zlib.crc32(sidecar)
+    assert header.version == CACHE_VERSION
+    assert header.id == store.entry_id(_key())
+    assert not any(isinstance(field, dict) for field in header)
+    assert b"act_nj" not in raw and b"params" not in raw
 
 
 def test_gc_prunes_versions_age_and_excess(tmp_path):
@@ -613,8 +704,7 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     assert (report.scanned, report.removed, report.kept) == (5, 2, 3)
     assert report.freed_bytes > 0
     # Age-based pruning: backdate one survivor.
-    edit_header(store.path_for(_key(seed=0)),
-                lambda header: header.update(written_at=0.0))
+    edit_header(store.path_for(_key(seed=0)), written_at=0.0)
     report = store.gc(max_age_days=1)
     assert (report.removed, report.kept) == (1, 2)
     # Size cap keeps the newest N.
@@ -623,24 +713,28 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     assert store.counters.evictions == 4
 
 
-def test_gc_keeps_v7_entries_and_removes_v6_ones(tmp_path):
-    """An entry the v6 writer laid out (one JSON object) is stale, and
-    so is an entry in the current layout stamped with another version:
-    gc frees both, and keeps the current entry beside them."""
+def test_gc_keeps_v8_entries_and_removes_older_ones(tmp_path):
+    """An entry the v6 writer laid out (one JSON object) is stale, so is
+    one the v7 writer laid out (a header object), and so is an entry in
+    the current layout stamped with another version: gc frees all
+    three, and keeps the current entry beside them."""
     store = ResultStore(str(tmp_path))
     live = _small_result(observe=True)
-    for seed in (0, 1, 2):
+    for seed in (0, 1, 2, 3):
         store.put(_key(seed=seed), live)
     v6 = store.path_for(_key(seed=1))
-    write_bytes(v6, as_v6(read_bytes(v6)))
+    write_bytes(v6, as_v6(read_bytes(v6), PARAMS))
+    v7 = store.path_for(_key(seed=3))
+    write_bytes(v7, as_v7(read_bytes(v7), PARAMS))
     restamped = store.path_for(_key(seed=2))
-    edit_header(restamped, lambda header: header.update(version=6))
-    size = os.path.getsize(v6) + os.path.getsize(restamped)
+    edit_header(restamped, version=7)
+    stale = (v6, v7, restamped)
+    size = sum(os.path.getsize(path) for path in stale)
     report = store.gc()
-    assert (report.scanned, report.removed, report.kept) == (3, 2, 1)
+    assert (report.scanned, report.removed, report.kept) == (4, 3, 1)
     assert report.freed_bytes == size
-    assert not os.path.exists(v6) and not os.path.exists(restamped)
-    kept = store.get(_key(seed=0), need_accounting=True)
+    assert not any(os.path.exists(path) for path in stale)
+    kept = store.get(_key(seed=0), PARAMS, need_accounting=True)
     assert kept.digest() == live.digest()
 
 
@@ -657,7 +751,7 @@ def test_gc_removes_entries_that_are_not_objects(tmp_path):
     report = store.gc()
     assert (report.scanned, report.removed, report.kept) == (3, 2, 1)
     assert report.freed_bytes == len("[]") + len("null")
-    assert store.get(_key()) is not None
+    assert store.get(_key(), PARAMS) is not None
 
 
 def test_gc_removes_stale_orphaned_temp_files_only(tmp_path):
@@ -681,13 +775,13 @@ def test_gc_removes_stale_orphaned_temp_files_only(tmp_path):
     assert report.freed_bytes == size
     assert not os.path.exists(stale)
     assert os.path.exists(fresh)
-    assert store.get(_key()) is not None
+    assert store.get(_key(), PARAMS) is not None
 
 
 def test_counters_tally_hits_misses_puts(tmp_path):
     store = ResultStore(str(tmp_path))
-    assert store.get(_key()) is None
+    assert store.get(_key(), PARAMS) is None
     store.put(_key(), _small_result())
-    assert store.get(_key()) is not None
+    assert store.get(_key(), PARAMS) is not None
     c = store.counters
     assert (c.hits, c.misses, c.puts) == (1, 1, 1)

@@ -106,10 +106,44 @@ class TestExecution:
         assert "planes" in out
 
     def test_fig12_tiny(self, capsys):
+        """A figure command prints its table, then the run report line:
+        every cell simulated on an empty store, none on a rerun."""
         main(["fig12", "--mixes", "mix6", "--accesses", "200"])
         out = capsys.readouterr().out
         assert "GMEAN" in out
         assert "Ideal32" in out
+        cells = 8 + 4  # the Fig. 12 configs on mix6, then its alone runs
+        assert out.splitlines()[-1] == \
+            f"cells={cells} memory_hits=0 store_hits=0 submitted={cells}"
+        main(["fig12", "--mixes", "mix6", "--accesses", "200"])
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"cells={cells} memory_hits=0 store_hits={cells} submitted=0"
+
+    def test_gc_frees_v7_entries(self, capsys):
+        """After the upgrade to entry format v8, a v7 entry is a miss,
+        and the first ``repro gc`` frees it; the next run re-simulates
+        that cell alone."""
+        import os
+
+        from repro.sim.specs import ExperimentSettings, fig16_spec
+        from repro.sim.store import ResultStore
+        from tests.sim.entries import as_v7, read_bytes, write_bytes
+
+        run = ["run", "fig16", "--mixes", "mix0", "--accesses", "100"]
+        main(run)
+        store = ResultStore()
+        cell = fig16_spec(ExperimentSettings(
+            accesses_per_core=100, mixes=("mix0",))).expand()[1]
+        path = store.path_for(cell.store_key())
+        write_bytes(path, as_v7(read_bytes(path), cell.config.energy))
+        assert not store.contains(cell.store_key(), cell.config.energy)
+        capsys.readouterr()
+        main(["gc"])
+        assert "removed 1 (" in capsys.readouterr().out
+        assert not os.path.exists(path)
+        main(run)
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "cells=3 memory_hits=0 store_hits=2 submitted=1"
 
     def test_bad_mix_exits(self):
         with pytest.raises(SystemExit):

@@ -139,6 +139,10 @@ def build_config(case: Case, presets: Optional[List] = None):
                          else REFRESH_GRADES)
     from repro.controller.scheduler import REFRESH_POLICIES
     policy = rng.choice(REFRESH_POLICIES)
+    if policy == "sarp" and not config.subbanked:
+        # A flat preset has no sub-banks for sarp (the config refuses
+        # it); draw darp instead, which such a case always ran.
+        policy = "darp"
     if density is not None:
         from repro.dram.backends import get_backend
         tech = get_backend(config.backend)
