@@ -60,8 +60,6 @@ CONFIG_FACTORIES = {
     "masa4": lambda: cfgs.masa(4),
     "masa8": lambda: cfgs.masa(8),
     "masa8-eruca": lambda: cfgs.masa_eruca(8),
-    "pcm-palp": cfgs.pcm_palp,
-    "pcm-palp-vsb": lambda: cfgs.pcm_palp(EruConfig.full(4, ddb=False)),
     "gddr5": cfgs.gddr5,
 }
 
@@ -124,8 +122,8 @@ def _cell_config(args):
                 config, refresh_density=density, refresh_policy=policy,
                 name=f"{config.name}+ref-{policy}-{density}")
         except ValueError as exc:
-            # e.g. --refresh on a refresh-free technology (PCM), or a
-            # density grade the backend does not ship.
+            # e.g. a density grade the backend does not ship, or
+            # sarp on an organisation without sub-banks.
             raise SystemExit(str(exc)) from None
     return config
 

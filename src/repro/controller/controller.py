@@ -39,11 +39,6 @@ class ControllerStats:
     #: refresh behaviour through finish times, latencies and the
     #: precharge-cause split.
     refreshes: int = 0
-    #: PCM write pulses cancelled by a conflicting PRE (always zero on
-    #: pulse-free technologies).  Like :attr:`refreshes`, not part of
-    #: the digest -- cancellations are pinned through command times and
-    #: the replayed write's energy.
-    write_cancels: int = 0
     #: Read queueing latencies (arrival -> data end), ps. Fig. 16a.
     #: Counter-backed: memory stays O(unique latencies) however long
     #: the run; iteration yields the exact sorted expansion.
@@ -73,7 +68,6 @@ class ControllerStats:
         self.columns += other.columns
         self.precharges += other.precharges
         self.refreshes += other.refreshes
-        self.write_cancels += other.write_cancels
         self.read_latencies.merge(other.read_latencies)
         self.peeks += other.peeks
         self.candidates_built += other.candidates_built
@@ -154,7 +148,6 @@ class ChannelController:
         self.stats.peeks = scheduler.peeks
         self.stats.candidates_built = scheduler.candidates_built
         self.stats.candidates_examined = scheduler.candidates_examined
-        self.stats.write_cancels = self.channel.write_cancels
 
     def commit(self, candidate: Candidate) -> List[Transaction]:
         """Issue the candidate; returns transactions completed by it."""

@@ -709,10 +709,7 @@ class Scheduler:
                 cause = (PrechargeCause.PLANE_CONFLICT
                          if verdict is ActivationVerdict.PLANE_CONFLICT
                          else PrechargeCause.ROW_CONFLICT)
-                # A PRE serving a pending read may *cancel* an in-flight
-                # PCM write pulse (a no-op floor change on DRAM).
-                t = self.channel.earliest_precharge(bank_index, victim_slot,
-                                                    txn.is_read)
+                t = self.channel.earliest_precharge(bank_index, victim_slot)
                 out.append(Candidate(max(now, t), PRIO_PRE, txn,
                                      CommandKind.PRE, victim=loc,
                                      cause=cause, seq=txn.seq,
@@ -774,7 +771,7 @@ class Scheduler:
             self.candidates_built += 1
             if active == c.row:  # ROW_HIT
                 is_write = not txn.is_read
-                t = bank.column_ready(key, is_write)
+                t = bank.column_ready(key)
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn)])
                 self._col_tables[bank_index] = (
@@ -798,7 +795,7 @@ class Scheduler:
                     [(t, txn.arrival_time, txn.seq, txn)])
                 self._aux_tables[bank_index] = (table, None, None)
             else:
-                t = bank.earliest_precharge(victim_slot, txn.is_read)
+                t = bank.earliest_precharge(victim_slot)
                 table = SelectionTable(
                     [(t, txn.arrival_time, txn.seq, txn,
                       (bank_index, victim_slot), cause)])
@@ -851,7 +848,7 @@ class Scheduler:
                 # (group, index): one column floor per table.
                 is_write = not txn.is_read
                 bank_group = c.bank_group
-                t = bank.column_ready(txn.slot, is_write)
+                t = bank.column_ready(txn.slot)
                 cols.append((t, txn.arrival_time, txn.seq, txn))
             elif verdict is _ACT_OK or verdict is _EWLR_HIT:
                 if txn.slot in seen_acts:
@@ -869,7 +866,7 @@ class Scheduler:
                 seen_pres.add(victim_slot)
                 cause = (_CAUSE_PLANE if verdict is _PLANE_CONFLICT
                          else _CAUSE_ROW)
-                t = bank.earliest_precharge(victim_slot, txn.is_read)
+                t = bank.earliest_precharge(victim_slot)
                 pres.append((t, txn.arrival_time, txn.seq, txn, loc,
                              cause))
         self.candidates_built += (len(cols) + len(acts) + len(pres)

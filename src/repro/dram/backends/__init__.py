@@ -1,7 +1,7 @@
 """Pluggable memory-technology backends (see :mod:`.base`).
 
-Importing this package registers the three shipped technologies --
-``dram`` (DDR4), ``pcm_palp``, and ``gddr5`` -- so
+Importing this package registers the two shipped technologies --
+``dram`` (DDR4) and ``gddr5`` -- so
 ``get_backend("dram")`` works as soon as anything imports
 ``repro.dram.backends``.
 """
@@ -17,7 +17,6 @@ from repro.dram.backends.base import (
 )
 from repro.dram.backends.dram import DRAM_BACKEND
 from repro.dram.backends.gddr5 import GDDR5_BACKEND
-from repro.dram.backends.pcm_palp import PCM_PALP_BACKEND
 
 __all__ = [
     "MemoryTechBackend",
@@ -28,6 +27,5 @@ __all__ = [
     "register_backend",
     "rule",
     "DRAM_BACKEND",
-    "PCM_PALP_BACKEND",
     "GDDR5_BACKEND",
 ]

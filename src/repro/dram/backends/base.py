@@ -5,24 +5,17 @@ memory technology from another **as data** (in the spirit of hazard /
 collision tables in classic controller RTL): a timing-rule table
 resolving each :class:`~repro.dram.timing.TimingParams` field from
 frequency-aware terms, the refresh semantics (density grades and
-cadence, or none at all), and the rank power model.  The rest of the
-machine -- device FSMs, channel resources, scheduler, validator,
-accounting -- is technology-agnostic and consumes the resolved
+cadence), and the rank power model.  The rest of the machine -- device
+FSMs, channel resources, scheduler, validator, accounting -- is
+technology-agnostic and consumes the resolved
 :class:`~repro.dram.timing.TimingParams`.
 
-Three backends ship:
+Two backends ship:
 
 ``dram``
     The paper's DDR4 model (Tab. III).  A test pins its resolved table
     field by field, and every preset keeps the behaviour digest it had
     before the backends existed.
-
-``pcm_palp``
-    Phase-change memory with PALP-style partition-level parallelism:
-    asymmetric ``tRCD`` (writes open a row fast, the slow programming
-    pulse happens after the burst), a long write pulse ``tWRP`` blocking
-    the slot, write cancellation after ``tWCT`` so a pending read can
-    steal the slot, and no refresh (PCM cells are non-volatile).
 
 ``gddr5``
     The graphics part promoted from ``examples/gddr5_extension.py``:
@@ -130,12 +123,10 @@ class MemoryTechBackend:
     reference_clock_ps: int
     #: The frequency presets run at unless overridden.
     default_frequency_hz: float
-    #: ``(tRFC, tRFCpb)`` in ns per die-density grade; empty means the
-    #: technology has no refresh at all (PCM).
-    refresh_grades_ns: Mapping[str, Tuple[float, float]] = \
-        field(default_factory=dict)
+    #: ``(tRFC, tRFCpb)`` in ns per die-density grade.
+    refresh_grades_ns: Mapping[str, Tuple[float, float]]
     #: Average refresh interval in ns (one owed refresh per tREFI).
-    trefi_ns: float = 0.0
+    trefi_ns: float
     #: Rank power model for this technology.
     energy: EnergyParams = field(default_factory=EnergyParams)
 
@@ -157,16 +148,8 @@ class MemoryTechBackend:
         return TimingParams(tCK=tck, burst_length=self.burst_length,
                             **fields)
 
-    @property
-    def refresh_capable(self) -> bool:
-        """Whether this technology has refresh to model at all."""
-        return bool(self.refresh_grades_ns)
-
     def refresh_overrides(self, density: str) -> dict:
         """``TimingParams.replace`` keywords enabling refresh at a grade."""
-        if not self.refresh_capable:
-            raise ValueError(
-                f"backend {self.name!r} has no refresh to enable")
         try:
             trfc_ns, trfcpb_ns = self.refresh_grades_ns[density]
         except KeyError:
@@ -181,9 +164,6 @@ class MemoryTechBackend:
                                 anchor: str = "8Gb") -> dict:
         """Overrides for a free-form tRFC (the Tab. I ``refresh_ns``
         column): per-bank cost scales from the anchor grade's ratio."""
-        if not self.refresh_capable:
-            raise ValueError(
-                f"backend {self.name!r} has no refresh to enable")
         if anchor not in self.refresh_grades_ns:
             anchor = sorted(self.refresh_grades_ns)[0]
         trfc, trfcpb = self.refresh_grades_ns[anchor]

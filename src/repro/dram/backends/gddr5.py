@@ -3,8 +3,10 @@
 The example script approximated GDDR5 by running the DDR4 rule table at
 2.5 GHz; this backend gives the graphics part its own table: tighter
 core timings (graphics dies trade density for speed), a 2.5 GHz default
-channel, bank-group CAS scoping like DDR4, and a short-tRFC refresh
-(smaller pages, faster refresh bursts, a 1.9 us tREFI).
+channel, bank-group CAS scoping like DDR4, a short-tRFC refresh
+(smaller pages, faster refresh bursts, a 1.9 us tREFI), and its own
+rank energies: a higher-clocked I/O path spends more on each burst and
+on standby clocking than DDR4.
 """
 
 from __future__ import annotations
@@ -41,5 +43,6 @@ GDDR5_BACKEND = register_backend(MemoryTechBackend(
     default_frequency_hz=2.5e9,
     refresh_grades_ns={"8Gb": (110.0, 60.0)},
     trefi_ns=1900.0,
-    energy=EnergyParams.gddr5(),
+    energy=EnergyParams(act_nj=9.0, pre_nj=4.5, rd_nj=9.0, wr_nj=9.5,
+                        background_w=1.1),
 ))

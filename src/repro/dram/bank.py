@@ -51,9 +51,6 @@ class RowSlot:
     act_time: int = NEVER
     #: Earliest time a column command may issue (ACT + tRCD).
     ready_col: int = NEVER
-    #: Earliest time a *write* column command may issue (ACT + tRCD_WR;
-    #: equals ``ready_col`` on technologies with symmetric tRCD).
-    ready_col_wr: int = NEVER
     #: Earliest time a PRE may issue (tRAS / tRTP / write recovery).
     pre_allowed: int = NEVER
     #: Earliest time an ACT may issue (PRE + tRP, tRC from the last ACT,
@@ -70,15 +67,6 @@ class RowSlot:
     #: Last time this slot was activated or column-accessed (for the
     #: adaptive open-page policy's idle-close decision).
     last_use: int = NEVER
-    #: End of the in-flight PCM write pulse (``tWRP`` after the write
-    #: burst); ``NEVER`` when no pulse is programming this slot.
-    wr_pulse_end: int = NEVER
-    #: Earliest time the in-flight pulse may be cancelled by a PRE
-    #: (``tWCT`` after the write burst).
-    wr_cancel_ready: int = NEVER
-    #: Column-readiness gate left behind by a cancelled write: the
-    #: replayed programming pulse finishes this late after the next ACT.
-    replay_until: int = NEVER
 
 
 @dataclass
@@ -134,11 +122,6 @@ class Bank:
         #: penalty (shared global bitlines serialise sub-array groups).
         self._last_col_slot: Optional[SlotKey] = None
         self._last_col_time: int = NEVER
-        # PCM write-pulse model (init-bound so the DRAM hot path pays a
-        # single attribute test).
-        self._pcm = timing.write_pulse_enabled
-        self._trcd_wr = timing.trcd_wr
-        self._cancel_ok = timing.tWCT > 0
         #: Write command to end of its data burst.
         self._wr_data_end = timing.tCWL + timing.burst_time
         #: Slot keys by sub-bank when the bank has one sub-array group
@@ -218,30 +201,19 @@ class Bank:
         and ``tRC`` from its previous ACT)."""
         return self.slot(subbank, row).act_allowed
 
-    def earliest_column(self, subbank: int, row: int,
-                        is_write: bool = False) -> int:
+    def earliest_column(self, subbank: int, row: int) -> int:
         """Earliest column command time, including the MASA tSA penalty.
 
         Consecutive column accesses to *different* sub-array groups within
         one sub-bank share global bitlines, so they are serialised tSA
         apart (Kim et al. [2]) -- a bandwidth cost, which is what limits
         MASA under high memory intensity (Fig. 15 discussion).
-
-        Writes read their own readiness horizon: on PCM the write path
-        opens after ``tRCD_WR`` (asymmetric RAS-to-CAS), while DRAM keeps
-        the two horizons identical.
         """
-        return self.column_ready(self.slot_key(subbank, row), is_write)
+        return self.column_ready(self.slot_key(subbank, row))
 
-    def column_ready(self, key: SlotKey, is_write: bool) -> int:
+    def column_ready(self, key: SlotKey) -> int:
         """:meth:`earliest_column` for an already-resolved slot key."""
-        slot = self.slots[key]
-        ready = slot.ready_col_wr if is_write else slot.ready_col
-        if self._pcm and ready < slot.replay_until:
-            # A cancelled write is re-programmed on re-activation: the
-            # replay pulse walls off the partition's columns until
-            # ``replay_until``, across any intervening row swaps.
-            ready = slot.replay_until
+        ready = self.slots[key].ready_col
         if (self.geometry.tSA and self._last_col_slot is not None
                 and self._last_col_slot != key
                 and self._last_col_slot[0] == key[0]):
@@ -249,25 +221,10 @@ class Bank:
                         self._last_col_time + self.geometry.tSA)
         return ready
 
-    def earliest_precharge(self, key: SlotKey, cancel: bool = False) -> int:
+    def earliest_precharge(self, key: SlotKey) -> int:
         """Earliest PRE time for this slot (``tRAS``, ``tRTP``, and
-        write recovery ``tWR`` after the last write's data burst).
-
-        With a PCM write pulse in flight a plain PRE waits out the full
-        pulse; ``cancel=True`` asks for the *write-cancellation* floor
-        instead (``tWCT`` after the burst), legal only when the backend
-        supports cancellation.
-        """
-        slot = self.slots[key]
-        floor = slot.pre_allowed
-        pulse = slot.wr_pulse_end
-        if pulse > floor:
-            if cancel and self._cancel_ok:
-                if slot.wr_cancel_ready > floor:
-                    floor = slot.wr_cancel_ready
-            else:
-                floor = pulse
-        return floor
+        write recovery ``tWR`` after the last write's data burst)."""
+        return self.slots[key].pre_allowed
 
     def do_activate(self, subbank: int, row: int,
                     time: int) -> ActivationVerdict:
@@ -293,7 +250,6 @@ class Bank:
         slot.active_row = row
         slot.act_time = time
         slot.ready_col = time + t.tRCD
-        slot.ready_col_wr = time + self._trcd_wr
         slot.pre_allowed = time + t.tRAS
         slot.act_allowed = time + t.tRC
         slot.last_use = time
@@ -310,62 +266,31 @@ class Bank:
         slot = self.slots[key]
         if slot.active_row != row:
             raise ValueError("column command to a row that is not open")
-        if time < self.column_ready(key, is_write):
+        if time < self.column_ready(key):
             raise ValueError(f"column command at {time} too early")
         t = self.timing
         if is_write:
             data_end = time + self._wr_data_end
             if data_end + t.tWR > slot.pre_allowed:
                 slot.pre_allowed = data_end + t.tWR
-            if self._pcm:
-                # The programming pulse occupies the slot past the
-                # burst: columns wait it out; a PRE either waits too or
-                # cancels it once tWCT has elapsed.
-                slot.wr_pulse_end = data_end + t.tWRP
-                slot.wr_cancel_ready = data_end + t.tWCT
-                if slot.wr_pulse_end > slot.ready_col:
-                    slot.ready_col = slot.wr_pulse_end
-                if slot.wr_pulse_end > slot.ready_col_wr:
-                    slot.ready_col_wr = slot.wr_pulse_end
         elif time + t.tRTP > slot.pre_allowed:
             slot.pre_allowed = time + t.tRTP
         self._last_col_slot = key
         self._last_col_time = time
         slot.last_use = time
 
-    def do_precharge(self, key: SlotKey, time: int) -> bool:
-        """Close the slot's row; the next ACT waits ``tRP`` from here.
-
-        A PRE landing inside an in-flight PCM write pulse *is* a write
-        cancellation (PALP): legal only once ``tWCT`` has elapsed since
-        the burst, it aborts the pulse and leaves a ``replay_until``
-        gate for the next activation.  Returns True when this happened.
-        """
+    def do_precharge(self, key: SlotKey, time: int) -> None:
+        """Close the slot's row; the next ACT waits ``tRP`` from here."""
         slot = self.slots[key]
         if slot.active_row is None:
             raise ValueError("precharge of an idle slot")
-        cancelled = False
-        if self._pcm and time < slot.wr_pulse_end:
-            if not self._cancel_ok:
-                raise ValueError(
-                    f"PRE at {time} inside a write pulse ending at "
-                    f"{slot.wr_pulse_end} (no cancellation: tWCT=0)")
-            if time < slot.wr_cancel_ready:
-                raise ValueError(
-                    f"write cancellation at {time} before "
-                    f"wr_cancel_ready={slot.wr_cancel_ready}")
-            cancelled = True
-            slot.replay_until = time + self.timing.tWRP
         if time < slot.pre_allowed:
             raise ValueError(
                 f"PRE at {time} violates pre_allowed={slot.pre_allowed}")
         slot.active_row = None
         slot.act_allowed = max(slot.act_allowed, time + self.timing.tRP)
-        slot.wr_pulse_end = NEVER
-        slot.wr_cancel_ready = NEVER
         if self._last_col_slot == key:
             self._last_col_slot = None
-        return cancelled
 
     def partial_precharge_possible(self, key: SlotKey) -> bool:
         """Whether PRE of this slot can keep its MWL raised (EWLR pair).

@@ -52,9 +52,6 @@ class Channel:
         self.energy = EnergyMeter(energy_params or EnergyParams())
         #: Precharge counts by cause, for Fig. 13b.
         self.precharge_causes = {cause: 0 for cause in PrechargeCause}
-        #: PCM write cancellations: PREs that aborted an in-flight
-        #: programming pulse (always 0 on pulse-free technologies).
-        self.write_cancels = 0
         #: Registry of open row slots, (bank index, slot key), kept in
         #: sync by issue_act/issue_precharge for the page policy's scan.
         #: A dict (insertion-ordered, values unused) so the scan order is
@@ -129,7 +126,7 @@ class Channel:
             self.resources.column_floor(is_write, coords.bank_group,
                                         bank_index),
             self.banks[bank_index].earliest_column(
-                coords.subbank, coords.row, is_write))
+                coords.subbank, coords.row))
 
     def earliest_act(self, coords: DramCoordinates) -> int:
         """The time of :meth:`act_floor`."""
@@ -140,15 +137,12 @@ class Channel:
         """The time of :meth:`column_floor`."""
         return self.column_floor(coords, is_write)[1]
 
-    def earliest_precharge(self, bank_index: int, slot: SlotKey,
-                           cancel: bool = False) -> int:
+    def earliest_precharge(self, bank_index: int, slot: SlotKey) -> int:
         """Earliest legal PRE of an open slot: command bus + the slot's
         ``tRAS``/``tWR`` horizons (``tRAS`` from an ACT that waited out
-        any refresh blackout).  ``cancel=True`` asks for the PCM
-        write-cancellation floor when a pulse is in flight (a no-op on
-        DRAM)."""
+        any refresh blackout)."""
         return max(self.resources.earliest_precharge(),
-                   self.banks[bank_index].earliest_precharge(slot, cancel))
+                   self.banks[bank_index].earliest_precharge(slot))
 
     # -- refresh ----------------------------------------------------------
 
@@ -231,12 +225,7 @@ class Channel:
         """Issue a PRE; returns whether it was a partial precharge."""
         bank = self.banks[bank_index]
         partial = bank.partial_precharge_possible(slot)
-        cancelled = bank.do_precharge(slot, time)
-        if cancelled:
-            # The aborted write replays after the next ACT: count the
-            # cancellation and charge the second programming burst.
-            self.write_cancels += 1
-            self.energy.record_write()
+        bank.do_precharge(slot, time)
         self.resources.record_command(time)
         self.energy.record_precharge(partial)
         self.precharge_causes[cause] += 1

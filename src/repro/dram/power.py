@@ -50,24 +50,6 @@ class EnergyParams:
         return self.act_nj * self.act_scale * \
             self.vpp_fraction * self.ewlr_mwl_fraction
 
-    # -- per-technology parameter sets ----------------------------------
-
-    @classmethod
-    def pcm(cls) -> "EnergyParams":
-        """PCM rank energies: cheap non-destructive reads (no restore on
-        PRE), expensive programming pulses on writes, and no refresh so
-        a lower background floor.  Magnitudes follow the PALP ballpark;
-        as with DRAM only the ratios matter for the reproduction."""
-        return cls(act_nj=4.0, pre_nj=1.0, rd_nj=8.0, wr_nj=35.0,
-                   background_w=0.25)
-
-    @classmethod
-    def gddr5(cls) -> "EnergyParams":
-        """GDDR5 rank energies: a higher-clocked I/O path spends more on
-        each burst and on standby clocking than DDR4."""
-        return cls(act_nj=9.0, pre_nj=4.5, rd_nj=9.0, wr_nj=9.5,
-                   background_w=1.1)
-
 
 @dataclass
 class EnergyMeter:

@@ -102,21 +102,6 @@ class TimingParams:
     #: because only one bank's rows are refreshed.  Zero falls back to
     #: ``tRFC`` (per-bank refresh no cheaper than all-bank).
     tRFCpb: int = 0
-    #: Write-path ACT-to-CAS delay.  Zero means writes use ``tRCD``
-    #: (DRAM); PCM opens a row for writing much faster than for reading
-    #: because the write pulse does the real work later (PALP's
-    #: asymmetric read/write timing).
-    tRCD_WR: int = 0
-    #: Write pulse width: after a WR burst the (sub-)bank's cells are
-    #: being programmed for this long -- no column command may address
-    #: the slot and a PRE must either wait it out or *cancel* the
-    #: write (see ``tWCT``).  Zero disables the pulse model (DRAM).
-    tWRP: int = 0
-    #: Write-cancellation threshold: the earliest point after the write
-    #: burst at which an in-flight pulse may be aborted by a PRE so a
-    #: pending read can proceed (the cancelled write replays after the
-    #: next ACT).  Zero forbids cancellation; requires ``tWRP > 0``.
-    tWCT: int = 0
 
     def __post_init__(self) -> None:
         if self.tCK <= 0:
@@ -146,17 +131,6 @@ class TimingParams:
         if 0 < self.tREFI <= self.tRFC:
             raise ValueError("tREFI must exceed tRFC or refresh starves "
                              "the rank")
-        if self.tRCD_WR < 0 or self.tWRP < 0 or self.tWCT < 0:
-            raise ValueError("PCM timings (tRCD_WR/tWRP/tWCT) must be >= 0")
-        if self.tWCT > 0 and self.tWRP == 0:
-            raise ValueError("tWCT (write cancellation) requires a write "
-                             "pulse (tWRP > 0)")
-        if 0 < self.tWRP <= self.tWCT:
-            raise ValueError("tWCT must fall inside the write pulse "
-                             "(tWCT < tWRP) or cancellation never pays")
-        if self.tWCT > 0 and self.tWCT < self.tWR:
-            raise ValueError("tWCT must be >= tWR so a cancelling PRE "
-                             "still satisfies write recovery")
 
     @property
     def burst_time(self) -> int:
@@ -172,16 +146,6 @@ class TimingParams:
     def trfc_pb(self) -> int:
         """Effective per-bank refresh cycle time (falls back to tRFC)."""
         return self.tRFCpb if self.tRFCpb > 0 else self.tRFC
-
-    @property
-    def trcd_wr(self) -> int:
-        """Effective write-path RAS-to-CAS delay (falls back to tRCD)."""
-        return self.tRCD_WR if self.tRCD_WR > 0 else self.tRCD
-
-    @property
-    def write_pulse_enabled(self) -> bool:
-        """Whether this parameter set models PCM-style write pulses."""
-        return self.tWRP > 0
 
     @property
     def bus_frequency_hz(self) -> float:

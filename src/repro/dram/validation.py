@@ -46,9 +46,6 @@ class _SlotState:
     open_row: int = -1
     last_rd: int = NEVER
     last_wr_end: int = NEVER
-    # PCM write-pulse state (stay at NEVER on pulse-free technologies).
-    wr_pulse_end: int = NEVER
-    replay_until: int = NEVER
 
 
 def _fail(record: CommandRecord, rule: str, bound: int) -> None:
@@ -79,15 +76,6 @@ def validate_log(log: List[CommandRecord], timing: TimingParams,
       PRE_PARTIAL (Section VI-A) additionally requires an open row in
       the *other* sub-bank of the same bank -- without a raised MWL to
       preserve, a partial precharge is structurally impossible.
-    * PCM write pulses (``tWRP > 0`` technologies only): after a WR the
-      slot's self-timed programming pulse runs until the data burst end
-      plus tWRP; no column command may target the slot inside it.  A
-      PRE inside the pulse is a *write cancellation*: legal only with
-      cancellation support (``tWCT > 0``) and at least tWCT past the
-      data burst end, and the cancelled write must be replayed -- no
-      column may reach the slot before the cancel time plus tWRP.
-    * Asymmetric array access (``tRCD_WR > 0``): writes use the write
-      row-to-column delay instead of the read tRCD.
     * REF / REFPB (refresh-enabled timings only): every slot in the
       refresh scope -- the rank, one bank, or one sub-bank, per the
       record's (bank, slot) wildcards -- must be precharged with tRP
@@ -208,16 +196,8 @@ def validate_log(log: List[CommandRecord], timing: TimingParams,
             is_write = rec.kind == "WR"
             if state.open_row < 0:
                 _fail(rec, "column to closed slot", -1)
-            rcd = timing.trcd_wr if is_write else timing.tRCD
-            if rec.time < state.act_time + rcd:
-                _fail(rec, "tRCD_WR" if is_write and timing.tRCD_WR
-                      else "tRCD", state.act_time + rcd)
-            if rec.time < state.wr_pulse_end:
-                _fail(rec, "column into an in-flight write pulse",
-                      state.wr_pulse_end)
-            if rec.time < state.replay_until:
-                _fail(rec, "write replay after cancellation",
-                      state.replay_until)
+            if rec.time < state.act_time + timing.tRCD:
+                _fail(rec, "tRCD", state.act_time + timing.tRCD)
             if rec.time < last_cas_any + timing.tCCD_S:
                 _fail(rec, "tCCD_S", last_cas_any + timing.tCCD_S)
             long_scope = (rec.bank if policy is BusPolicy.DDB
@@ -271,8 +251,6 @@ def validate_log(log: List[CommandRecord], timing: TimingParams,
             cas_times_by_group[rec.bank_group].append(rec.time)
             if is_write:
                 state.last_wr_end = end
-                if timing.write_pulse_enabled:
-                    state.wr_pulse_end = end + timing.tWRP
                 wr_end_any = max(wr_end_any, end)
                 wr_end_long[long_scope] = max(
                     wr_end_long[long_scope], end)
@@ -282,17 +260,6 @@ def validate_log(log: List[CommandRecord], timing: TimingParams,
         elif rec.kind in ("PRE", "PRE_PARTIAL"):
             if state.open_row < 0:
                 _fail(rec, "PRE of a closed slot", -1)
-            if rec.time < state.wr_pulse_end:
-                # A PRE inside the self-timed pulse is a cancellation.
-                if timing.tWCT <= 0:
-                    _fail(rec, "PRE into a write pulse (technology has "
-                          "no cancellation)", state.wr_pulse_end)
-                cancel_ready = state.last_wr_end + timing.tWCT
-                if rec.time < cancel_ready:
-                    _fail(rec, "tWCT (cancel before the data is safely "
-                          "captured)", cancel_ready)
-                state.replay_until = rec.time + timing.tWRP
-            state.wr_pulse_end = NEVER
             if rec.time < state.act_time + timing.tRAS:
                 _fail(rec, "tRAS", state.act_time + timing.tRAS)
             if rec.time < state.last_rd + timing.tRTP:

@@ -16,7 +16,6 @@ constructor            paper label
 ``masa``               MASA4 / MASA8 (SALP)
 ``half_dram``          Half-DRAM
 ``masa_eruca``         MASA8 + ERUCA (with or without DDB)
-``pcm_palp``           PCM-PALP (technology backend, not a paper point)
 ``gddr5``              GDDR5 (technology backend, not a paper point)
 =====================  ==============================================
 
@@ -134,7 +133,7 @@ class SystemConfig:
     refresh_policy: str = "baseline"
     #: Memory-technology backend supplying the timing-rule table,
     #: refresh grades, and power model (:mod:`repro.dram.backends`):
-    #: ``"dram"`` (DDR4), ``"pcm_palp"``, or ``"gddr5"``.
+    #: ``"dram"`` (DDR4) or ``"gddr5"``.
     backend: str = "dram"
 
     def __post_init__(self) -> None:
@@ -143,10 +142,6 @@ class SystemConfig:
             raise ValueError(
                 f"unknown refresh policy {self.refresh_policy!r}; known: "
                 + ", ".join(REFRESH_POLICIES))
-        if self.refresh_enabled and not tech.refresh_capable:
-            raise ValueError(
-                f"backend {self.backend!r} has no refresh (refresh_ns / "
-                f"refresh_density cannot be set on {self.name!r})")
         if (self.refresh_density is not None
                 and self.refresh_density not in tech.refresh_grades_ns):
             known = ", ".join(sorted(tech.refresh_grades_ns))
@@ -358,22 +353,6 @@ def masa_eruca(groups: int = 8, ddb: bool = True,
                         eru=eru, masa_groups=groups)
 
 
-def pcm_palp(eru: EruConfig = None) -> SystemConfig:
-    """Phase-change memory with PALP-style partition parallelism.
-
-    Asymmetric array timing (slow reads, fast write *initiation*, a long
-    self-timed write pulse), write cancellation on a pending-read
-    conflict, and no refresh.  With ``eru`` the partitions additionally
-    get ERUCA's sub-banked resource sharing.
-    """
-    tech = get_backend("pcm_palp")
-    if eru is None:
-        return SystemConfig("PCM-PALP", Organization.DDR4_16,
-                            backend="pcm_palp", energy=tech.energy)
-    return SystemConfig(f"PCM-PALP({eru.name})", Organization.VSB,
-                        eru=eru, backend="pcm_palp", energy=tech.energy)
-
-
 def gddr5() -> SystemConfig:
     """GDDR5 graphics DRAM: 2.5 GHz bus, tighter core timings, the
     shorter per-bank refresh of high-bandwidth parts (promoted from
@@ -392,8 +371,8 @@ def all_presets() -> list:
     each organisation of Figs. 12-16, a high-frequency DDB point where
     the guard windows bind, two adaptive-page-policy variants (the
     policy-close path has its own candidate bookkeeping), and the
-    non-DDR4 technology backends (PCM-PALP flat and sub-banked, GDDR5).
-    The 17 ``dram`` presets come first, in their historical order.
+    GDDR5 backend.  The 17 ``dram`` presets come first, in their
+    historical order.
     """
     return [
         ddr4_baseline(),
@@ -415,7 +394,5 @@ def all_presets() -> list:
                 name="DDR4+close@400ns"),
         replace(vsb(EruConfig.full(4)), idle_close_ps=400_000,
                 name="VSB+close@400ns"),
-        pcm_palp(),
-        pcm_palp(EruConfig.full(4, ddb=False)),
         gddr5(),
     ]

@@ -65,7 +65,6 @@ PRESETS: Dict[str, Callable[..., SystemConfig]] = {
     "masa": cfgs.masa,
     "half_dram": cfgs.half_dram,
     "masa_eruca": cfgs.masa_eruca,
-    "pcm_palp": cfgs.pcm_palp,
     "gddr5": cfgs.gddr5,
 }
 

@@ -112,7 +112,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: order, and an entry no longer stores the energy parameters, which the
 #: key's config digest pins; v7 entries (a header object) read as
 #: misses.
-CACHE_VERSION = 8
+#: v9: the header drops ``write_cancels``, a counter of the retired
+#: PCM-PALP backend that read 0 on every remaining technology; v8
+#: entries (a header array one field longer) read as misses.
+CACHE_VERSION = 9
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
@@ -249,7 +252,6 @@ class Header(NamedTuple):
     columns: int
     precharges: int
     refreshes: int
-    write_cancels: int
     #: :class:`EnergyMeter` counters.
     energy_activations: int
     energy_ewlr_hit_activations: int
@@ -320,10 +322,11 @@ def decode_entry(raw: bytes) -> Entry:
     text.  Raises :class:`ValueError` if the header line fails its CRC
     (a changed byte, a truncation, a v6 entry's single JSON object), if
     it does not hold a header array of :class:`Header`'s length and
-    field types (a v7 entry's header object among them), or if the
-    histogram section has no terminating newline (a truncation).  The
-    histogram and sidecar are returned unchecked; a final newline
-    missing from the sidecar section leaves its text whole.
+    field types (a v8 entry's longer array and a v7 entry's header
+    object among them), or if the histogram section has no terminating
+    newline (a truncation).  The histogram and sidecar are returned
+    unchecked; a final newline missing from the sidecar section leaves
+    its text whole.
     """
     end = raw.index(b"\n")
     histogram_end = raw.index(b"\n", end + 1)
@@ -337,7 +340,7 @@ def decode_entry(raw: bytes) -> Entry:
     fields, stop = _DECODER.raw_decode(sealed.decode())
     if sealed[stop:stop + 1] != b"," or type(fields) is not list \
             or tuple(map(type, fields)) != _HEADER_TYPES:
-        raise ValueError("entry header line holds no v8 header array")
+        raise ValueError("entry header line holds no v9 header array")
     sidecar = raw[histogram_end + 1:]
     if sidecar.endswith(b"\n"):
         sidecar = sidecar[:-1]
@@ -396,7 +399,6 @@ def serialize_result(result: SimulationResult) -> Tuple[dict, bytes]:
         "columns": s.columns,
         "precharges": s.precharges,
         "refreshes": s.refreshes,
-        "write_cancels": s.write_cancels,
         "energy_activations": e.activations,
         "energy_ewlr_hit_activations": e.ewlr_hit_activations,
         "energy_precharges": e.precharges,
@@ -461,7 +463,6 @@ def restore_result(header: Header, histogram: bytes,
         columns=header.columns,
         precharges=header.precharges,
         refreshes=header.refreshes,
-        write_cancels=header.write_cancels,
         read_latencies=LatencyHistogram.unpack(
             histogram, header.histogram_crc32),
     )
@@ -718,8 +719,8 @@ class ResultStore:
         """Prune the store; returns what was scanned/removed/kept.
 
         Always removes unreadable entries (a header line that fails its
-        CRC or holds no v8 header array, as in every v7 entry, or no
-        histogram section, as in every v6 entry), entries from other
+        CRC or holds no v9 header array, as in every v8 and v7 entry, or
+        no histogram section, as in every v6 entry), entries from other
         cache versions, and temp files orphaned by a killed writer once
         they are older than :data:`ORPHAN_TMP_AGE_S` (counted in
         ``removed`` and ``freed_bytes``, not ``scanned``).

@@ -5,9 +5,9 @@ timings, so two pins hold it: every resolved field, written out by hand
 below at six bus frequencies, and the behaviour digests of every
 ``dram`` preset (``tests/data/pre_backend_digests.json``, computed by
 :func:`tests.pins.pre_backend_digests`; all but the no-DDB paired bank
-were captured before the backends existed).  The other technologies
-must survive the same round-trips (frequency scaling, digest
-stability, the reference and incremental scheduler paths) as DDR4.
+were captured before the backends existed).  GDDR5 must survive the
+same round-trips (frequency scaling, digest stability, the reference
+and incremental scheduler paths) as DDR4.
 """
 
 from dataclasses import asdict, replace
@@ -28,12 +28,15 @@ GOLDEN = "pre_backend_digests.json"
 
 
 class TestRegistry:
-    def test_ships_three_backends(self):
-        assert set(backend_names()) >= {"dram", "pcm_palp", "gddr5"}
+    def test_ships_dram_and_gddr5(self):
+        assert set(backend_names()) == {"dram", "gddr5"}
 
     def test_unknown_backend_raises_with_known_list(self):
-        with pytest.raises(ValueError, match="dram"):
-            get_backend("sram")
+        for name in ("sram", "pcm_palp"):
+            with pytest.raises(ValueError, match="dram, gddr5"):
+                get_backend(name)
+            with pytest.raises(ValueError, match="dram, gddr5"):
+                replace(cfgs.ddr4_baseline(), backend=name)
 
     def test_backends_are_frozen_data(self):
         tech = get_backend("dram")
@@ -47,8 +50,7 @@ DDR4_1333 = dict(
     tCK=750, tRCD=13500, tRP=13500, tRAS=32000, tRC=45500, tCL=13500,
     tCWL=10500, tCCD_S=3000, tCCD_L=5000, tWTR_S=2500, tWTR_L=7500,
     tRRD=3000, tWR=15000, tRTP=7500, burst_length=8, tFAW=25000,
-    tTCW=0, tTWTRW=0, tRFC=0, tREFI=0, tRFCpb=0, tRCD_WR=0, tWRP=0,
-    tWCT=0)
+    tTCW=0, tTWTRW=0, tRFC=0, tREFI=0, tRFCpb=0)
 
 #: The only fields that move with the bus clock, in ps: tCK, tCWL
 #: (CAS minus four clocks), and tCCD_S and tRRD (four clocks each).
@@ -127,26 +129,8 @@ class TestNewTechnologyRoundTrips:
 
 
 class TestBackendSemantics:
-    def test_pcm_has_no_refresh(self):
-        tech = get_backend("pcm_palp")
-        assert not tech.refresh_capable
-        with pytest.raises(ValueError, match="refresh"):
-            tech.refresh_overrides("8Gb")
-        with pytest.raises(ValueError, match="refresh"):
-            replace(cfgs.pcm_palp(), refresh_density="8Gb")
-        with pytest.raises(ValueError, match="refresh"):
-            replace(cfgs.pcm_palp(), refresh_ns=350.0)
-
-    def test_pcm_asymmetric_trcd(self):
-        t = cfgs.pcm_palp().timing()
-        assert t.tRCD == 48_000
-        assert t.trcd_wr == 12_000
-        assert t.write_pulse_enabled and t.tWRP == 150_000
-        assert t.tWCT == 7_500 >= t.tWR
-
     def test_gddr5_refresh_grade(self):
         tech = get_backend("gddr5")
-        assert tech.refresh_capable
         assert tech.refresh_overrides("8Gb") == {
             "tRFC": 110_000, "tREFI": 1_900_000, "tRFCpb": 60_000}
         with pytest.raises(ValueError, match="16Gb"):
@@ -157,8 +141,3 @@ class TestBackendSemantics:
         assert t.tCK == 400
         assert t.tCL == 15_000
         assert t.tCCD_S == 1_600
-
-    def test_dram_presets_have_no_pcm_state(self):
-        t = cfgs.ddr4_baseline().timing()
-        assert t.tRCD_WR == 0 and t.trcd_wr == t.tRCD
-        assert not t.write_pulse_enabled

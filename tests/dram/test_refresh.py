@@ -370,16 +370,12 @@ class TestSystemRefresh:
         assert run(False) == run(True)
 
     def test_bucket_sum_invariant_over_all_presets(self):
-        """Every refresh-capable preset, refresh on: buckets still sum
-        to wall time and the REFRESH bucket exists (it may be zero on
-        short runs).  Sub-banked presets run ``sarp`` and flat ones
-        ``darp`` (``sarp`` needs sub-banks).  Refresh-free backends
-        (PCM) reject the overrides outright -- covered in
-        tests/dram/test_backends.py."""
+        """Every preset, refresh on: buckets still sum to wall time and
+        the REFRESH bucket exists (it may be zero on short runs).
+        Sub-banked presets run ``sarp`` and flat ones ``darp`` (``sarp``
+        needs sub-banks)."""
         traces = mixed_traffic(cores=2, n=90)
         for preset in cfgs.all_presets():
-            if not get_backend(preset.backend).refresh_capable:
-                continue
             config = refresh_config(
                 preset, policy="sarp" if preset.subbanked else "darp")
             result = run_traces(config, traces, observe=True)

@@ -28,8 +28,11 @@ any moved.  An entry is a top-level scalar of a file, or a child of a
 top-level object or list, named by its path: ``figures/ablation``,
 ``trace/<cell>``, ``digests/9``.  ``--write`` rewrites the files it
 names, in the canonical ``indent=2, sort_keys=True`` form; naming
-``FILE:ENTRY`` puts only that entry in scope.  If an entry outside the
-named scope moved, it writes nothing and refuses with one line.
+``FILE:ENTRY`` puts only that entry in scope.  FILE is a bare name
+(``pre_backend_digests.json``) or a path to the file in ``tests/data``
+(``tests/data/pre_backend_digests.json``); any other FILE is refused
+with one line, and nothing is written.  If an entry outside the named
+scope moved, it writes nothing and refuses with one line.
 
 Two more pins keep their own checkers, so they have no second
 implementation here: ``perfbench/pins.json``, which every benchmark run
@@ -350,15 +353,21 @@ def main(argv=None, pins: Dict[str, Callable[[], dict]] = PINS,
                     "rewrite the ones named.")
     parser.add_argument("--write", nargs="+", default=[],
                         metavar="FILE[:ENTRY]",
-                        help="rewrite these files; FILE:ENTRY puts only "
-                             "that entry in scope")
+                        help="rewrite these files (a bare name, or a "
+                             "path in the pin data directory); "
+                             "FILE:ENTRY puts only that entry in scope")
     args = parser.parse_args(argv)
     scope: Dict[str, Optional[set]] = {}  # file -> entries; None: all
     for item in args.write:
         name, _, entry = item.partition(":")
+        path = Path(name)
+        if path.resolve().parent == data.resolve():
+            name = path.name
         if name not in pins:
-            parser.error(f"unknown pin file {name!r}; known: "
-                         + ", ".join(pins))
+            print(f"{parser.prog}: error: unknown pin file {name!r}; "
+                  f"known: {', '.join(pins)}, by name or in {data}",
+                  file=sys.stderr)
+            return 2
         if not entry:
             scope[name] = None
         elif scope.get(name, set()) is not None:

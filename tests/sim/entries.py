@@ -1,7 +1,7 @@
 """Read and write result-store entry files section by section.
 
 The one helper through which tests edit or damage a stored entry
-(:mod:`repro.sim.store`, entry format v8): :func:`read_entry` splits a
+(:mod:`repro.sim.store`, entry format v9): :func:`read_entry` splits a
 file into its header (and key info), histogram and sidecar sections,
 and :func:`write_entry` writes sections back the way a put does.
 :func:`edit_header` changes header fields by name.  The header line is
@@ -10,8 +10,8 @@ the histogram's and sidecar's CRCs stay whatever the header holds -- so
 an edited header field is served, and an edited histogram or sidecar
 section fails its CRC.  Raw byte damage (a truncation, a changed byte
 that no writer re-sealed) is written with :func:`write_bytes`;
-:func:`as_v7` and :func:`as_v6` lay an entry out as an older writer
-did.
+:func:`as_v8`, :func:`as_v7` and :func:`as_v6` lay an entry out as an
+older writer did.
 """
 
 import dataclasses
@@ -79,7 +79,7 @@ def _v7_header(header: Header, params: EnergyParams) -> dict:
                 "columns": header.columns,
                 "precharges": header.precharges,
                 "refreshes": header.refreshes,
-                "write_cancels": header.write_cancels,
+                "write_cancels": 0,
                 "read_latencies_crc32": header.histogram_crc32,
             },
             "energy": {
@@ -100,6 +100,17 @@ def _v7_header(header: Header, params: EnergyParams) -> dict:
             "digest": header.digest,
         },
     }
+
+
+def as_v8(raw: bytes) -> bytes:
+    """The same entry as the v8 writer laid it out: the same sections,
+    sealed the same way, with version 8 and one more header field, a
+    ``write_cancels`` count (0) after ``refreshes``."""
+    entry = decode_entry(raw)
+    fields = list(entry.header._replace(version=8))
+    fields.insert(Header._fields.index("refreshes") + 1, 0)
+    return encode_entry(fields, entry.key_info, entry.histogram,
+                        entry.sidecar)
 
 
 def as_v7(raw: bytes, params: EnergyParams) -> bytes:

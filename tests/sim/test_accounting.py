@@ -208,8 +208,8 @@ def test_explain_floors_match_earliest_throughout_a_run(config):
                 tag, time = channel.column_floor(c, is_write)
                 channel_tag, channel_time = channel.resources.column_floor(
                     is_write, c.bank_group, channel.bank_index(c))
-                bank_time = channel.bank(c).earliest_column(
-                    c.subbank, c.row, is_write)
+                bank_time = channel.bank(c).earliest_column(c.subbank,
+                                                            c.row)
                 ref_time = channel.bank(c).slot(c.subbank,
                                                 c.row).refresh_end
                 assert ref_time < bank_time

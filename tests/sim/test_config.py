@@ -15,7 +15,6 @@ from repro.sim.config import (
     masa,
     masa_eruca,
     paired_bank,
-    pcm_palp,
     vsb,
 )
 
@@ -30,15 +29,13 @@ class TestStoreIdentity:
     @pytest.mark.parametrize("factory,digest", [
         (ddr4_baseline,
          "60e66a55a11548b2f56752e375611f55cb640fcd0231756f17cf5a06f6944e7a"),
-        (pcm_palp,
-         "7d058078c30e0a1a3fd4802a7f4135a5a268066ff00b8993f5b935942e5c7c81"),
         (gddr5,
          "56379c125360d7f858d21e1e4c16fd93c6ef3a6289e759332343cf1c2f142652"),
         (vsb,
          "8eaabb00219f0e2c84d392b9407e924d5b00ba54b7a07a0c0dfa234dd4897747"),
         (paired_bank,
          "0f055f6caae34135cb817d357bef8a44afe94fc20a0e6d5550e71400eda73b02"),
-    ], ids=["dram", "pcm_palp", "gddr5", "vsb", "paired_bank"])
+    ], ids=["dram", "gddr5", "vsb", "paired_bank"])
     def test_config_digest_is_pinned(self, factory, digest):
         assert factory().digest() == digest
 
@@ -89,13 +86,13 @@ class TestStoreIdentity:
 
     def test_cache_version_is_pinned(self):
         from repro.sim.store import CACHE_VERSION
-        assert CACHE_VERSION == 8
+        assert CACHE_VERSION == 9
 
     @pytest.mark.parametrize("factory,workload,frag,seed,scale,key", [
         (vsb, dict(mix="mix0"), 0.1, 3, 1.0,
-         "8061b98861fe620ba9a567a9213e28c1e8f5ffb3ef81e5da1fa3227558b9235f"),
+         "0955dba8f9c8543859682011eb361da640d052ea86b7b2912d11a6674b1da184"),
         (ddr4_baseline, dict(benchmark="mcf"), 0.5, 1, 1.8,
-         "cbad64e0731a04a902996415c99e2289e3092984fe74f3ecf601a4d6d5f10088"),
+         "e9a9da6cd6a4cae142e5bcb410114e7f5d4d8dddf6aa7504244f5c0ce022a6d0"),
     ], ids=["vsb_mix", "baseline_alone_scaled_core"])
     def test_store_key_is_pinned(self, factory, workload, frag, seed,
                                  scale, key):

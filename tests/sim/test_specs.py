@@ -152,8 +152,9 @@ def test_ablation_fields_round_trip_through_json():
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ValueError):
-        ConfigSpec("no_such_preset").to_config()
+    for preset in ("no_such_preset", "pcm_palp"):
+        with pytest.raises(ValueError, match=preset):
+            ConfigSpec(preset).to_config()
 
 
 def test_core_scale_factors_into_the_cells():

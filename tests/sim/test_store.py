@@ -34,6 +34,7 @@ from repro.workloads.mixes import mix_traces
 from tests.sim.entries import (
     as_v6,
     as_v7,
+    as_v8,
     edit_header,
     read_bytes,
     read_entry,
@@ -219,19 +220,19 @@ def _cut_histogram_newline(raw):
 @pytest.mark.parametrize("damage", [
     _header_digit, _key_info_digit, _seal_digit, _histogram_digit,
     _cut_header, _cut_header_newline, _cut_histogram,
-    _cut_histogram_newline, as_v6, as_v7,
+    _cut_histogram_newline, as_v6, as_v7, as_v8,
 ], ids=["header_digit", "key_info_digit", "seal_digit",
         "histogram_digit", "cut_in_header", "cut_header_newline",
         "cut_in_histogram", "cut_histogram_newline", "v6_entry",
-        "v7_entry"])
+        "v7_entry", "v8_entry"])
 @pytest.mark.parametrize("observed", [False, True],
                          ids=["unobserved", "observed"])
 def test_damage_to_what_a_read_serves_is_a_miss(tmp_path, damage,
                                                 observed):
     """A changed byte in the header or the histogram section, a
-    truncation that cuts into either, and a v6 or v7 entry are misses
-    for every reader, with or without accounting; the next put repairs
-    the entry."""
+    truncation that cuts into either, and a v6, v7 or v8 entry are
+    misses for every reader, with or without accounting; the next put
+    repairs the entry."""
     store = ResultStore(str(tmp_path))
     store.put(_key(), _small_result(observe=True),
               key_info={"accesses": 200})
@@ -299,11 +300,11 @@ def test_every_preset_round_trips(tmp_path):
     quartiles (what the packed histogram feeds) and every energy total
     Fig. 16 reads.  The entry holds no energy parameters: the restored
     meter takes the cell config's, passed to ``get``, which for the
-    GDDR5, PCM-PALP and Half-DRAM presets differ from DDR4's."""
+    GDDR5 and Half-DRAM presets differ from DDR4's."""
     store = ResultStore(str(tmp_path))
     traces = mix_traces("mix0", 100, fragmentation=0.1, seed=0)
     presets = cfgs.all_presets()
-    assert len({config.energy for config in presets}) >= 4
+    assert len({config.energy for config in presets}) == 3
     for config in presets:
         live = run_traces(config, traces)
         key = _key(config)
@@ -713,25 +714,28 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     assert store.counters.evictions == 4
 
 
-def test_gc_keeps_v8_entries_and_removes_older_ones(tmp_path):
+def test_gc_keeps_current_entries_and_removes_older_ones(tmp_path):
     """An entry the v6 writer laid out (one JSON object) is stale, so is
-    one the v7 writer laid out (a header object), and so is an entry in
-    the current layout stamped with another version: gc frees all
-    three, and keeps the current entry beside them."""
+    one the v7 writer laid out (a header object), one the v8 writer laid
+    out (a header array one field longer), and an entry in the current
+    layout stamped with another version: gc frees all four, and keeps
+    the current entry beside them."""
     store = ResultStore(str(tmp_path))
     live = _small_result(observe=True)
-    for seed in (0, 1, 2, 3):
+    for seed in (0, 1, 2, 3, 4):
         store.put(_key(seed=seed), live)
     v6 = store.path_for(_key(seed=1))
     write_bytes(v6, as_v6(read_bytes(v6), PARAMS))
     v7 = store.path_for(_key(seed=3))
     write_bytes(v7, as_v7(read_bytes(v7), PARAMS))
+    v8 = store.path_for(_key(seed=4))
+    write_bytes(v8, as_v8(read_bytes(v8)))
     restamped = store.path_for(_key(seed=2))
     edit_header(restamped, version=7)
-    stale = (v6, v7, restamped)
+    stale = (v6, v7, v8, restamped)
     size = sum(os.path.getsize(path) for path in stale)
     report = store.gc()
-    assert (report.scanned, report.removed, report.kept) == (4, 3, 1)
+    assert (report.scanned, report.removed, report.kept) == (5, 4, 1)
     assert report.freed_bytes == size
     assert not any(os.path.exists(path) for path in stale)
     kept = store.get(_key(seed=0), PARAMS, need_accounting=True)

@@ -24,8 +24,9 @@ class TestParser:
         assert args.mixes == "mix1,mix2"
 
     def test_unknown_config_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--config", "zzz"])
+        for config in ("zzz", "pcm-palp", "pcm-palp-vsb"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--config", config])
 
     @pytest.mark.parametrize("argv", [["stats"], ["trace"], ["fig4"],
                                       ["cells", "fig12"]],
@@ -119,31 +120,34 @@ class TestExecution:
         assert capsys.readouterr().out.splitlines()[-1] == \
             f"cells={cells} memory_hits=0 store_hits={cells} submitted=0"
 
-    def test_gc_frees_v7_entries(self, capsys):
-        """After the upgrade to entry format v8, a v7 entry is a miss,
-        and the first ``repro gc`` frees it; the next run re-simulates
-        that cell alone."""
+    def test_gc_frees_entries_of_older_formats(self, capsys):
+        """After the upgrade to entry format v9, a v8 and a v7 entry are
+        misses, and the first ``repro gc`` frees both; the next run
+        re-simulates those two cells alone."""
         import os
 
         from repro.sim.specs import ExperimentSettings, fig16_spec
         from repro.sim.store import ResultStore
-        from tests.sim.entries import as_v7, read_bytes, write_bytes
+        from tests.sim.entries import as_v7, as_v8, read_bytes, write_bytes
 
         run = ["run", "fig16", "--mixes", "mix0", "--accesses", "100"]
         main(run)
         store = ResultStore()
-        cell = fig16_spec(ExperimentSettings(
-            accesses_per_core=100, mixes=("mix0",))).expand()[1]
-        path = store.path_for(cell.store_key())
-        write_bytes(path, as_v7(read_bytes(path), cell.config.energy))
-        assert not store.contains(cell.store_key(), cell.config.energy)
+        cells = fig16_spec(ExperimentSettings(
+            accesses_per_core=100, mixes=("mix0",))).expand()[1:]
+        paths = [store.path_for(cell.store_key()) for cell in cells]
+        write_bytes(paths[0], as_v7(read_bytes(paths[0]),
+                                    cells[0].config.energy))
+        write_bytes(paths[1], as_v8(read_bytes(paths[1])))
+        for cell in cells:
+            assert not store.contains(cell.store_key(), cell.config.energy)
         capsys.readouterr()
         main(["gc"])
-        assert "removed 1 (" in capsys.readouterr().out
-        assert not os.path.exists(path)
+        assert "removed 2 (" in capsys.readouterr().out
+        assert not any(os.path.exists(path) for path in paths)
         main(run)
         assert capsys.readouterr().out.splitlines()[-1] == \
-            "cells=3 memory_hits=0 store_hits=2 submitted=1"
+            "cells=3 memory_hits=0 store_hits=1 submitted=2"
 
     def test_bad_mix_exits(self):
         with pytest.raises(SystemExit):

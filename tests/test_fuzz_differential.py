@@ -41,7 +41,7 @@ class TestCaseDrawing:
     def test_seeds_round_robin_all_presets(self):
         from repro.sim import config as cfgs
         presets = cfgs.all_presets()
-        assert len(presets) == 20
+        assert len(presets) == 18
         assert [p.backend for p in presets[:17]] == ["dram"] * 17
         names = {fuzz.draw_case(seed).config_name
                  for seed in range(len(presets))}

@@ -71,6 +71,38 @@ def test_drift_outside_the_scope_refuses(tmp_path, capsys, scope):
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("relative", [False, True],
+                         ids=["absolute", "relative"])
+def test_write_takes_a_path_in_the_data_directory(tmp_path, capsys,
+                                                  monkeypatch, relative):
+    """``tests/data/FILE`` names the same pin file as ``FILE``."""
+    stubs = _pin_files(tmp_path, _moved_x())
+    before = _files(tmp_path)
+    path = tmp_path / "a.json"
+    if relative:
+        monkeypatch.chdir(tmp_path.parent)
+        path = path.relative_to(tmp_path.parent)
+    assert pins.main(["--write", f"{path}:figures/x"], stubs,
+                     tmp_path) == 0
+    assert "a.json: figures/x: aa -> ee" in capsys.readouterr().out
+    assert pins.load("a.json", tmp_path) == _moved_x()["a.json"]
+    assert _files(tmp_path)["b.json"] == before["b.json"]
+
+
+@pytest.mark.parametrize("name", ["elsewhere/a.json", "c.json"])
+def test_write_refuses_a_file_outside_the_pins(tmp_path, capsys, name):
+    """A path in another directory, or a name that is no pin file, is
+    refused with one line, and nothing is written."""
+    stubs = _pin_files(tmp_path, _moved_x())
+    before = _files(tmp_path)
+    assert pins.main(["--write", str(tmp_path / name)], stubs,
+                     tmp_path) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1 and "unknown pin file" in lines[0]
+    assert _files(tmp_path) == before
+
+
 def test_list_entries_keep_their_positions():
     """Two list children with one name stay two entries, so replacing
     one shows as one move, not as a merge."""

@@ -53,7 +53,7 @@ except ImportError:  # direct invocation without PYTHONPATH=src
 
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.trace import Trace, TraceEntry
-from repro.dram.backends import get_backend
+from repro.dram.backends import backend_names, get_backend
 from repro.dram.validation import TimingViolation, validate_log
 from repro.sim import config as cfgs
 from repro.sim.simulator import MemorySystem, Simulator
@@ -132,9 +132,6 @@ def build_config(case: Case, presets: Optional[List] = None):
     if tfaw is not None:
         config = replace(config, tfaw_ns=tfaw,
                          name=f"{config.name}+tFAW{tfaw:g}ns")
-    # Draw the refresh grade and policy unconditionally so the rng
-    # stream (and thus every other draw) is identical across backends;
-    # only *application* is gated on the technology's capability.
     density = rng.choice(REFRESH_DENSITIES if case.refresh
                          else REFRESH_GRADES)
     from repro.controller.scheduler import REFRESH_POLICIES
@@ -144,18 +141,13 @@ def build_config(case: Case, presets: Optional[List] = None):
         # it); draw darp instead, which such a case always ran.
         policy = "darp"
     if density is not None:
-        from repro.dram.backends import get_backend
-        tech = get_backend(config.backend)
-        if not tech.refresh_capable:
-            density = None  # e.g. PCM: the case runs refresh-free
-        elif density not in tech.refresh_grades_ns:
+        grades = sorted(get_backend(config.backend).refresh_grades_ns)
+        if density not in grades:
             # Map a DDR4-only grade onto one the technology ships
             # (deterministically, by the grade's position in the draw
             # tuple -- str hashes are salted per process).
-            grades = sorted(tech.refresh_grades_ns)
             density = grades[REFRESH_DENSITIES.index(density)
                              % len(grades)]
-    if density is not None:
         config = replace(config, refresh_density=density,
                          refresh_policy=policy,
                          name=f"{config.name}+ref-{policy}-{density}")
@@ -310,10 +302,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="force DRAM refresh on in every case "
                              "(density grade and policy still drawn "
                              "per seed) instead of the default "
-                             "half-on/half-off draw; refresh-free "
-                             "technologies (pcm_palp) ignore the draw")
+                             "half-on/half-off draw")
     parser.add_argument("--backend", default="dram",
-                        choices=("dram", "pcm_palp", "gddr5", "all"),
+                        choices=(*backend_names(), "all"),
                         help="restrict the preset round-robin to one "
                              "memory-technology backend (default dram, "
                              "which preserves the historical "
